@@ -16,8 +16,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .dataset import (
     ClubRecord,
     FxRate,
@@ -130,10 +128,9 @@ def _load_records(args: argparse.Namespace) -> list[ClubRecord]:
 
 def _predictor_columns(
     records: list[ClubRecord], variable_ids: tuple[str, ...]
-) -> list[tuple[str, np.ndarray]]:
+) -> list[tuple[str, list[float]]]:
     return [
-        (vid, np.array([predictor_value(r, vid) for r in records]))
-        for vid in variable_ids
+        (vid, [predictor_value(r, vid) for r in records]) for vid in variable_ids
     ]
 
 
@@ -150,7 +147,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     columns = _predictor_columns(records, predictors)
     response = ResponseVector(
         args.response,
-        np.array([predictor_value(r, args.response) for r in records]),
+        [predictor_value(r, args.response) for r in records],
     )
     fit = fit_through_origin(DesignMatrix.from_columns(columns), response)
     spec = RenderSpec(format=_resolve_format(args))
@@ -168,7 +165,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
         )
     response = ResponseVector(
         args.response,
-        np.array([predictor_value(r, args.response) for r in records]),
+        [predictor_value(r, args.response) for r in records],
     )
     cands = CandidateSet.from_columns(
         _predictor_columns(records, candidate_ids), response

@@ -214,8 +214,11 @@ def parse_club_csv(text: str) -> list[ClubRecord]:
 
     The header must match CSV_HEADER exactly. Rows carry either the
     five required fields or up to all nine; omitted or empty trailing
-    fields mean the optional predictors are absent.
+    fields mean the optional predictors are absent. One leading UTF-8
+    byte order mark, as spreadsheet exports write, is ignored.
     """
+    if text.startswith("\ufeff"):
+        text = text[1:]
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import (
     DimensionMismatch,
     InsufficientObservations,
@@ -20,6 +18,13 @@ from .errors import (
     RankDeficient,
 )
 from .special import t_two_sided_p
+
+# numpy is imported inside the functions that compute, so importing this
+# module, or running a CLI command that never fits, does not load it.
+# The constant stands in for typing.TYPE_CHECKING, which imports typing.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    import numpy as np
 
 RANK_RTOL = 1e-12
 
@@ -46,6 +51,8 @@ class DesignMatrix:
     def from_columns(
         cls, pairs: list[tuple[str, "np.ndarray | list[float]"]]
     ) -> "DesignMatrix":
+        import numpy as np
+
         return cls(
             tuple((vid, np.asarray(vec, dtype=float)) for vid, vec in pairs)
         )
@@ -59,6 +66,8 @@ class DesignMatrix:
         return len(self.columns[0][1])
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.column_stack([vec for _, vec in self.columns])
 
 
@@ -70,6 +79,8 @@ class ResponseVector:
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         object.__setattr__(
             self, "values", np.asarray(self.values, dtype=float)
         )
@@ -121,6 +132,8 @@ class RegressionFit:
 
 def _cholesky(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive definite matrix."""
+    import numpy as np
+
     n = a.shape[0]
     lower = np.zeros_like(a, dtype=float)
     for i in range(n):
@@ -143,6 +156,8 @@ def solve_normal_equations(xtx: np.ndarray, xty: np.ndarray) -> np.ndarray:
     Raises NotPositiveDefinite when X'X is singular or indefinite, which
     for least squares means the design is rank deficient.
     """
+    import numpy as np
+
     xtx = np.asarray(xtx, dtype=float)
     xty = np.asarray(xty, dtype=float)
     if xtx.ndim != 2 or xtx.shape[0] != xtx.shape[1]:
@@ -165,6 +180,8 @@ def solve_normal_equations(xtx: np.ndarray, xty: np.ndarray) -> np.ndarray:
 
 def _inverse_from_cholesky(lower: np.ndarray) -> np.ndarray:
     """Inverse of A = L L' given its lower Cholesky factor."""
+    import numpy as np
+
     n = lower.shape[0]
     inv = np.zeros((n, n))
     for col in range(n):
@@ -188,6 +205,8 @@ def fit_through_origin(design: DesignMatrix, response: ResponseVector) -> Regres
     and X'X is numerically full rank (smallest to largest eigenvalue
     ratio at least 1e-12).
     """
+    import numpy as np
+
     x = design.as_array()
     y = response.values
     ids = design.variable_ids

@@ -13,9 +13,8 @@ import io
 import math
 import sys
 from dataclasses import dataclass, field
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 from .dataset import ClubRecord
 from .errors import DomainError, EmptyInput, IoError, NonPositiveLogInput
@@ -34,6 +33,12 @@ DEFAULT_DECIMALS = {
     "percent": 1,
 }
 
+MAX_PLACES = 100
+# Room for the 309 integer digits of the largest finite float plus
+# MAX_PLACES decimals, so fmt_fixed never runs out of precision. The
+# default context holds only 28 digits.
+_FIXED_CONTEXT = Context(prec=sys.float_info.max_10_exp + 1 + MAX_PLACES)
+
 
 @dataclass(frozen=True)
 class RenderSpec:
@@ -50,8 +55,10 @@ class RenderSpec:
         if self.scale not in SCALES:
             raise DomainError(f"scale must be one of {SCALES}, got {self.scale!r}")
         for key, places in self.decimal_places.items():
-            if int(places) != places or places < 0:
-                raise DomainError(f"decimal places for {key!r} must be >= 0")
+            if int(places) != places or not 0 <= places <= MAX_PLACES:
+                raise DomainError(
+                    f"decimal places for {key!r} must lie in [0, {MAX_PLACES}]"
+                )
 
     def places(self, column: str) -> int:
         return int(self.decimal_places.get(column, DEFAULT_DECIMALS[column]))
@@ -76,7 +83,8 @@ def fmt_fixed(value: float, places: int) -> str:
     if not math.isfinite(value):
         return str(value)
     quantum = Decimal(1).scaleb(-places)
-    return str(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
+    # Positional arguments: this runs per table cell, and keywords cost more.
+    return str(Decimal(repr(value)).quantize(quantum, ROUND_HALF_UP, _FIXED_CONTEXT))
 
 
 def fmt_grouped(value: float, places: int = 0) -> str:
@@ -87,6 +95,12 @@ def fmt_grouped(value: float, places: int = 0) -> str:
 def fmt_sci(value: float) -> str:
     """Scientific notation with two decimals, e.g. 1.69E-06."""
     return f"{value:.2E}"
+
+
+def _xml_escape(text: str, quote: bool = False) -> str:
+    """Escape &, < and > (and " when quote is set) for SVG text and attributes."""
+    text = text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+    return text.replace('"', "&quot;") if quote else text
 
 
 def write_document(doc: str, output_path: str | None = None) -> None:
@@ -363,7 +377,7 @@ _MARKER_SHAPES = ("circle", "square", "triangle")
 
 
 def _marker_element(shape: str, px: float, py: float, cls: str, club: str) -> str:
-    title = f"<title>{escape(club)}</title>"
+    title = f"<title>{_xml_escape(club)}</title>"
     if shape == "circle":
         return (
             f'<circle class="{cls}" cx="{px:.2f}" cy="{py:.2f}" r="4">'
@@ -466,11 +480,11 @@ def emit_scatter(
 
     parts.append(
         f'<text x="{ml + plot_w / 2:.2f}" y="{height - 12:.2f}" '
-        f'text-anchor="middle">{escape(x_label)}</text>'
+        f'text-anchor="middle">{_xml_escape(x_label)}</text>'
     )
     parts.append(
         f'<text x="18" y="{mt + plot_h / 2:.2f}" text-anchor="middle" '
-        f'transform="rotate(-90 18 {mt + plot_h / 2:.2f})">{escape(y_label)}</text>'
+        f'transform="rotate(-90 18 {mt + plot_h / 2:.2f})">{_xml_escape(y_label)}</text>'
     )
 
     if guide_line:
@@ -484,7 +498,7 @@ def emit_scatter(
 
     for idx, s in enumerate(series):
         shape = _MARKER_SHAPES[idx % len(_MARKER_SHAPES)]
-        label_attr = escape(s.label, {'"': "&quot;"})
+        label_attr = _xml_escape(s.label, quote=True)
         parts.append(f'<g class="series" data-label="{label_attr}">')
         for x, y, club in s.points:
             parts.append(
@@ -501,7 +515,7 @@ def emit_scatter(
         lx = width - mr + 18.0
         parts.append(_marker_element(shape, lx, legend_y - 4.0, f"swatch s{idx}", s.label))
         parts.append(
-            f'<text x="{lx + 10:.2f}" y="{legend_y:.2f}">{escape(s.label)}</text>'
+            f'<text x="{lx + 10:.2f}" y="{legend_y:.2f}">{_xml_escape(s.label)}</text>'
         )
 
     parts.append("</svg>")

@@ -9,9 +9,7 @@ deterministic report shape.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .errors import (
     DimensionMismatch,
@@ -21,6 +19,11 @@ from .errors import (
     TooManyCandidates,
 )
 from .regression import DesignMatrix, RegressionFit, ResponseVector, fit_through_origin
+
+# As in regression: numpy only at call time.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_CANDIDATES = 12
 
@@ -51,6 +54,8 @@ class CandidateSet:
         pairs: list[tuple[str, "np.ndarray | list[float]"]],
         response: ResponseVector,
     ) -> "CandidateSet":
+        import numpy as np
+
         return cls(
             tuple((vid, np.asarray(vec, dtype=float)) for vid, vec in pairs),
             response,
@@ -194,7 +199,7 @@ def stepwise(
                 fit = fit_through_origin(design, cands.response)
             except (RankDeficient, InsufficientObservations):
                 break
-            worst_idx = int(np.argmax(fit.p_values))
+            worst_idx = int(fit.p_values.argmax())
             if float(fit.p_values[worst_idx]) <= alpha_out:
                 break
             current.remove(fit.variable_ids[worst_idx])

@@ -96,10 +96,13 @@ def t_two_sided_p(t: float, dof: int) -> float:
     """Two-sided tail probability P(|T| >= |t|) of Student's t with dof degrees of freedom.
 
     Computed as I_x(dof/2, 1/2) at x = dof / (dof + t^2). Degenerate fits
-    produce t = +-inf, for which the tail is exactly 0.
+    produce t = +-inf, for which the tail is exactly 0; a NaN t is rejected.
     """
-    if int(dof) != dof or dof < 1:
+    # dof % 1 is NaN for an infinite dof, and not dof >= 1 catches a NaN one.
+    if isinstance(dof, bool) or not dof >= 1 or dof % 1:
         raise DomainError(f"degrees of freedom must be an integer >= 1, got {dof}")
+    if math.isnan(t):
+        raise DomainError("t statistic is NaN")
     if t == 0:
         return 1.0
     if math.isinf(t):

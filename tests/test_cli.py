@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import clubval
 from clubval.cli import run_cli
 from clubval.dataset import CSV_HEADER
 
@@ -51,6 +56,28 @@ class TestApply:
         code, _out, err = _run(capsys, "apply", "--input", str(bad))
         assert code == 1
         assert "sns_followers" in err
+
+    def test_utf8_bom_input(self, capsys, tmp_path):
+        club_file = tmp_path / "clubs.csv"
+        club_file.write_text(
+            CSV_HEADER + "\nUrawa Reds,J1,807734,54.18,28.55\n", encoding="utf-8-sig"
+        )
+        code, out, _err = _run(capsys, "apply", "--input", str(club_file))
+        assert code == 0
+        assert "161.39" in out
+
+    def test_values_beyond_default_decimal_precision(self, capsys, tmp_path):
+        club_file = tmp_path / "clubs.csv"
+        club_file.write_text(
+            CSV_HEADER + "\nBig,J1,1000000,1e30,2.0\n", encoding="utf-8"
+        )
+        code, out, err = _run(
+            capsys, "apply", "--input", str(club_file), "--format", "csv"
+        )
+        assert code == 0, err
+        big_row = out.splitlines()[1].split(",")
+        assert big_row[3] == "1" + "0" * 30 + ".00"
+        assert big_row[5] == "29233" + "0" * 26 + ".00"
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "table.md"
@@ -186,3 +213,34 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert _run(capsys, "--help")[0] == 0
+
+
+COLD_PATH_SCRIPT = """
+import contextlib, io, sys
+from clubval.cli import run_cli
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_cli(list(argv)) == 0
+
+run("apply", "--bundled", "jleague")
+run("premiums")
+run("plot")
+print(sorted(m for m in ("numpy", "urllib.request") if m in sys.modules))
+run("fit", "--response", "revenue_meur", "--predictors", "sns_followers_m")
+print("numpy" in sys.modules)
+"""
+
+
+class TestColdPath:
+    def test_apply_premiums_plot_leave_numpy_unloaded(self):
+        # A fresh interpreter, since this test process has loaded numpy already.
+        env = {k: v for k, v in os.environ.items() if k != "VALUATE_FX_RATE"}
+        src = str(Path(clubval.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", COLD_PATH_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "True"]

@@ -66,6 +66,10 @@ class TestParseClubCsv:
         text = CSV_HEADER + "\r\nUrawa Reds,J1,807734,54.18,28.55\r\n"
         assert parse_club_csv(text)[0].name == "Urawa Reds"
 
+    def test_utf8_bom_ignored(self):
+        text = "\ufeff" + CSV_HEADER + "\nUrawa Reds,J1,807734,54.18,28.55\n"
+        assert parse_club_csv(text) == parse_club_csv(text[1:])
+
     def test_header_mismatch(self):
         with pytest.raises(HeaderMismatch):
             parse_club_csv("club,tier,followers\nx,y,1\n")

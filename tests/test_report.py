@@ -1,5 +1,6 @@
 import csv
 import io
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -9,6 +10,7 @@ from clubval.dataset import bundled_european_reference, bundled_jleague_dataset
 from clubval.errors import DomainError, EmptyInput, IoError, NonPositiveLogInput
 from clubval.regression import DesignMatrix, ResponseVector, fit_through_origin
 from clubval.report import (
+    MAX_PLACES,
     RenderSpec,
     ScatterSeries,
     emit_scatter,
@@ -54,6 +56,12 @@ class TestFormatting:
     def test_fixed_places(self):
         assert fmt_fixed(3.7233, 4) == "3.7233"
         assert fmt_fixed(2.0, 4) == "2.0000"
+
+    def test_beyond_default_decimal_precision(self):
+        assert fmt_fixed(1e30, 2) == "1" + "0" * 30 + ".00"
+        largest = sys.float_info.max
+        assert fmt_fixed(largest, 4) == "17976931348623157" + "0" * 292 + ".0000"
+        assert fmt_fixed(-largest, MAX_PLACES).startswith("-17976931348623157")
 
     def test_scientific(self):
         assert fmt_sci(1.6946663864392964e-06) == "1.69E-06"
@@ -226,6 +234,15 @@ class TestScatter:
             self._series(), spec
         )
 
+    def test_markup_in_labels_escaped(self):
+        series = [ScatterSeries('A & "B" <c>', ((1.0, 2.0, "x>y & z"),))]
+        doc = emit_scatter(series, RenderSpec(format="svg", scale="linear"))
+        assert 'data-label="A &amp; &quot;B&quot; &lt;c&gt;"' in doc
+        assert '>A &amp; "B" &lt;c&gt;</text>' in doc
+        assert "<title>x&gt;y &amp; z</title>" in doc
+        group = ET.fromstring(doc).find("{http://www.w3.org/2000/svg}g")
+        assert group.get("data-label") == 'A & "B" <c>'
+
     def test_requires_svg_format(self):
         with pytest.raises(DomainError):
             emit_scatter(self._series(), RenderSpec(format="text"))
@@ -247,6 +264,10 @@ class TestRenderSpec:
     def test_rejects_negative_decimals(self):
         with pytest.raises(DomainError):
             RenderSpec(decimal_places={"value": -1})
+
+    def test_rejects_too_many_decimals(self):
+        with pytest.raises(DomainError):
+            RenderSpec(decimal_places={"value": MAX_PLACES + 1})
 
     def test_decimal_override(self):
         spec = RenderSpec(decimal_places={"value": 3})

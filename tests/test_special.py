@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clubval.errors import DomainError
@@ -67,9 +67,15 @@ class TestIncompleteBeta:
         st.floats(min_value=0.2, max_value=30.0),
         st.floats(min_value=0.0, max_value=1.0),
     )
+    @example(a=0.5, b=1.0, x=9.69e-18)
     def test_symmetry(self, a, b, x):
-        left = regularized_incomplete_beta(a, b, x)
-        right = 1.0 - regularized_incomplete_beta(b, a, 1.0 - x)
+        # I_y(a, b) = 1 - I_{1-y}(b, a) needs y and 1 - y to sum to 1
+        # exactly. For tiny x, 1 - x rounds to 1.0 and loses x entirely,
+        # so evaluate the identity on the pair (1 - xc, xc), which is
+        # exact in floating point.
+        xc = 1.0 - x
+        left = regularized_incomplete_beta(a, b, 1.0 - xc)
+        right = 1.0 - regularized_incomplete_beta(b, a, xc)
         assert left == pytest.approx(right, abs=1e-11)
 
     @settings(max_examples=40)
@@ -116,6 +122,15 @@ class TestTTwoSidedP:
             t_two_sided_p(1.0, 0)
         with pytest.raises(DomainError):
             t_two_sided_p(1.0, -4)
+
+    def test_rejects_bool_and_non_integer_dof(self):
+        for dof in (True, False, 2.5, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                t_two_sided_p(1.0, dof)
+
+    def test_rejects_nan_t(self):
+        with pytest.raises(DomainError):
+            t_two_sided_p(math.nan, 5)
 
     @settings(max_examples=60)
     @given(
