@@ -29,7 +29,6 @@ from .regression import (
     RegressionFit,
     ResponseVector,
     fit_through_origin,
-    solve_normal_equations,
 )
 from .report import (
     RenderSpec,
@@ -105,7 +104,6 @@ __all__ = [
     "render_selection_table",
     "render_valuation_table",
     "scale_value",
-    "solve_normal_equations",
     "stepwise",
     "t_two_sided_p",
     "transaction_premium",

@@ -54,7 +54,9 @@ ENV_FX = "VALUATE_FX_RATE"
 CORE_PREDICTORS = ("sns_followers_m", "revenue_meur", "player_market_value_meur")
 
 
-def _load_config(path: str) -> dict[str, str]:
+def _load_config(path: str | None) -> dict[str, str]:
+    if not path:
+        return {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -81,9 +83,9 @@ def _positive_float(text: str, origin: str) -> float:
     return value
 
 
-def _resolve_settings(args: argparse.Namespace) -> tuple[FxRate, float]:
-    config = _load_config(args.config) if getattr(args, "config", None) else {}
-
+def _resolve_settings(
+    args: argparse.Namespace, config: dict[str, str]
+) -> tuple[FxRate, float]:
     fx_value = getattr(args, "fx_rate", None)
     if fx_value is None and os.environ.get(ENV_FX):
         fx_value = _positive_float(os.environ[ENV_FX], ENV_FX)
@@ -103,14 +105,8 @@ def _resolve_settings(args: argparse.Namespace) -> tuple[FxRate, float]:
     return FxRate(fx_value), stake
 
 
-def _resolve_format(args: argparse.Namespace, default: str = "text") -> str:
-    if getattr(args, "format", None):
-        return args.format
-    if getattr(args, "config", None):
-        config = _load_config(args.config)
-        if "format" in config:
-            return config["format"]
-    return default
+def _table_spec(args: argparse.Namespace, config: dict[str, str]) -> RenderSpec:
+    return RenderSpec(format=args.format or config.get("format", "text"))
 
 
 def _load_records(args: argparse.Namespace) -> list[ClubRecord]:
@@ -142,6 +138,7 @@ def _split_ids(text: str) -> tuple[str, ...]:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
+    config = _load_config(args.config)
     records = _load_records(args)
     predictors = _split_ids(args.predictors)
     columns = _predictor_columns(records, predictors)
@@ -150,12 +147,13 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         [predictor_value(r, args.response) for r in records],
     )
     fit = fit_through_origin(DesignMatrix.from_columns(columns), response)
-    spec = RenderSpec(format=_resolve_format(args))
+    spec = _table_spec(args, config)
     write_document(render_regression_table(fit, spec), args.out)
     return 0
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
+    config = _load_config(args.config)
     records = _load_records(args)
     if args.candidates:
         candidate_ids = _split_ids(args.candidates)
@@ -175,7 +173,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
     else:
         max_size = args.max_size or len(candidate_ids)
         report = exhaustive_subsets(cands, max_size, alpha=args.alpha_in)
-    spec = RenderSpec(format=_resolve_format(args))
+    spec = _table_spec(args, config)
     write_document(render_selection_table(report, spec), args.out)
     return 0
 
@@ -184,10 +182,11 @@ def _cmd_apply(args: argparse.Namespace) -> int:
     if not args.input and not args.bundled:
         print("error: apply needs --input FILE or --bundled jleague", file=sys.stderr)
         return 2
+    config = _load_config(args.config)
     records = _load_records(args)
     results = valuate_all(records, FORMULA_1, FORMULA_2)
     aggregates = aggregate(results, records)
-    spec = RenderSpec(format=_resolve_format(args))
+    spec = _table_spec(args, config)
     write_document(
         render_valuation_table(results, records, aggregates, spec), args.out
     )
@@ -195,13 +194,14 @@ def _cmd_apply(args: argparse.Namespace) -> int:
 
 
 def _cmd_premiums(args: argparse.Namespace) -> int:
-    fx, stake = _resolve_settings(args)
+    config = _load_config(args.config)
+    fx, stake = _resolve_settings(args, config)
     records = _load_records(args)
     results = valuate_all(records, FORMULA_1, FORMULA_2)
     cases = bundled_transactions()
     premiums = premiums_by_case(cases, results, fx, stake=stake)
     ranges = premium_ranges(cases, results, fx, stake=stake)
-    spec = RenderSpec(format=_resolve_format(args))
+    spec = _table_spec(args, config)
     write_document(render_premium_table(premiums, ranges, spec), args.out)
     return 0
 

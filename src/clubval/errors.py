@@ -15,7 +15,7 @@ class ClubValError(Exception):
 # --- regression ---
 
 class DimensionMismatch(ClubValError):
-    """Shapes of design matrix, response, or solver inputs disagree."""
+    """Shapes of design matrix and response disagree."""
 
 
 class InsufficientObservations(ClubValError):
@@ -26,12 +26,8 @@ class RankDeficient(ClubValError):
     """Design matrix is collinear, contains a zero column, or is otherwise singular."""
 
 
-class NotPositiveDefinite(ClubValError):
-    """Normal-equations matrix is not symmetric positive definite."""
-
-
 class DomainError(ClubValError):
-    """Argument outside the mathematical domain of a special function."""
+    """Value outside the domain a computation or setting accepts."""
 
 
 # --- dataset ingestion ---

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 from .errors import (
     DimensionMismatch,
+    DomainError,
     InsufficientObservations,
-    NotPositiveDefinite,
     RankDeficient,
 )
 from .special import t_two_sided_p
@@ -130,80 +130,14 @@ class RegressionFit:
         ]
 
 
-def _cholesky(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a symmetric positive definite matrix."""
-    import numpy as np
-
-    n = a.shape[0]
-    lower = np.zeros_like(a, dtype=float)
-    for i in range(n):
-        for j in range(i + 1):
-            s = a[i, j] - np.dot(lower[i, :j], lower[j, :j])
-            if i == j:
-                if s <= 0.0:
-                    raise NotPositiveDefinite(
-                        f"leading minor of order {i + 1} is not positive"
-                    )
-                lower[i, i] = math.sqrt(s)
-            else:
-                lower[i, j] = s / lower[j, j]
-    return lower
-
-
-def solve_normal_equations(xtx: np.ndarray, xty: np.ndarray) -> np.ndarray:
-    """Solve (X'X) b = X'y by Cholesky factorization.
-
-    Raises NotPositiveDefinite when X'X is singular or indefinite, which
-    for least squares means the design is rank deficient.
-    """
-    import numpy as np
-
-    xtx = np.asarray(xtx, dtype=float)
-    xty = np.asarray(xty, dtype=float)
-    if xtx.ndim != 2 or xtx.shape[0] != xtx.shape[1]:
-        raise DimensionMismatch(f"X'X must be square, got shape {xtx.shape}")
-    if xty.shape != (xtx.shape[0],):
-        raise DimensionMismatch(
-            f"X'y has shape {xty.shape}, expected ({xtx.shape[0]},)"
-        )
-    lower = _cholesky(xtx)
-    # Forward then back substitution.
-    n = xtx.shape[0]
-    z = np.zeros(n)
-    for i in range(n):
-        z[i] = (xty[i] - np.dot(lower[i, :i], z[:i])) / lower[i, i]
-    b = np.zeros(n)
-    for i in range(n - 1, -1, -1):
-        b[i] = (z[i] - np.dot(lower[i + 1 :, i], b[i + 1 :])) / lower[i, i]
-    return b
-
-
-def _inverse_from_cholesky(lower: np.ndarray) -> np.ndarray:
-    """Inverse of A = L L' given its lower Cholesky factor."""
-    import numpy as np
-
-    n = lower.shape[0]
-    inv = np.zeros((n, n))
-    for col in range(n):
-        e = np.zeros(n)
-        e[col] = 1.0
-        z = np.zeros(n)
-        for i in range(n):
-            z[i] = (e[i] - np.dot(lower[i, :i], z[:i])) / lower[i, i]
-        x = np.zeros(n)
-        for i in range(n - 1, -1, -1):
-            x[i] = (z[i] - np.dot(lower[i + 1 :, i], x[i + 1 :])) / lower[i, i]
-        inv[:, col] = x
-    return 0.5 * (inv + inv.T)
-
-
 def fit_through_origin(design: DesignMatrix, response: ResponseVector) -> RegressionFit:
     """Fit response = design @ b with no intercept and return the full
     inference block.
 
     Requirements: n > k >= 1, response length matches the design rows,
-    and X'X is numerically full rank (smallest to largest eigenvalue
-    ratio at least 1e-12).
+    X'X, X'y and y'y are finite (no NaN or inf in the data and no
+    overflow in the products), and X'X is numerically full rank
+    (smallest to largest eigenvalue ratio at least 1e-12).
     """
     import numpy as np
 
@@ -220,30 +154,39 @@ def fit_through_origin(design: DesignMatrix, response: ResponseVector) -> Regres
             f"need more observations than predictors, got n={n}, k={k}"
         )
 
-    xtx = x.T @ x
-    eigvals = np.linalg.eigvalsh(xtx)
-    if eigvals[0] <= 0.0 or eigvals[0] < RANK_RTOL * eigvals[-1]:
+    # Overflow and NaN are reported below as a DomainError naming the
+    # input, so numpy's RuntimeWarnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        xtx = x.T @ x
+        xty = x.T @ y
+        tss_uncentered = float(y @ y)
+    if not (
+        np.isfinite(xtx).all()
+        and np.isfinite(xty).all()
+        and math.isfinite(tss_uncentered)
+    ):
+        bad = [vid for vid, d in zip(ids, np.diag(xtx)) if not math.isfinite(d)]
+        what = (
+            f"predictor(s) {', '.join(bad)}"
+            if bad
+            else f"response {response.variable_id}"
+        )
+        raise DomainError(f"non-finite value or overflow in {what}")
+
+    # One eigendecomposition X'X = V diag(w) V' gives the rank test,
+    # the coefficients and (X'X)^-1 for the standard errors.
+    w, v = np.linalg.eigh(xtx)
+    if w[0] <= 0.0 or w[0] < RANK_RTOL * w[-1]:
         raise RankDeficient(
-            f"X'X eigenvalue ratio {eigvals[0]:.3e} / {eigvals[-1]:.3e} "
+            f"X'X eigenvalue ratio {w[0]:.3e} / {w[-1]:.3e} "
             f"below tolerance {RANK_RTOL:g}"
         )
-    xty = x.T @ y
-    try:
-        lower = _cholesky(xtx)
-    except NotPositiveDefinite as exc:
-        raise RankDeficient(str(exc)) from exc
-
-    z = np.zeros(k)
-    for i in range(k):
-        z[i] = (xty[i] - np.dot(lower[i, :i], z[:i])) / lower[i, i]
-    beta = np.zeros(k)
-    for i in range(k - 1, -1, -1):
-        beta[i] = (z[i] - np.dot(lower[i + 1 :, i], beta[i + 1 :])) / lower[i, i]
+    inv_xtx = (v / w) @ v.T
+    beta = inv_xtx @ xty
 
     fitted = x @ beta
     residuals = y - fitted
     ssr = float(residuals @ residuals)
-    tss_uncentered = float(y @ y)
     dof = n - k
 
     if tss_uncentered == 0.0:
@@ -257,7 +200,6 @@ def fit_through_origin(design: DesignMatrix, response: ResponseVector) -> Regres
     sigma2 = ssr / dof
     ser = math.sqrt(sigma2)
 
-    inv_xtx = _inverse_from_cholesky(lower)
     variances = sigma2 * np.diag(inv_xtx)
     std_errors = np.sqrt(np.maximum(variances, 0.0))
 

@@ -47,7 +47,6 @@ class RenderSpec:
     format: str = "text"
     scale: str = "linear"
     decimal_places: dict = field(default_factory=dict)
-    output_path: str | None = None
 
     def __post_init__(self) -> None:
         if self.format not in FORMATS:

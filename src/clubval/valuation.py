@@ -229,16 +229,25 @@ def premiums_by_case(
     """Per-case premiums under both models, skipping undisclosed prices.
 
     Cases are matched to valuation results by club name; a case whose
-    club has no valuation is ignored.
+    club has no valuation is ignored, and one whose club has more than
+    one is rejected.
     """
-    by_club = {r.club: r for r in results}
+    by_club: dict[str, list[ValuationResult]] = {}
+    for r in results:
+        by_club.setdefault(r.club, []).append(r)
     out: list[PremiumResult] = []
     for case in cases:
         if case.price_for_51pct_myen is None:
             continue
-        result = by_club.get(case.club)
-        if result is None:
+        matches = by_club.get(case.club, [])
+        if not matches:
             continue
+        if len(matches) > 1:
+            raise DomainError(
+                f"{case.club!r} matches {len(matches)} valuation rows; "
+                "club names must be unique"
+            )
+        result = matches[0]
         for model_name, fv in (("Formula 1", result.fv1), ("Formula 2", result.fv2)):
             out.append(
                 transaction_premium(case, fv, fx, stake=stake, model_name=model_name)

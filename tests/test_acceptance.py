@@ -161,6 +161,26 @@ def test_criterion_4_published_inference_consistency(record_criterion):
     record_criterion(4, "published inference consistency", failures)
 
 
+def test_35_dof_from_published_residuals():
+    # Second confirmation of CONSISTENT_DOF, from the residuals rather
+    # than the printed p-values. On the 37 bundled European clubs the
+    # published enterprise value against each formula's estimate gives
+    # the published uncentered R-squared, and sqrt(SSR / dof) gives the
+    # published standard error only at dof = 35: the integer FV columns
+    # leave it within 0.1, while 34 and 36 miss by more than 1.
+    refs = bundled_european_reference()
+    assert len(refs) == 37
+    for name, block in published_fit_statistics().items():
+        column = "fv1" if name == "Formula 1" else "fv2"
+        ssr = sum((r.ev_kpmg - getattr(r, column)) ** 2 for r in refs)
+        tss = sum(r.ev_kpmg**2 for r in refs)
+        assert round(1.0 - ssr / tss, 4) == block["r_squared"], name
+        published_se = block["standard_error"]
+        assert abs(math.sqrt(ssr / CONSISTENT_DOF) - published_se) < 0.1, name
+        for dof in (CONSISTENT_DOF - 1, CONSISTENT_DOF + 1):
+            assert abs(math.sqrt(ssr / dof) - published_se) > 1.0, (name, dof)
+
+
 def test_criterion_5_regression_oracle_sweep(record_criterion):
     rng = np.random.default_rng(20260818)
     failures = []

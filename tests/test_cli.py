@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 import clubval
+from clubval import cli
 from clubval.cli import run_cli
-from clubval.dataset import CSV_HEADER
+from clubval.dataset import CSV_HEADER, bundled_jleague_dataset, club_csv
 
 
 def _run(capsys, *argv):
@@ -138,6 +139,32 @@ class TestPremiums:
         assert code == 1
         assert "stake" in err
 
+    def test_duplicate_club_is_data_error(self, capsys, tmp_path):
+        rows = club_csv(bundled_jleague_dataset())
+        club_file = tmp_path / "clubs.csv"
+        club_file.write_text(
+            rows + "FC Tokyo,J1,9000000,400.0,250.0\n", encoding="utf-8"
+        )
+        code, out, err = _run(capsys, "premiums", "--input", str(club_file))
+        assert code == 1
+        assert out == ""
+        assert "FC Tokyo" in err
+
+    def test_config_read_once(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.delenv("VALUATE_FX_RATE", raising=False)
+        config = tmp_path / "settings.conf"
+        config.write_text("fx_rate = 300\nformat = csv\n", encoding="utf-8")
+        calls = []
+        load = cli._load_config
+        monkeypatch.setattr(
+            cli, "_load_config", lambda path: calls.append(path) or load(path)
+        )
+        code, out, _err = _run(capsys, "premiums", "--config", str(config))
+        assert code == 0
+        assert calls == [str(config)]
+        assert out.startswith("club,")
+        assert "708.7" in out
+
 
 class TestFitAndSelect:
     def test_fit_bundled(self, capsys):
@@ -156,6 +183,44 @@ class TestFitAndSelect:
         )
         assert code == 1
         assert "bogus" in err
+
+    def test_bad_env_fx_rate_does_not_affect_tables(self, capsys, monkeypatch):
+        monkeypatch.setenv("VALUATE_FX_RATE", "not-a-number")
+        for argv in (
+            ("apply", "--bundled", "jleague"),
+            ("fit", "--response", "revenue_meur", "--predictors", "sns_followers_m"),
+            ("select", "--response", "revenue_meur"),
+        ):
+            code, _out, err = _run(capsys, *argv)
+            assert code == 0, err
+
+    @pytest.mark.parametrize(
+        "revenue, message",
+        [
+            ("{i}e200", "non-finite value or overflow in predictor(s) revenue_meur"),
+            ("inf", "revenue_meur"),
+            ("nan", "revenue_meur"),
+        ],
+    )
+    def test_fit_non_finite_or_overflowing_input(
+        self, capsys, tmp_path, revenue, message
+    ):
+        # The CSV parser already refuses inf and NaN; 1e200 passes it
+        # and is caught by the fit, whose X'X would overflow.
+        rows = "".join(
+            f"Club {i},J1,{1000 * i},{revenue.format(i=i)},{i + 0.5}\n"
+            for i in range(1, 11)
+        )
+        club_file = tmp_path / "clubs.csv"
+        club_file.write_text(CSV_HEADER + "\n" + rows, encoding="utf-8")
+        code, out, err = _run(
+            capsys, "fit", "--input", str(club_file),
+            "--response", "player_market_value_meur",
+            "--predictors", "revenue_meur",
+        )
+        assert code == 1
+        assert out == ""
+        assert message in err
 
     def test_select_exhaustive(self, capsys):
         code, out, _err = _run(

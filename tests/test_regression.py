@@ -7,16 +7,11 @@ from hypothesis import strategies as st
 
 from clubval.errors import (
     DimensionMismatch,
+    DomainError,
     InsufficientObservations,
-    NotPositiveDefinite,
     RankDeficient,
 )
-from clubval.regression import (
-    DesignMatrix,
-    ResponseVector,
-    fit_through_origin,
-    solve_normal_equations,
-)
+from clubval.regression import DesignMatrix, ResponseVector, fit_through_origin
 
 from oracles import solve_exact, textbook_fit
 
@@ -31,38 +26,6 @@ def _random_dataset(rng, n, k, noise=0.3):
     beta = rng.uniform(-4.0, 4.0, size=k)
     y = x @ beta + noise * rng.standard_normal(n)
     return x, y
-
-
-class TestSolveNormalEquations:
-    def test_identity_system(self):
-        b = solve_normal_equations(np.eye(2), np.array([5.0, 7.0]))
-        assert np.allclose(b, [5.0, 7.0], atol=1e-15)
-
-    def test_diagonal_system(self):
-        b = solve_normal_equations(
-            np.array([[4.0, 0.0], [0.0, 9.0]]), np.array([8.0, 27.0])
-        )
-        assert np.allclose(b, [2.0, 3.0], atol=1e-15)
-
-    def test_matches_exact_elimination(self):
-        rng = np.random.default_rng(20240125)
-        for _ in range(25):
-            m = rng.uniform(-2.0, 2.0, size=(3, 3))
-            spd = m @ m.T + 3.0 * np.eye(3)
-            rhs = rng.uniform(-5.0, 5.0, size=3)
-            ours = solve_normal_equations(spd, rhs)
-            exact = solve_exact(spd, rhs)
-            assert np.allclose(ours, exact, rtol=1e-12, atol=1e-12)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPositiveDefinite):
-            solve_normal_equations(
-                np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([1.0, 1.0])
-            )
-
-    def test_rejects_bad_shapes(self):
-        with pytest.raises(DimensionMismatch):
-            solve_normal_equations(np.eye(3), np.array([1.0, 2.0]))
 
 
 class TestFitThroughOrigin:
@@ -142,6 +105,27 @@ class TestFitThroughOrigin:
         design = DesignMatrix.from_columns([("a", [1.0, 2.0, 3.0])])
         with pytest.raises(DimensionMismatch):
             fit_through_origin(design, ResponseVector("y", np.array([1.0, 2.0])))
+
+    def test_overflowing_column_rejected(self):
+        # (1e200 * x)'(1e200 * x) overflows; the fit used to return a
+        # coefficient of 0.0 with a standard error of 0.0.
+        xs = np.arange(1.0, 11.0)
+        with pytest.raises(DomainError, match="predictor.*big"):
+            _fit([("big", 1e200 * xs)], xs + 0.01 * np.sin(xs))
+
+    def test_infinite_predictor_rejected(self):
+        xs = np.arange(1.0, 11.0)
+        bad = xs.copy()
+        bad[3] = np.inf
+        with pytest.raises(DomainError, match=r"predictor\(s\) b$"):
+            _fit([("a", np.sqrt(xs)), ("b", bad)], xs)
+
+    def test_nan_response_rejected(self):
+        xs = np.arange(1.0, 11.0)
+        y = xs.copy()
+        y[3] = np.nan
+        with pytest.raises(DomainError, match="response y"):
+            _fit([("a", xs)], y)
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(DimensionMismatch):

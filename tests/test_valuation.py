@@ -248,6 +248,13 @@ class TestPremiums:
         for low, high in ranges.values():
             assert low == high
 
+    def test_duplicate_club_rows_rejected(self):
+        records = bundled_jleague_dataset()
+        tokyo = next(r for r in records if r.name == "FC Tokyo")
+        results = valuate_all(records + [tokyo])
+        with pytest.raises(DomainError, match="FC Tokyo"):
+            premiums_by_case(bundled_transactions(), results, FxRate(150.0))
+
     def test_no_priced_cases_is_empty_input(self):
         records = bundled_jleague_dataset()
         results = valuate_all(records)
