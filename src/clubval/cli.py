@@ -86,7 +86,7 @@ def _positive_float(text: str, origin: str) -> float:
 def _resolve_settings(
     args: argparse.Namespace, config: dict[str, str]
 ) -> tuple[FxRate, float]:
-    fx_value = getattr(args, "fx_rate", None)
+    fx_value = args.fx_rate
     if fx_value is None and os.environ.get(ENV_FX):
         fx_value = _positive_float(os.environ[ENV_FX], ENV_FX)
     if fx_value is None and "fx_rate" in config:
@@ -94,7 +94,7 @@ def _resolve_settings(
     if fx_value is None:
         fx_value = DEFAULT_FX
 
-    stake = getattr(args, "stake", None)
+    stake = args.stake
     if stake is None and "stake" in config:
         stake = _positive_float(config["stake"], "config stake")
     if stake is None:
@@ -110,7 +110,7 @@ def _table_spec(args: argparse.Namespace, config: dict[str, str]) -> RenderSpec:
 
 
 def _load_records(args: argparse.Namespace) -> list[ClubRecord]:
-    if getattr(args, "input", None):
+    if args.input:
         try:
             text = Path(args.input).read_text(encoding="utf-8")
         except OSError as exc:
@@ -239,8 +239,8 @@ def _add_common(parser: argparse.ArgumentParser, formats: tuple[str, ...]) -> No
         "--input", help="club CSV file (default: the bundled J.League table)"
     )
     parser.add_argument("--out", help="output file (default: stdout)")
-    parser.add_argument("--config", help="key=value settings file")
     if formats:
+        parser.add_argument("--config", help="key=value settings file")
         parser.add_argument(
             "--format", choices=formats, help="output format (default: text)"
         )

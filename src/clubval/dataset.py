@@ -14,6 +14,7 @@ import csv
 import enum
 import io
 import math
+import sys
 from dataclasses import dataclass
 
 from . import reference_data
@@ -86,6 +87,11 @@ class ClubRecord:
             raise DomainError("club name must be non-empty")
         if self.sns_followers < 0:
             raise DomainError(f"{self.name}: sns_followers must be >= 0")
+        if self.sns_followers > sys.float_info.max:
+            raise DomainError(
+                f"{self.name}: sns_followers must not exceed the largest float, "
+                f"{sys.float_info.max!r}"
+            )
         for field_name in ("revenue_meur", "player_market_value_meur",
                           "broadcasting_meur", "player_wages_meur"):
             value = getattr(self, field_name)

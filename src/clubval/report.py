@@ -86,11 +86,6 @@ def fmt_fixed(value: float, places: int) -> str:
     return str(Decimal(repr(value)).quantize(quantum, ROUND_HALF_UP, _FIXED_CONTEXT))
 
 
-def fmt_grouped(value: float, places: int = 0) -> str:
-    """Like fmt_fixed but with thousands separators."""
-    return f"{float(fmt_fixed(value, places)):,.{places}f}"
-
-
 def fmt_sci(value: float) -> str:
     """Scientific notation with two decimals, e.g. 1.69E-06."""
     return f"{value:.2E}"
@@ -140,10 +135,35 @@ def _csv_doc(rows: list[list[str]]) -> str:
     return out.getvalue()
 
 
-def render_regression_table(fit: RegressionFit, spec: RenderSpec) -> str:
-    """One row per coefficient plus the summary statistics block."""
+def _emit_tables(
+    spec: RenderSpec,
+    blocks: list[tuple[list[list[str]], set[int]]],
+    trailer: str = "",
+    grouped: frozenset[int] = frozenset(),
+) -> str:
+    """Render row blocks, each a (rows, right-aligned columns) pair, in
+    the spec's tabular format with a blank line between blocks.
+
+    csv carries the data only. md and text follow the tables with a
+    blank line and the trailer, when there is one, and print the body
+    cells of the grouped columns (whole numbers) with thousands
+    separators, rewriting those cells in place.
+    """
     if spec.format == "svg":
         raise DomainError("svg is only valid for plot rendering")
+    if spec.format == "csv":
+        return "\n".join(_csv_doc(rows) for rows, _ in blocks)
+    table = _md_table if spec.format == "md" else _text_table
+    for rows, _ in blocks:
+        for row in rows[1:]:
+            for i in grouped:
+                row[i] = f"{float(row[i]):,.0f}"
+    doc = "\n".join(table(rows, right_align) for rows, right_align in blocks)
+    return doc + ("\n" + trailer if trailer else "")
+
+
+def render_regression_table(fit: RegressionFit, spec: RenderSpec) -> str:
+    """One row per coefficient plus the summary statistics block."""
     cp = spec.places("coefficient")
     sp = spec.places("statistic")
 
@@ -164,10 +184,7 @@ def render_regression_table(fit: RegressionFit, spec: RenderSpec) -> str:
         ["Degrees of freedom", str(fit.dof)],
     ]
 
-    if spec.format == "csv":
-        return _csv_doc(coef_rows) + "\n" + _csv_doc(stat_rows)
-    table = _md_table if spec.format == "md" else _text_table
-    return table(coef_rows, {1, 2, 3, 4}) + "\n" + table(stat_rows, {1})
+    return _emit_tables(spec, [(coef_rows, {1, 2, 3, 4}), (stat_rows, {1})])
 
 
 def render_valuation_table(
@@ -182,8 +199,6 @@ def render_valuation_table(
     (mean of ratios, median of ratios), not the ratio of the aggregated
     firm values.
     """
-    if spec.format == "svg":
-        raise DomainError("svg is only valid for plot rendering")
     if not results:
         raise EmptyInput("no valuation rows to render")
     if len(results) != len(records):
@@ -191,10 +206,6 @@ def render_valuation_table(
     vp = spec.places("value")
     ap = spec.places("aggregate")
     rp = spec.places("ratio")
-    plain = spec.format == "csv"
-
-    def sns_cell(value: float, places: int = 0) -> str:
-        return fmt_fixed(value, places) if plain else fmt_grouped(value, places)
 
     rows = [
         [
@@ -213,7 +224,7 @@ def render_valuation_table(
             [
                 rec.league,
                 rec.name,
-                sns_cell(rec.sns_followers),
+                fmt_fixed(rec.sns_followers, 0),
                 fmt_fixed(rec.revenue_meur, vp),
                 fmt_fixed(rec.player_market_value_meur, vp),
                 fmt_fixed(res.fv1, vp),
@@ -225,7 +236,7 @@ def render_valuation_table(
         [
             "",
             "Average",
-            sns_cell(aggregates.mean_sns),
+            fmt_fixed(aggregates.mean_sns, 0),
             fmt_fixed(aggregates.mean_revenue, ap),
             fmt_fixed(aggregates.mean_pmv, ap),
             fmt_fixed(aggregates.mean_fv1, ap),
@@ -237,7 +248,7 @@ def render_valuation_table(
         [
             "",
             "Median",
-            sns_cell(aggregates.median_sns),
+            fmt_fixed(aggregates.median_sns, 0),
             fmt_fixed(aggregates.median_revenue, ap),
             fmt_fixed(aggregates.median_pmv, ap),
             fmt_fixed(aggregates.median_fv1, ap),
@@ -250,10 +261,9 @@ def render_valuation_table(
         "Ratio aggregates are the mean and median of the per-club "
         "FV1/FV2 ratios.\n"
     )
-    if spec.format == "csv":
-        return _csv_doc(rows)
-    table = _md_table if spec.format == "md" else _text_table
-    return table(rows, {2, 3, 4, 5, 6, 7}) + "\n" + note
+    return _emit_tables(
+        spec, [(rows, {2, 3, 4, 5, 6, 7})], note, grouped=frozenset({2})
+    )
 
 
 def render_premium_table(
@@ -262,8 +272,6 @@ def render_premium_table(
     spec: RenderSpec,
 ) -> str:
     """Per-case premiums and per-model premium ranges, in percent."""
-    if spec.format == "svg":
-        raise DomainError("svg is only valid for plot rendering")
     if not premiums:
         raise EmptyInput("no premiums to render")
     pp = spec.places("percent")
@@ -286,16 +294,11 @@ def render_premium_table(
             [model_name, fmt_fixed(100.0 * low, pp), fmt_fixed(100.0 * high, pp)]
         )
 
-    if spec.format == "csv":
-        return _csv_doc(rows) + "\n" + _csv_doc(range_rows)
-    table = _md_table if spec.format == "md" else _text_table
-    return table(rows, {2, 3}) + "\n" + table(range_rows, {1, 2})
+    return _emit_tables(spec, [(rows, {2, 3}), (range_rows, {1, 2})])
 
 
 def render_selection_table(report, spec: RenderSpec) -> str:
     """Ranked subsets with their headline fit statistics."""
-    if spec.format == "svg":
-        raise DomainError("svg is only valid for plot rendering")
     sp = spec.places("statistic")
     rows = [["rank", "variables", "adj_r_squared", "r_squared", "std_error", "all_significant"]]
     for rank, model in enumerate(report.ranked_models, start=1):
@@ -319,11 +322,7 @@ def render_selection_table(report, spec: RenderSpec) -> str:
     if not report.converged:
         trailer += "Warning: selection stopped on a cycle before converging.\n"
 
-    if spec.format == "csv":
-        return _csv_doc(rows)
-    table = _md_table if spec.format == "md" else _text_table
-    doc = table(rows, {0, 2, 3, 4})
-    return doc + ("\n" + trailer if trailer else "")
+    return _emit_tables(spec, [(rows, {0, 2, 3, 4})], trailer)
 
 
 def scale_value(value: float, scale: str) -> float:
@@ -362,6 +361,8 @@ def _linear_ticks(lo: float, hi: float) -> list[float]:
 
 
 def _log_ticks(lo: float, hi: float) -> list[float]:
+    # Decades past the largest float have no value to label.
+    hi = min(hi, sys.float_info.max_10_exp)
     return [float(e) for e in range(math.ceil(lo - 1e-9), math.floor(hi + 1e-9) + 1)]
 
 
@@ -417,10 +418,17 @@ def emit_scatter(
 
     def padded(values: list[float]) -> tuple[float, float]:
         lo, hi = min(values), max(values)
-        if hi == lo:
-            return lo - 0.5, hi + 0.5
         pad = 0.05 * (hi - lo)
-        return lo - pad, hi + pad
+        # A spread that rounding would lose (a single value, one below a
+        # billionth of the magnitude, or one among the smallest floats) is
+        # padded by at least 0.5, so the axis has width and ticks advance.
+        least = 1e-9 * max(abs(lo), abs(hi), 1e-290)
+        if pad < least:
+            pad = max(0.5, least)
+        lo, hi = lo - pad, hi + pad
+        if not math.isfinite(hi - lo):
+            raise DomainError("plot axis range exceeds the float range")
+        return lo, hi
 
     x_lo, x_hi = padded(xs)
     y_lo, y_hi = padded(ys)

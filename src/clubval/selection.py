@@ -32,21 +32,15 @@ MAX_CANDIDATES = 12
 class CandidateSet:
     """Candidate predictor columns and the response they explain."""
 
-    predictors: tuple[tuple[str, np.ndarray], ...]
+    design: DesignMatrix
     response: ResponseVector
 
     def __post_init__(self) -> None:
-        if not self.predictors:
-            raise DimensionMismatch("need at least one candidate predictor")
-        ids = [vid for vid, _ in self.predictors]
-        if len(set(ids)) != len(ids):
-            raise DimensionMismatch(f"duplicate candidate ids in {ids}")
         n = len(self.response.values)
-        for vid, vec in self.predictors:
-            if len(vec) != n:
-                raise DimensionMismatch(
-                    f"candidate {vid} has length {len(vec)}, response has {n}"
-                )
+        if self.design.n_rows != n:
+            raise DimensionMismatch(
+                f"candidates have {self.design.n_rows} rows, response has {n}"
+            )
 
     @classmethod
     def from_columns(
@@ -54,19 +48,14 @@ class CandidateSet:
         pairs: list[tuple[str, "np.ndarray | list[float]"]],
         response: ResponseVector,
     ) -> "CandidateSet":
-        import numpy as np
-
-        return cls(
-            tuple((vid, np.asarray(vec, dtype=float)) for vid, vec in pairs),
-            response,
-        )
+        return cls(DesignMatrix.from_columns(pairs), response)
 
     @property
     def variable_ids(self) -> tuple[str, ...]:
-        return tuple(vid for vid, _ in self.predictors)
+        return self.design.variable_ids
 
     def design_for(self, subset: tuple[str, ...]) -> DesignMatrix:
-        by_id = dict(self.predictors)
+        by_id = dict(self.design.columns)
         return DesignMatrix(tuple((vid, by_id[vid]) for vid in subset))
 
 
@@ -116,9 +105,9 @@ def _fit_subset(
 
 
 def _guard(cands: CandidateSet) -> None:
-    if len(cands.predictors) > MAX_CANDIDATES:
+    if len(cands.variable_ids) > MAX_CANDIDATES:
         raise TooManyCandidates(
-            f"{len(cands.predictors)} candidates exceed the exhaustive "
+            f"{len(cands.variable_ids)} candidates exceed the exhaustive "
             f"search cap of {MAX_CANDIDATES}"
         )
 
@@ -131,11 +120,9 @@ def exhaustive_subsets(
     Rank-deficient subsets are recorded as skipped rather than fitted.
     """
     _guard(cands)
-    if not (1 <= max_size <= len(cands.predictors)):
-        raise DomainError(
-            f"max_size must lie in [1, {len(cands.predictors)}], got {max_size}"
-        )
     ids = cands.variable_ids
+    if not (1 <= max_size <= len(ids)):
+        raise DomainError(f"max_size must lie in [1, {len(ids)}], got {max_size}")
     models: list[RankedModel] = []
     skipped: list[tuple[str, ...]] = []
     for size in range(1, max_size + 1):
@@ -194,15 +181,13 @@ def stepwise(
         # Backward steps: drop the worst insignificant variable until
         # everything retained clears alpha_out.
         while current:
-            design = cands.design_for(tuple(current))
-            try:
-                fit = fit_through_origin(design, cands.response)
-            except (RankDeficient, InsufficientObservations):
+            model = _fit_subset(cands, tuple(current), alpha_out)
+            if model is None:
                 break
-            worst_idx = int(fit.p_values.argmax())
-            if float(fit.p_values[worst_idx]) <= alpha_out:
+            worst_idx = int(model.fit.p_values.argmax())
+            if float(model.fit.p_values[worst_idx]) <= alpha_out:
                 break
-            current.remove(fit.variable_ids[worst_idx])
+            current.remove(model.variable_ids[worst_idx])
             changed = True
 
         if not changed:

@@ -62,8 +62,9 @@ def _beta_cf(a: float, b: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _CF_EPS:
             return h
-    raise ArithmeticError(
-        f"incomplete beta continued fraction did not converge for a={a}, b={b}, x={x}"
+    raise DomainError(
+        f"incomplete beta continued fraction did not converge in {_CF_MAX_ITER} "
+        f"iterations for a={a}, b={b}, x={x}"
     )
 
 
@@ -72,6 +73,10 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
 
     Uses the standard continued fraction on whichever of I_x(a, b) and
     1 - I_{1-x}(b, a) converges fast, giving relative error around 1e-14.
+    The fraction takes more iterations as a and b both grow: once both
+    exceed about 8e5 it no longer converges near x = a / (a + b), and
+    DomainError is raised. t tail probabilities use b = 1/2 and are not
+    affected.
     """
     if a <= 0 or b <= 0:
         raise DomainError(f"incomplete beta requires a, b > 0, got a={a}, b={b}")

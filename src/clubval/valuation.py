@@ -57,8 +57,10 @@ def _model_from_published(name: str) -> ValuationModel:
     )
 
 
-FORMULA_1 = _model_from_published("Formula 1")
-FORMULA_2 = _model_from_published("Formula 2")
+# The published blocks are listed in formula order; the names live there.
+FORMULA_1, FORMULA_2 = map(
+    _model_from_published, reference_data.PUBLISHED_FIT_STATISTICS
+)
 
 
 @dataclass(frozen=True)
@@ -130,9 +132,13 @@ def valuate(
         raise DegenerateRatio(
             f"{record.name}: fv2 is zero, ratio undefined"
         )
-    return ValuationResult(
-        club=record.name, fv1=fv1, fv2=fv2, ratio_pct=100.0 * fv1 / fv2
-    )
+    ratio_pct = 100.0 * fv1 / fv2
+    if not (math.isfinite(fv1) and math.isfinite(fv2) and math.isfinite(ratio_pct)):
+        raise DomainError(
+            f"{record.name}: firm values {fv1}, {fv2} or their ratio "
+            "exceed the float range"
+        )
+    return ValuationResult(club=record.name, fv1=fv1, fv2=fv2, ratio_pct=ratio_pct)
 
 
 def valuate_all(
@@ -141,6 +147,27 @@ def valuate_all(
     f2: ValuationModel = FORMULA_2,
 ) -> list[ValuationResult]:
     return [valuate(r, f1, f2) for r in records]
+
+
+def _mean(values: list[float]) -> float:
+    """Arithmetic mean, also of values whose sum exceeds the float range."""
+    try:
+        return statistics.fmean(values)
+    except OverflowError:
+        # Each v / n is finite and their sum is at most the largest |v|.
+        n = len(values)
+        return math.fsum(v / n for v in values)
+
+
+def _median(values: list[float]) -> float:
+    """Median, also of values whose middle pair sums past the float range."""
+    median = statistics.median(values)
+    if math.isinf(median):
+        # Finite values, so the midpoint overflowed: halve before adding.
+        ordered = sorted(values)
+        mid = len(ordered) // 2
+        median = ordered[mid - 1] / 2 + ordered[mid] / 2
+    return median
 
 
 def aggregate(
@@ -170,24 +197,24 @@ def aggregate(
     fv1 = [r.fv1 for r in results]
     fv2 = [r.fv2 for r in results]
     ratios = [r.ratio_pct for r in results]
-    mean_fv1 = statistics.fmean(fv1)
-    mean_fv2 = statistics.fmean(fv2)
+    mean_fv1 = _mean(fv1)
+    mean_fv2 = _mean(fv2)
     if mean_fv2 == 0.0:
         raise DegenerateRatio("mean fv2 is zero, ratio-of-means undefined")
 
     return AggregateRow(
-        mean_sns=statistics.fmean(sns),
-        median_sns=statistics.median(sns),
-        mean_revenue=statistics.fmean(revenue),
-        median_revenue=statistics.median(revenue),
-        mean_pmv=statistics.fmean(pmv),
-        median_pmv=statistics.median(pmv),
+        mean_sns=_mean(sns),
+        median_sns=_median(sns),
+        mean_revenue=_mean(revenue),
+        median_revenue=_median(revenue),
+        mean_pmv=_mean(pmv),
+        median_pmv=_median(pmv),
         mean_fv1=mean_fv1,
-        median_fv1=statistics.median(fv1),
+        median_fv1=_median(fv1),
         mean_fv2=mean_fv2,
-        median_fv2=statistics.median(fv2),
-        mean_of_ratios_pct=statistics.fmean(ratios),
-        median_of_ratios_pct=statistics.median(ratios),
+        median_fv2=_median(fv2),
+        mean_of_ratios_pct=_mean(ratios),
+        median_of_ratios_pct=_median(ratios),
         ratio_of_means_pct=100.0 * mean_fv1 / mean_fv2,
     )
 
@@ -212,6 +239,8 @@ def transaction_premium(
     if not (0.0 < stake <= 1.0):
         raise DomainError(f"stake must lie in (0, 1], got {stake}")
     implied = eur_to_yen(fv_meur, fx) * stake
+    if not math.isfinite(implied):
+        raise DomainError(f"{case.club}: implied stake value exceeds the float range")
     return PremiumResult(
         club=case.club,
         model_name=model_name,
@@ -248,9 +277,9 @@ def premiums_by_case(
                 "club names must be unique"
             )
         result = matches[0]
-        for model_name, fv in (("Formula 1", result.fv1), ("Formula 2", result.fv2)):
+        for model, fv in ((FORMULA_1, result.fv1), (FORMULA_2, result.fv2)):
             out.append(
-                transaction_premium(case, fv, fx, stake=stake, model_name=model_name)
+                transaction_premium(case, fv, fx, stake=stake, model_name=model.name)
             )
     return out
 
@@ -261,13 +290,12 @@ def premium_ranges(
     fx: FxRate,
     stake: float = 0.51,
 ) -> dict[str, tuple[float, float]]:
-    """Per-model (min, max) premium over the cases with disclosed prices."""
+    """Per-model (min, max) premium over the cases with disclosed prices,
+    keyed by model name in order of first appearance."""
     premiums = premiums_by_case(cases, results, fx, stake=stake)
     if not premiums:
         raise EmptyInput("no case with a disclosed price matched a valuation")
-    ranges: dict[str, tuple[float, float]] = {}
-    for model_name in ("Formula 1", "Formula 2"):
-        values = [p.premium for p in premiums if p.model_name == model_name]
-        if values:
-            ranges[model_name] = (min(values), max(values))
-    return ranges
+    by_model: dict[str, list[float]] = {}
+    for p in premiums:
+        by_model.setdefault(p.model_name, []).append(p.premium)
+    return {name: (min(values), max(values)) for name, values in by_model.items()}

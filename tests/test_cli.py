@@ -1,10 +1,13 @@
 import os
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import clubval
 from clubval import cli
@@ -79,6 +82,17 @@ class TestApply:
         big_row = out.splitlines()[1].split(",")
         assert big_row[3] == "1" + "0" * 30 + ".00"
         assert big_row[5] == "29233" + "0" * 26 + ".00"
+
+    def test_follower_count_beyond_float_range(self, capsys, tmp_path):
+        club_file = tmp_path / "clubs.csv"
+        club_file.write_text(
+            CSV_HEADER + f"\nUrawa Reds,J1,{10**400},54.18,28.55\n", encoding="utf-8"
+        )
+        code, out, err = _run(capsys, "apply", "--input", str(club_file))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: Urawa Reds: sns_followers")
+        assert "Traceback" not in err
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "table.md"
@@ -265,6 +279,13 @@ class TestPlot:
         guides = [el for el in root.iter() if el.get("class") == "guide"]
         assert guides == []
 
+    def test_config_is_usage_error(self, capsys):
+        # plot has no setting to read, so it takes no --config.
+        code, out, err = _run(capsys, "plot", "--config", "settings.conf")
+        assert code == 2
+        assert out == ""
+        assert "--config" in err
+
 
 class TestUsage:
     def test_no_arguments(self, capsys):
@@ -309,3 +330,53 @@ class TestColdPath:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[]", "True"]
+
+
+# Extreme finite amounts and follower counts, up to past the float range.
+_AMOUNTS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-300, 1.0, 1e200, 1.7e308]),
+    st.floats(min_value=0.0, max_value=sys.float_info.max),
+)
+_FOLLOWERS = st.one_of(
+    st.sampled_from([0, 10**6, int(sys.float_info.max), 10**309, 10**400]),
+    st.integers(min_value=0, max_value=10**400),
+)
+# Three names carry disclosed transaction prices, so premiums has work.
+_NAMES = st.sampled_from(
+    ["FC Tokyo", "FC Machida Zelvia", "Kashima Antlers", "Club A", "Club B"]
+)
+_ROWS = st.lists(
+    st.tuples(_NAMES, _FOLLOWERS, _AMOUNTS, _AMOUNTS), min_size=1, max_size=6
+)
+_FUZZED_COMMANDS = (
+    ("apply",),
+    ("premiums",),
+    ("fit", "--response", "revenue_meur",
+     "--predictors", "sns_followers_m,player_market_value_meur"),
+    ("select", "--response", "revenue_meur"),
+    ("select", "--response", "revenue_meur", "--method", "stepwise"),
+    ("plot", "--scale", "log10"),
+    ("plot", "--scale", "linear"),
+)
+
+
+class TestFuzz:
+    @settings(max_examples=50, deadline=None)
+    @given(_ROWS)
+    @example([("Club A", 10**400, 1.0, 1.0)])
+    @example([("Club A", 0, 1.7e308, 1.0), ("Club B", 0, 1.7e308, 1.0)])
+    @example([("Club A", 0, 2.05e16, 5e16)])
+    @example([("Club A", 0, 3e306, 1.0), ("Club B", 0, 1.0, 1.0)])
+    def test_every_command_exits_0_or_1(self, rows):
+        # Every generated CSV, whether parse_club_csv accepts it or not,
+        # ends in exit 0 or a ClubValError (exit 1), never an exception.
+        text = CSV_HEADER + "\n" + "".join(
+            f"{name},J1,{sns},{rev!r},{pmv!r}\n" for name, sns, rev, pmv in rows
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            club_file = Path(tmp) / "clubs.csv"
+            club_file.write_text(text, encoding="utf-8")
+            out = str(Path(tmp) / "out")
+            for command in _FUZZED_COMMANDS:
+                argv = [*command, "--input", str(club_file), "--out", out]
+                assert run_cli(argv) in (0, 1), argv

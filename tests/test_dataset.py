@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -219,6 +221,15 @@ class TestInvariants:
             ClubRecord("X", "J1", 1, -1.0, 1.0)
         with pytest.raises(DomainError):
             ClubRecord("X", "J1", 1, 1.0, 1.0, wage_cost_ratio=2.5)
+
+    def test_follower_count_beyond_float_range(self):
+        largest = int(sys.float_info.max)
+        assert ClubRecord("X", "J1", largest, 1.0, 1.0).sns_followers == largest
+        for count in (largest + 1, 10**309, 10**400):
+            with pytest.raises(DomainError, match="sns_followers"):
+                ClubRecord("X", "J1", count, 1.0, 1.0)
+        with pytest.raises(DomainError, match="sns_followers"):
+            parse_club_csv(CSV_HEADER + f"\nX,J1,{10**400},1.0,1.0\n")
 
     def test_predictor_value(self):
         rec = ClubRecord("X", "J1", 2_500_000, 10.0, 20.0, stadium_owned=True)

@@ -1,12 +1,18 @@
 import csv
 import io
+import math
 import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from clubval.dataset import bundled_european_reference, bundled_jleague_dataset
+from clubval.dataset import (
+    FxRate,
+    bundled_european_reference,
+    bundled_jleague_dataset,
+    bundled_transactions,
+)
 from clubval.errors import DomainError, EmptyInput, IoError, NonPositiveLogInput
 from clubval.regression import DesignMatrix, ResponseVector, fit_through_origin
 from clubval.report import (
@@ -16,14 +22,15 @@ from clubval.report import (
     emit_scatter,
     fmt_fixed,
     fmt_sci,
+    render_premium_table,
     render_regression_table,
     render_selection_table,
     render_valuation_table,
     scale_value,
     write_document,
 )
-from clubval.selection import CandidateSet, exhaustive_subsets
-from clubval.valuation import aggregate, valuate_all
+from clubval.selection import CandidateSet, SelectionReport, exhaustive_subsets
+from clubval.valuation import aggregate, premium_ranges, premiums_by_case, valuate_all
 
 
 def _reference_style_fit():
@@ -106,10 +113,47 @@ class TestRegressionTable:
         assert doc.startswith("| variable |")
         assert "| ---" in doc
 
-    def test_svg_rejected(self):
-        fit = _reference_style_fit()
-        with pytest.raises(DomainError):
-            render_regression_table(fit, RenderSpec(format="svg"))
+
+def _premium_pieces():
+    cases = bundled_transactions()
+    results = valuate_all(bundled_jleague_dataset())
+    fx = FxRate(150.0)
+    return premiums_by_case(cases, results, fx), premium_ranges(cases, results, fx)
+
+
+_TABULAR_RENDERERS = {
+    "regression": lambda spec: render_regression_table(_reference_style_fit(), spec),
+    "valuation": lambda spec: render_valuation_table(*_jleague_table_pieces(), spec),
+    "premium": lambda spec: render_premium_table(*_premium_pieces(), spec),
+    "selection": lambda spec: render_selection_table(SelectionReport(()), spec),
+}
+
+
+@pytest.mark.parametrize(
+    "render", _TABULAR_RENDERERS.values(), ids=_TABULAR_RENDERERS.keys()
+)
+def test_svg_rejected(render):
+    with pytest.raises(DomainError, match="svg is only valid for plot rendering"):
+        render(RenderSpec(format="svg"))
+
+
+def test_trailer_and_thousands_separators_stay_out_of_csv():
+    report = SelectionReport((), skipped=(("a", "b"),), converged=False)
+    trailer = (
+        "\nSkipped rank-deficient subsets: a+b\n"
+        "Warning: selection stopped on a cycle before converging.\n"
+    )
+    for fmt in ("text", "md"):
+        assert render_selection_table(report, RenderSpec(format=fmt)).endswith(
+            "\n" + trailer
+        )
+    doc = render_selection_table(report, RenderSpec(format="csv"))
+    assert "Skipped" not in doc and "Warning" not in doc
+
+    pieces = _jleague_table_pieces()
+    for fmt, followers in (("text", "807,734"), ("md", "807,734"), ("csv", "807734")):
+        doc = render_valuation_table(*pieces, RenderSpec(format=fmt))
+        assert followers in next(line for line in doc.splitlines() if "Urawa" in line)
 
 
 class TestValuationTable:
@@ -242,6 +286,31 @@ class TestScatter:
         assert "<title>x&gt;y &amp; z</title>" in doc
         group = ET.fromstring(doc).find("{http://www.w3.org/2000/svg}g")
         assert group.get("data-label") == 'A & "B" <c>'
+
+    @pytest.mark.parametrize(
+        "scale, points",
+        [
+            # A single value whose +-0.5 padding is lost to rounding.
+            ("linear", ((6e16, 6e16, "a"),)),
+            # A one-ulp spread, whose tick step is below an ulp.
+            ("linear", ((1e20, 1e20, "a"), (math.nextafter(1e20, 2e20),) * 2 + ("b",))),
+            # Padding reaches decades past the largest float.
+            ("log10", ((1e307, 1e307, "a"), (1.0, 1.0, "b"))),
+        ],
+    )
+    def test_extreme_finite_values(self, scale, points):
+        series = [ScatterSeries("s", points)]
+        doc = emit_scatter(series, RenderSpec(format="svg", scale=scale), guide_line=True)
+        root = ET.fromstring(doc)
+        markers = [
+            el for el in root.iter() if "marker" in el.get("class", "").split()
+        ]
+        assert len(markers) == len(points)
+
+    def test_axis_past_float_range_rejected(self):
+        series = [ScatterSeries("s", ((sys.float_info.max, 1.0, "a"), (0.0, 1.0, "b")))]
+        with pytest.raises(DomainError, match="float range"):
+            emit_scatter(series, RenderSpec(format="svg", scale="linear"))
 
     def test_requires_svg_format(self):
         with pytest.raises(DomainError):

@@ -61,6 +61,10 @@ class TestIncompleteBeta:
         with pytest.raises(DomainError):
             regularized_incomplete_beta(1.0, 1.0, 1.5)
 
+    def test_non_convergence_is_domain_error(self):
+        with pytest.raises(DomainError, match=r"a=1000000\.0, b=1000000\.0, x=0\.5"):
+            regularized_incomplete_beta(1e6, 1e6, 0.5)
+
     @settings(max_examples=60)
     @given(
         st.floats(min_value=0.2, max_value=30.0),

@@ -25,6 +25,7 @@ from clubval.valuation import (
     FORMULA_1,
     FORMULA_2,
     ValuationModel,
+    ValuationResult,
     aggregate,
     apply_model,
     premium_ranges,
@@ -97,6 +98,13 @@ class TestValuate:
         model = ValuationModel("same", (("revenue_meur", 2.0),))
         result = valuate(_record(rev=5.0), model, model)
         assert result.ratio_pct == pytest.approx(100.0, abs=1e-12)
+
+    def test_firm_values_past_float_range_rejected(self):
+        with pytest.raises(DomainError, match="float range"):
+            valuate(_record(rev=1.7e308, pmv=1.0))
+        # fv2 rounds to the smallest float, so the ratio overflows.
+        with pytest.raises(DomainError, match="float range"):
+            valuate(_record(rev=1e10, pmv=5e-324))
 
     def test_zero_fv2_is_degenerate(self):
         with pytest.raises(DegenerateRatio):
@@ -174,6 +182,19 @@ class TestAggregate:
             (results[0].fv1 + results[1].fv1) / 2, rel=1e-15
         )
 
+    def test_sums_past_float_range(self):
+        big = 1.7e308
+        records = [
+            _record(name, sns=int(big), rev=big, pmv=big / 3) for name in "ABC"
+        ]
+        results = [ValuationResult(r.name, 1.0, 1.0, 100.0) for r in records]
+        agg = aggregate(results, records)
+        assert agg.mean_revenue == agg.median_revenue == big
+        assert agg.mean_sns == agg.median_sns == big
+        assert agg.mean_pmv == agg.median_pmv == big / 3
+        agg = aggregate(results[:2], records[:2])
+        assert agg.mean_revenue == agg.median_revenue == big
+
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             aggregate([], [])
@@ -213,6 +234,11 @@ class TestPremiums:
         # fv of 10 m EUR at 150 yen/EUR and a 51 percent stake is 765 m JPY.
         result = transaction_premium(case, 10.0, FxRate(150.0))
         assert result.premium == pytest.approx(0.0, abs=1e-12)
+
+    def test_implied_value_past_float_range_rejected(self):
+        case = next(c for c in bundled_transactions() if c.club == "FC Tokyo")
+        with pytest.raises(DomainError, match="float range"):
+            transaction_premium(case, 1e307, FxRate(150.0))
 
     def test_missing_price_rejected(self):
         sagan = next(c for c in bundled_transactions() if c.club == "Sagan Tosu")
