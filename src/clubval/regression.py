@@ -31,21 +31,22 @@ RANK_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Named predictor columns of equal length, no intercept column."""
+    """Named predictor columns of equal length, no intercept column:
+    array is n x k and its column j holds variable_ids[j]."""
 
-    columns: tuple[tuple[str, np.ndarray], ...]
+    variable_ids: tuple[str, ...]
+    array: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        if not self.columns:
+        ids = self.variable_ids
+        if not ids:
             raise DimensionMismatch("design matrix needs at least one column")
-        ids = [vid for vid, _ in self.columns]
         if len(set(ids)) != len(ids):
-            raise DimensionMismatch(f"duplicate variable ids in {ids}")
-        lengths = {len(vec) for _, vec in self.columns}
-        if len(lengths) != 1:
-            raise DimensionMismatch(f"columns have mixed lengths {sorted(lengths)}")
-        if 0 in lengths:
-            raise DimensionMismatch("columns must be non-empty")
+            raise DimensionMismatch(f"duplicate variable ids in {list(ids)}")
+        if self.array.shape[1:] != (len(ids),) or self.n_rows == 0:
+            raise DimensionMismatch(
+                f"array of shape {self.array.shape} is not n x {len(ids)} with n > 0"
+            )
 
     @classmethod
     def from_columns(
@@ -53,22 +54,17 @@ class DesignMatrix:
     ) -> "DesignMatrix":
         import numpy as np
 
-        return cls(
-            tuple((vid, np.asarray(vec, dtype=float)) for vid, vec in pairs)
-        )
-
-    @property
-    def variable_ids(self) -> tuple[str, ...]:
-        return tuple(vid for vid, _ in self.columns)
+        if not pairs:
+            raise DimensionMismatch("design matrix needs at least one column")
+        vectors = [np.asarray(vec, dtype=float) for _, vec in pairs]
+        lengths = {len(vec) for vec in vectors}
+        if len(lengths) != 1:
+            raise DimensionMismatch(f"columns have mixed lengths {sorted(lengths)}")
+        return cls(tuple(vid for vid, _ in pairs), np.column_stack(vectors))
 
     @property
     def n_rows(self) -> int:
-        return len(self.columns[0][1])
-
-    def as_array(self) -> np.ndarray:
-        import numpy as np
-
-        return np.column_stack([vec for _, vec in self.columns])
+        return len(self.array)
 
 
 @dataclass(frozen=True)
@@ -93,9 +89,8 @@ class RegressionFit:
     """Result of a through-origin least squares fit.
 
     Coefficient-aligned arrays (coefficients, standard_errors, t_stats,
-    p_values) share the order of variable_ids. centered_r_squared is a
-    diagnostic only; every reported statistic uses the uncentered
-    convention.
+    p_values) share the order of variable_ids. Every reported statistic
+    uses the uncentered convention.
     """
 
     variable_ids: tuple[str, ...]
@@ -111,7 +106,6 @@ class RegressionFit:
     dof: int
     residuals: np.ndarray = field(repr=False)
     fitted: np.ndarray = field(repr=False)
-    centered_r_squared: float = float("nan")
 
     def coefficient(self, variable_id: str) -> float:
         return float(self.coefficients[self.variable_ids.index(variable_id)])
@@ -141,7 +135,7 @@ def fit_through_origin(design: DesignMatrix, response: ResponseVector) -> Regres
     """
     import numpy as np
 
-    x = design.as_array()
+    x = design.array
     y = response.values
     ids = design.variable_ids
     n, k = x.shape
@@ -189,36 +183,22 @@ def fit_through_origin(design: DesignMatrix, response: ResponseVector) -> Regres
     ssr = float(residuals @ residuals)
     dof = n - k
 
-    if tss_uncentered == 0.0:
-        r_squared = 1.0
-    else:
-        r_squared = 1.0 - ssr / tss_uncentered
-    r_squared = min(1.0, max(0.0, r_squared))
+    r_squared = 1.0 if tss_uncentered == 0.0 else max(0.0, 1.0 - ssr / tss_uncentered)
     adjusted = 1.0 - (1.0 - r_squared) * n / dof
     multiple_r = math.sqrt(r_squared)
 
     sigma2 = ssr / dof
     ser = math.sqrt(sigma2)
 
-    variances = sigma2 * np.diag(inv_xtx)
+    variances = sigma2 * inv_xtx.diagonal()
     std_errors = np.sqrt(np.maximum(variances, 0.0))
 
-    t_stats = np.empty(k)
-    p_values = np.empty(k)
-    for j in range(k):
-        if std_errors[j] == 0.0:
-            t_stats[j] = math.copysign(math.inf, beta[j]) if beta[j] != 0 else 0.0
-            p_values[j] = 1.0 if beta[j] == 0 else 0.0
-        else:
-            t_stats[j] = beta[j] / std_errors[j]
-            p_values[j] = t_two_sided_p(float(t_stats[j]), dof)
-
-    y_mean = float(y.mean())
-    tss_centered = float(((y - y_mean) ** 2).sum())
-    if tss_centered > 0.0:
-        centered_r2 = 1.0 - ssr / tss_centered
-    else:
-        centered_r2 = float("nan")
+    # A zero standard error makes t +-inf by the sign of b (p = 0), or 0
+    # when b is 0 too (p = 1).
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_stats = beta / std_errors
+    t_stats[(std_errors == 0.0) & (beta == 0.0)] = 0.0
+    p_values = np.array(t_two_sided_p(t_stats.tolist(), dof))
 
     return RegressionFit(
         variable_ids=ids,
@@ -234,5 +214,4 @@ def fit_through_origin(design: DesignMatrix, response: ResponseVector) -> Regres
         dof=dof,
         residuals=residuals,
         fitted=fitted,
-        centered_r_squared=centered_r2,
     )

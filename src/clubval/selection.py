@@ -55,8 +55,11 @@ class CandidateSet:
         return self.design.variable_ids
 
     def design_for(self, subset: tuple[str, ...]) -> DesignMatrix:
-        by_id = dict(self.design.columns)
-        return DesignMatrix(tuple((vid, by_id[vid]) for vid in subset))
+        # take copies the chosen columns into one C-ordered array; x[:, idx]
+        # would be F-ordered, which changes the rounding of X'X.
+        ids = self.design.variable_ids
+        idx = [ids.index(vid) for vid in subset]
+        return DesignMatrix(subset, self.design.array.take(idx, axis=1))
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,15 @@ incomplete beta function, and the two-sided t p-value built on them.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 
 from .errors import DomainError
 
 _CF_MAX_ITER = 500
 _CF_EPS = 3e-16
 _CF_TINY = 1e-300
+# Float step numbers: float-only arithmetic is faster, with the same values.
+_CF_STEPS = tuple(float(m) for m in range(1, _CF_MAX_ITER + 1))
 
 
 def ln_gamma(x: float) -> float:
@@ -30,42 +33,59 @@ def ln_gamma(x: float) -> float:
 def _beta_cf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta, evaluated by the
     modified Lentz method."""
+    tiny, eps = _CF_TINY, _CF_EPS
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
     d = 1.0 - qab * x / qap
-    if abs(d) < _CF_TINY:
-        d = _CF_TINY
+    if -tiny < d < tiny:
+        d = tiny
     d = 1.0 / d
     h = d
-    for m in range(1, _CF_MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+    for m in _CF_STEPS:
+        m2 = m + m
+        am2 = a + m2
+        aa = m * (b - m) * x / ((qam + m2) * am2)
         d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
+        if -tiny < d < tiny:
+            d = tiny
         c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
+        if -tiny < c < tiny:
+            c = tiny
         d = 1.0 / d
         h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        aa = -(a + m) * (qab + m) * x / (am2 * (qap + m2))
         d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
+        if -tiny < d < tiny:
+            d = tiny
         c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
+        if -tiny < c < tiny:
+            c = tiny
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
+        if -eps < delta - 1.0 < eps:
             return h
     raise DomainError(
         f"incomplete beta continued fraction did not converge in {_CF_MAX_ITER} "
         f"iterations for a={a}, b={b}, x={x}"
     )
+
+
+def _incomplete_beta_at(a: float, b: float) -> Callable[[float], float]:
+    """x -> I_x(a, b) for a, b > 0 and 0 < x < 1, with ln B(a, b) and the
+    branch point computed once for every x."""
+    ln_beta = ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b)
+    split = (a + 1.0) / (a + b + 2.0)
+
+    def ibeta(x: float) -> float:
+        front = math.exp(a * math.log(x) + b * math.log1p(-x) - ln_beta)
+        if x < split:
+            return front * _beta_cf(a, b, x) / a
+        return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
+
+    return ibeta
 
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
@@ -86,31 +106,32 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
         return 0.0
     if x == 1:
         return 1.0
-    ln_front = (
-        a * math.log(x)
-        + b * math.log1p(-x)
-        - (ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b))
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cf(a, b, x) / a
-    return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
+    return _incomplete_beta_at(a, b)(x)
 
 
-def t_two_sided_p(t: float, dof: int) -> float:
+def t_two_sided_p(t: float | Sequence[float], dof: int) -> float | list[float]:
     """Two-sided tail probability P(|T| >= |t|) of Student's t with dof degrees of freedom.
 
     Computed as I_x(dof/2, 1/2) at x = dof / (dof + t^2). Degenerate fits
     produce t = +-inf, for which the tail is exactly 0; a NaN t is rejected.
+    t may also be a sequence of floats, all at this dof, which gives a list
+    of p-values in the same order; the per-dof work is then done once.
     """
     # dof % 1 is NaN for an infinite dof, and not dof >= 1 catches a NaN one.
     if isinstance(dof, bool) or not dof >= 1 or dof % 1:
         raise DomainError(f"degrees of freedom must be an integer >= 1, got {dof}")
-    if math.isnan(t):
-        raise DomainError("t statistic is NaN")
-    if t == 0:
-        return 1.0
-    if math.isinf(t):
-        return 0.0
-    x = dof / (dof + t * t)
-    return regularized_incomplete_beta(dof / 2.0, 0.5, x)
+    scalar = not hasattr(t, "__len__")
+    ibeta = None
+    p = []
+    for v in (t,) if scalar else t:
+        if math.isnan(v):
+            raise DomainError("t statistic is NaN")
+        x = dof / (dof + v * v)
+        # x is 1 for t = 0 or a t lost beside dof, and 0 for t = +-inf or
+        # t * t past the float range: p is x itself.
+        if x == 0 or x == 1:
+            p.append(x)
+        else:
+            ibeta = ibeta or _incomplete_beta_at(dof / 2.0, 0.5)
+            p.append(ibeta(x))
+    return p[0] if scalar else p

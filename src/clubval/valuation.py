@@ -33,7 +33,6 @@ class ValuationModel:
 
     name: str
     terms: tuple[tuple[str, float], ...]
-    provenance: str = ""
 
     def __post_init__(self) -> None:
         if not self.terms:
@@ -52,8 +51,6 @@ def _model_from_published(name: str) -> ValuationModel:
     return ValuationModel(
         name=name,
         terms=tuple((vid, coef) for vid, coef, _se, _t, _p in rows),
-        provenance="through-origin fit of enterprise value on "
-        + " and ".join(vid for vid, *_ in rows),
     )
 
 

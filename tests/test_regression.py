@@ -11,6 +11,7 @@ from clubval.errors import (
     InsufficientObservations,
     RankDeficient,
 )
+from clubval import regression
 from clubval.regression import DesignMatrix, ResponseVector, fit_through_origin
 
 from oracles import solve_exact, textbook_fit
@@ -134,6 +135,31 @@ class TestFitThroughOrigin:
     def test_mixed_column_lengths_rejected(self):
         with pytest.raises(DimensionMismatch):
             DesignMatrix.from_columns([("a", [1.0, 2.0]), ("b", [1.0])])
+
+    def test_array_must_hold_one_column_per_id(self):
+        with pytest.raises(DimensionMismatch):
+            DesignMatrix(("a", "b"), np.ones((3, 1)))
+        with pytest.raises(DimensionMismatch):
+            DesignMatrix(("a",), np.ones((0, 1)))
+
+    def test_one_tail_call_per_fit(self, monkeypatch):
+        # All k p-values of a fit come from one call at the fit's dof;
+        # a fit refused before inference makes none.
+        calls = []
+        tail = regression.t_two_sided_p
+
+        def counted(t, dof):
+            calls.append((list(t), dof))
+            return tail(t, dof)
+
+        monkeypatch.setattr(regression, "t_two_sided_p", counted)
+        rng = np.random.default_rng(3)
+        x, y = _random_dataset(rng, 20, 4)
+        fit = _fit([(f"c{j}", x[:, j]) for j in range(4)], y)
+        assert calls == [(fit.t_stats.tolist(), 16)]
+        with pytest.raises(RankDeficient):
+            _fit([("a", x[:, 0]), ("b", x[:, 0])], y)
+        assert len(calls) == 1
 
 
 class TestOracleSweep:

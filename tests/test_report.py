@@ -70,6 +70,14 @@ class TestFormatting:
         assert fmt_fixed(largest, 4) == "17976931348623157" + "0" * 292 + ".0000"
         assert fmt_fixed(-largest, MAX_PLACES).startswith("-17976931348623157")
 
+    @pytest.mark.parametrize("places", [7, 17, 100])
+    def test_no_exponent_past_six_places(self, places):
+        zeros = "0" * places
+        assert fmt_fixed(0.0, places) == "0." + zeros
+        assert fmt_fixed(-0.0, places) == "-0." + zeros
+        assert fmt_fixed(1e-7, places) == "0." + "0000001".ljust(places, "0")
+        assert fmt_fixed(5e-324, places) == "0." + zeros
+
     def test_scientific(self):
         assert fmt_sci(1.6946663864392964e-06) == "1.69E-06"
         assert fmt_sci(9.165845997573551e-15) == "9.17E-15"
@@ -306,6 +314,25 @@ class TestScatter:
             el for el in root.iter() if "marker" in el.get("class", "").split()
         ]
         assert len(markers) == len(points)
+
+    @pytest.mark.parametrize(
+        "low, high, labels",
+        [
+            (5e-324, 1e307, ["1e-300", "1e-200", "1e-100", "1", "1e100", "1e200", "1e300"]),
+            (1e-6, 1e-3, ["1e-6", "1e-5", "1e-4", "1e-3"]),
+        ],
+    )
+    def test_log_ticks_bounded_and_distinct(self, low, high, labels):
+        series = [ScatterSeries("s", ((low, low, "a"), (high, high, "b")))]
+        doc = emit_scatter(series, RenderSpec(format="svg", scale="log10"))
+        root = ET.fromstring(doc)
+        ns = "{http://www.w3.org/2000/svg}"
+        for anchor in ("middle", "end"):
+            got = [
+                el.text for el in root.iter(f"{ns}text")
+                if el.get("text-anchor") == anchor and not el.text.startswith("FV")
+            ]
+            assert got == labels
 
     def test_axis_past_float_range_rejected(self):
         series = [ScatterSeries("s", ((sys.float_info.max, 1.0, "a"), (0.0, 1.0, "b")))]

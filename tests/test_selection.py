@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from clubval.errors import DimensionMismatch, DomainError, TooManyCandidates
-from clubval.regression import ResponseVector
+from clubval.regression import DesignMatrix, ResponseVector, fit_through_origin
 from clubval.selection import CandidateSet, exhaustive_subsets, stepwise
 
 
@@ -153,6 +155,30 @@ class TestStepwise:
 
 
 class TestCandidateSet:
+    def test_subset_fit_matches_fresh_design(self):
+        # design_for must give the same bits as a DesignMatrix built from
+        # the chosen columns alone, for every subset.
+        rng = np.random.default_rng(8)
+        columns = [(f"c{j}", rng.uniform(1.0, 9.0, size=25)) for j in range(5)]
+        response = ResponseVector("y", rng.uniform(1.0, 9.0, size=25))
+        cands = CandidateSet.from_columns(columns, response)
+        by_id = dict(columns)
+        for size in range(1, 6):
+            for subset in itertools.combinations(("c4", "c0", "c3", "c1", "c2"), size):
+                got = fit_through_origin(cands.design_for(subset), response)
+                want = fit_through_origin(
+                    DesignMatrix.from_columns([(vid, by_id[vid]) for vid in subset]),
+                    response,
+                )
+                assert got.variable_ids == want.variable_ids == subset
+                for name in (
+                    "coefficients", "standard_errors", "t_stats", "p_values",
+                    "residuals", "fitted",
+                ):
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+                assert got.adjusted_r_squared.hex() == want.adjusted_r_squared.hex()
+                assert got.standard_error_of_regression == want.standard_error_of_regression
+
     def test_needs_candidates(self):
         with pytest.raises(DimensionMismatch):
             CandidateSet.from_columns([], ResponseVector("y", np.array([1.0])))

@@ -136,6 +136,31 @@ class TestTTwoSidedP:
         with pytest.raises(DomainError):
             t_two_sided_p(math.nan, 5)
 
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=False),
+                # 0, +-inf, and t so small that x = dof / (dof + t^2) is 1.
+                st.sampled_from([0.0, -0.0, math.inf, -math.inf, 9.7e-23, -1e-10]),
+            ),
+            max_size=12,
+        ),
+        st.one_of(st.integers(min_value=1, max_value=10**6), st.sampled_from([1, 35, 10**12])),
+    )
+    def test_sequence_matches_scalar_calls(self, ts, dof):
+        batch = t_two_sided_p(ts, dof)
+        assert isinstance(batch, list)
+        assert [p.hex() for p in batch] == [t_two_sided_p(t, dof).hex() for t in ts]
+
+    @given(
+        st.lists(st.floats(min_value=-50.0, max_value=50.0), max_size=6),
+        st.integers(min_value=0, max_value=6),
+    )
+    def test_nan_in_sequence_rejected(self, ts, where):
+        ts.insert(min(where, len(ts)), math.nan)
+        with pytest.raises(DomainError, match="NaN"):
+            t_two_sided_p(ts, 5)
+
     @settings(max_examples=60)
     @given(
         st.floats(min_value=-20.0, max_value=20.0),
