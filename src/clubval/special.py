@@ -14,8 +14,6 @@ from .errors import DomainError
 _CF_MAX_ITER = 500
 _CF_EPS = 3e-16
 _CF_TINY = 1e-300
-# Float step numbers: float-only arithmetic is faster, with the same values.
-_CF_STEPS = tuple(float(m) for m in range(1, _CF_MAX_ITER + 1))
 
 
 def ln_gamma(x: float) -> float:
@@ -43,7 +41,8 @@ def _beta_cf(a: float, b: float, x: float) -> float:
         d = tiny
     d = 1.0 / d
     h = d
-    for m in _CF_STEPS:
+    # Float step numbers: float-only arithmetic is faster, with the same values.
+    for m in map(float, range(1, _CF_MAX_ITER + 1)):
         m2 = m + m
         am2 = a + m2
         aa = m * (b - m) * x / ((qam + m2) * am2)
