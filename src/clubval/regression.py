@@ -31,8 +31,7 @@ RANK_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Named predictor columns of equal length, no intercept column:
-    array is n x k and its column j holds variable_ids[j]."""
+    """Predictor columns without intercept: array is n x k, column j is variable_ids[j]."""
 
     variable_ids: tuple[str, ...]
     array: np.ndarray = field(repr=False)
@@ -44,9 +43,7 @@ class DesignMatrix:
         if len(set(ids)) != len(ids):
             raise DimensionMismatch(f"duplicate variable ids in {list(ids)}")
         if self.array.shape[1:] != (len(ids),) or self.n_rows == 0:
-            raise DimensionMismatch(
-                f"array of shape {self.array.shape} is not n x {len(ids)} with n > 0"
-            )
+            raise DimensionMismatch(f"array {self.array.shape} is not n x {len(ids)}, n > 0")
 
     @classmethod
     def from_columns(
@@ -54,13 +51,12 @@ class DesignMatrix:
     ) -> "DesignMatrix":
         import numpy as np
 
-        if not pairs:
-            raise DimensionMismatch("design matrix needs at least one column")
         vectors = [np.asarray(vec, dtype=float) for _, vec in pairs]
         lengths = {len(vec) for vec in vectors}
-        if len(lengths) != 1:
+        if len(lengths) > 1:
             raise DimensionMismatch(f"columns have mixed lengths {sorted(lengths)}")
-        return cls(tuple(vid for vid, _ in pairs), np.column_stack(vectors))
+        array = np.column_stack(vectors) if vectors else np.empty((0, 0))
+        return cls(tuple(vid for vid, _ in pairs), array)
 
     @property
     def n_rows(self) -> int:
@@ -183,7 +179,11 @@ def fit_through_origin(design: DesignMatrix, response: ResponseVector) -> Regres
     ssr = float(residuals @ residuals)
     dof = n - k
 
-    r_squared = 1.0 if tss_uncentered == 0.0 else max(0.0, 1.0 - ssr / tss_uncentered)
+    if tss_uncentered == 0.0:
+        r_squared = 1.0
+    else:
+        r_squared = 1.0 - ssr / tss_uncentered
+    r_squared = min(1.0, max(0.0, r_squared))
     adjusted = 1.0 - (1.0 - r_squared) * n / dof
     multiple_r = math.sqrt(r_squared)
 

@@ -83,9 +83,7 @@ def fmt_fixed(value: float, places: int) -> str:
         return str(value)
     quantum = Decimal(1).scaleb(-places)
     # Positional arguments: this runs per table cell, and keywords cost more.
-    fixed = Decimal(repr(value)).quantize(quantum, ROUND_HALF_UP, _FIXED_CONTEXT)
-    # str() is faster than format() but writes exponents past 6 places.
-    return str(fixed) if places <= 6 else format(fixed, "f")
+    return f"{Decimal(repr(value)).quantize(quantum, ROUND_HALF_UP, _FIXED_CONTEXT):f}"
 
 
 def fmt_sci(value: float) -> str:
@@ -234,16 +232,30 @@ def render_valuation_table(
                 fmt_fixed(res.ratio_pct, rp) + "%",
             ]
         )
-    for label, stat in (("Average", "mean"), ("Median", "median")):
-        sns, *amounts, ratio = (
-            getattr(aggregates, f"{stat}_{name}")
-            for name in ("sns", "revenue", "pmv", "fv1", "fv2", "of_ratios_pct")
-        )
-        rows.append(
-            ["", label, fmt_fixed(sns, 0)]
-            + [fmt_fixed(v, ap) for v in amounts]
-            + [fmt_fixed(ratio, rp) + "%"]
-        )
+    rows.append(
+        [
+            "",
+            "Average",
+            fmt_fixed(aggregates.mean_sns, 0),
+            fmt_fixed(aggregates.mean_revenue, ap),
+            fmt_fixed(aggregates.mean_pmv, ap),
+            fmt_fixed(aggregates.mean_fv1, ap),
+            fmt_fixed(aggregates.mean_fv2, ap),
+            fmt_fixed(aggregates.mean_of_ratios_pct, rp) + "%",
+        ]
+    )
+    rows.append(
+        [
+            "",
+            "Median",
+            fmt_fixed(aggregates.median_sns, 0),
+            fmt_fixed(aggregates.median_revenue, ap),
+            fmt_fixed(aggregates.median_pmv, ap),
+            fmt_fixed(aggregates.median_fv1, ap),
+            fmt_fixed(aggregates.median_fv2, ap),
+            fmt_fixed(aggregates.median_of_ratios_pct, rp) + "%",
+        ]
+    )
 
     note = (
         "Ratio aggregates are the mean and median of the per-club "
@@ -358,13 +370,13 @@ def _log_ticks(lo: float, hi: float) -> list[float]:
 
 
 def _tick_label(tick: float, scale: str) -> str:
-    if scale == "log10":
-        # Decades below 1e15 are written out and the rest read 1eN, all distinct.
-        e = int(tick)
-        return f"{10 ** e:,}" if 0 <= e < 15 else f"1e{e}"
-    if tick == int(tick) and abs(tick) < 1e15:
-        return f"{int(tick):,}"
-    return fmt_fixed(tick, 2)
+    # Decades from 1 to 1e14 are written out below, the rest read 1eN.
+    if scale == "log10" and not 0 <= tick < 15:
+        return f"1e{int(tick)}"
+    value = 10.0 ** tick if scale == "log10" else tick
+    if value == int(value) and abs(value) < 1e15:
+        return f"{int(value):,}"
+    return fmt_fixed(value, 2)
 
 
 _MARKER_SHAPES = ("circle", "square", "triangle")

@@ -45,25 +45,20 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     for m in map(float, range(1, _CF_MAX_ITER + 1)):
         m2 = m + m
         am2 = a + m2
-        aa = m * (b - m) * x / ((qam + m2) * am2)
-        d = 1.0 + aa * d
-        if -tiny < d < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if -tiny < c < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / (am2 * (qap + m2))
-        d = 1.0 + aa * d
-        if -tiny < d < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if -tiny < c < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # The even and the odd term of step m share one Lentz update.
+        for aa in (
+            m * (b - m) * x / ((qam + m2) * am2),
+            -(a + m) * (qab + m) * x / (am2 * (qap + m2)),
+        ):
+            d = 1.0 + aa * d
+            if -tiny < d < tiny:
+                d = tiny
+            c = 1.0 + aa / c
+            if -tiny < c < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if -eps < delta - 1.0 < eps:
             return h
     raise DomainError(
@@ -73,8 +68,7 @@ def _beta_cf(a: float, b: float, x: float) -> float:
 
 
 def _incomplete_beta_at(a: float, b: float) -> Callable[[float], float]:
-    """x -> I_x(a, b) for a, b > 0 and 0 < x < 1, with ln B(a, b) and the
-    branch point computed once for every x."""
+    """x -> I_x(a, b) for 0 < x < 1, with ln B(a, b) and the branch point computed once."""
     ln_beta = ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b)
     split = (a + 1.0) / (a + b + 2.0)
 
@@ -101,10 +95,8 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
         raise DomainError(f"incomplete beta requires a, b > 0, got a={a}, b={b}")
     if x < 0 or x > 1:
         raise DomainError(f"incomplete beta requires x in [0, 1], got {x}")
-    if x == 0:
-        return 0.0
-    if x == 1:
-        return 1.0
+    if x == 0 or x == 1:
+        return 1.0 if x == 1 else 0.0
     return _incomplete_beta_at(a, b)(x)
 
 
@@ -116,21 +108,23 @@ def t_two_sided_p(t: float | Sequence[float], dof: int) -> float | list[float]:
     t may also be a sequence of floats, all at this dof, which gives a list
     of p-values in the same order; the per-dof work is then done once.
     """
+    try:
+        ts = list(t)
+    except TypeError:  # a float, or a 0-d array
+        return t_two_sided_p([t], dof)[0]
     # dof % 1 is NaN for an infinite dof, and not dof >= 1 catches a NaN one.
     if isinstance(dof, bool) or not dof >= 1 or dof % 1:
         raise DomainError(f"degrees of freedom must be an integer >= 1, got {dof}")
-    scalar = not hasattr(t, "__len__")
     ibeta = None
     p = []
-    for v in (t,) if scalar else t:
+    for v in ts:
         if math.isnan(v):
             raise DomainError("t statistic is NaN")
         x = dof / (dof + v * v)
         # x is 1 for t = 0 or a t lost beside dof, and 0 for t = +-inf or
         # t * t past the float range: p is x itself.
-        if x == 0 or x == 1:
-            p.append(x)
-        else:
+        if 0 < x < 1:
             ibeta = ibeta or _incomplete_beta_at(dof / 2.0, 0.5)
-            p.append(ibeta(x))
-    return p[0] if scalar else p
+            x = ibeta(x)
+        p.append(x)
+    return p

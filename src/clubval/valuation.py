@@ -151,9 +151,8 @@ def _mean(values: list[float]) -> float:
     try:
         return statistics.fmean(values)
     except OverflowError:
-        # Each v / n is finite and their sum is at most the largest |v|.
-        n = len(values)
-        return math.fsum(v / n for v in values)
+        # mean sums exactly, in fractions; a mean of finite values is finite.
+        return statistics.mean(values)
 
 
 def _median(values: list[float]) -> float:

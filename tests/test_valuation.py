@@ -1,4 +1,5 @@
 import statistics
+import sys
 
 import pytest
 from hypothesis import given
@@ -194,6 +195,11 @@ class TestAggregate:
         assert agg.mean_pmv == agg.median_pmv == big / 3
         agg = aggregate(results[:2], records[:2])
         assert agg.mean_revenue == agg.median_revenue == big
+        # Each of max / 3 rounds up, so adding the thirds would overflow.
+        top = sys.float_info.max
+        records = [_record(name, sns=int(top), rev=top, pmv=top) for name in "ABC"]
+        agg = aggregate(results, records)
+        assert agg.mean_sns == agg.mean_revenue == agg.mean_pmv == top
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
