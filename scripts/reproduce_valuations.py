@@ -51,7 +51,7 @@ def main() -> None:
     fx = FxRate()
     cases = bundled_transactions()
     premiums = premiums_by_case(cases, results, fx)
-    ranges = premium_ranges(cases, results, fx)
+    ranges = premium_ranges(premiums)
     premium_doc = render_premium_table(premiums, ranges, RenderSpec(format="text"))
     (out / "premiums.txt").write_text(premium_doc, encoding="utf-8")
 

@@ -200,7 +200,7 @@ def _cmd_premiums(args: argparse.Namespace) -> int:
     results = valuate_all(records, FORMULA_1, FORMULA_2)
     cases = bundled_transactions()
     premiums = premiums_by_case(cases, results, fx, stake=stake)
-    ranges = premium_ranges(cases, results, fx, stake=stake)
+    ranges = premium_ranges(premiums)
     spec = _table_spec(args, config)
     write_document(render_premium_table(premiums, ranges, spec), args.out)
     return 0

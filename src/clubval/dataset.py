@@ -34,17 +34,6 @@ CSV_HEADER = (
 _CSV_FIELDS = CSV_HEADER.split(",")
 _REQUIRED_FIELD_COUNT = 5
 
-PREDICTOR_IDS = (
-    "sns_followers_m",
-    "revenue_meur",
-    "player_market_value_meur",
-    "broadcasting_meur",
-    "wage_cost_ratio",
-    "player_wages_meur",
-    "stadium_owned",
-)
-
-
 class TransactionPattern(enum.Enum):
     CAPITAL_INCREASE = "capital_increase"
     SHARE_TRANSFER = "share_transfer"
@@ -85,9 +74,15 @@ class ClubRecord:
     def __post_init__(self) -> None:
         if not self.name:
             raise DomainError("club name must be non-empty")
-        if self.sns_followers < 0:
+        count = self.sns_followers
+        # bool is an int, but True is no count.
+        if isinstance(count, bool) or not isinstance(count, int):
+            raise DomainError(
+                f"{self.name}: sns_followers must be an integer, got {count!r}"
+            )
+        if count < 0:
             raise DomainError(f"{self.name}: sns_followers must be >= 0")
-        if self.sns_followers > sys.float_info.max:
+        if count > sys.float_info.max:
             raise DomainError(
                 f"{self.name}: sns_followers must not exceed the largest float, "
                 f"{sys.float_info.max!r}"
@@ -274,8 +269,8 @@ def parse_club_csv(text: str) -> list[ClubRecord]:
         else:
             raise NonNumeric("stadium_owned", line_no, cells[8])
 
-        records.append(
-            ClubRecord(
+        try:
+            record = ClubRecord(
                 name=name,
                 league=league,
                 sns_followers=sns,
@@ -286,7 +281,9 @@ def parse_club_csv(text: str) -> list[ClubRecord]:
                 player_wages_meur=numeric["player_wages_meur"],
                 stadium_owned=stadium,
             )
-        )
+        except DomainError as exc:
+            raise DomainError(f"line {line_no}: {exc}") from None
+        records.append(record)
     return records
 
 

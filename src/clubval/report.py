@@ -12,7 +12,7 @@ import csv
 import io
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
 from pathlib import Path
 
@@ -24,14 +24,13 @@ from .valuation import AggregateRow, PremiumResult, ValuationResult
 FORMATS = ("text", "csv", "md", "svg")
 SCALES = ("linear", "log10")
 
-DEFAULT_DECIMALS = {
-    "coefficient": 4,
-    "statistic": 4,
-    "value": 2,
-    "ratio": 1,
-    "aggregate": 1,
-    "percent": 1,
-}
+# Decimal places of each kind of rendered number.
+COEFFICIENT_PLACES = 4
+STATISTIC_PLACES = 4
+VALUE_PLACES = 2
+RATIO_PLACES = 1
+AGGREGATE_PLACES = 1
+PERCENT_PLACES = 1
 
 MAX_PLACES = 100
 # Room for the 309 integer digits of the largest finite float plus
@@ -42,25 +41,16 @@ _FIXED_CONTEXT = Context(prec=sys.float_info.max_10_exp + 1 + MAX_PLACES)
 
 @dataclass(frozen=True)
 class RenderSpec:
-    """How to render: output format, plot scale, per-column decimals."""
+    """How to render: output format and plot scale."""
 
     format: str = "text"
     scale: str = "linear"
-    decimal_places: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.format not in FORMATS:
             raise DomainError(f"format must be one of {FORMATS}, got {self.format!r}")
         if self.scale not in SCALES:
             raise DomainError(f"scale must be one of {SCALES}, got {self.scale!r}")
-        for key, places in self.decimal_places.items():
-            if int(places) != places or not 0 <= places <= MAX_PLACES:
-                raise DomainError(
-                    f"decimal places for {key!r} must lie in [0, {MAX_PLACES}]"
-                )
-
-    def places(self, column: str) -> int:
-        return int(self.decimal_places.get(column, DEFAULT_DECIMALS[column]))
 
 
 @dataclass(frozen=True)
@@ -146,7 +136,7 @@ def _emit_tables(
 
     csv carries the data only. md and text follow the tables with a
     blank line and the trailer, when there is one, and print the body
-    cells of the grouped columns (whole numbers) with thousands
+    cells of the grouped columns (integer strings) with thousands
     separators, rewriting those cells in place.
     """
     if spec.format == "svg":
@@ -157,16 +147,14 @@ def _emit_tables(
     for rows, _ in blocks:
         for row in rows[1:]:
             for i in grouped:
-                row[i] = f"{float(row[i]):,.0f}"
+                row[i] = f"{int(row[i]):,}"
     doc = "\n".join(table(rows, right_align) for rows, right_align in blocks)
     return doc + ("\n" + trailer if trailer else "")
 
 
 def render_regression_table(fit: RegressionFit, spec: RenderSpec) -> str:
     """One row per coefficient plus the summary statistics block."""
-    cp = spec.places("coefficient")
-    sp = spec.places("statistic")
-
+    cp, sp = COEFFICIENT_PLACES, STATISTIC_PLACES
     coef_rows = [["variable", "coefficient", "standard_error", "t_stat", "p_value"]]
     coef_rows.append(["intercept", "0", "", "", ""])
     for vid, coef, se, t, p in fit.summary_rows():
@@ -203,9 +191,7 @@ def render_valuation_table(
         raise EmptyInput("no valuation rows to render")
     if len(results) != len(records):
         raise DomainError(f"{len(results)} results for {len(records)} records")
-    vp = spec.places("value")
-    ap = spec.places("aggregate")
-    rp = spec.places("ratio")
+    vp, ap, rp = VALUE_PLACES, AGGREGATE_PLACES, RATIO_PLACES
 
     rows = [
         [
@@ -224,7 +210,7 @@ def render_valuation_table(
             [
                 rec.league,
                 rec.name,
-                fmt_fixed(rec.sns_followers, 0),
+                str(rec.sns_followers),
                 fmt_fixed(rec.revenue_meur, vp),
                 fmt_fixed(rec.player_market_value_meur, vp),
                 fmt_fixed(res.fv1, vp),
@@ -274,8 +260,7 @@ def render_premium_table(
     """Per-case premiums and per-model premium ranges, in percent."""
     if not premiums:
         raise EmptyInput("no premiums to render")
-    pp = spec.places("percent")
-    vp = spec.places("value")
+    pp, vp = PERCENT_PLACES, VALUE_PLACES
 
     rows = [["club", "model", "implied_stake_myen", "premium_pct"]]
     for p in premiums:
@@ -299,7 +284,7 @@ def render_premium_table(
 
 def render_selection_table(report, spec: RenderSpec) -> str:
     """Ranked subsets with their headline fit statistics."""
-    sp = spec.places("statistic")
+    sp = STATISTIC_PLACES
     rows = [["rank", "variables", "adj_r_squared", "r_squared", "std_error", "all_significant"]]
     for rank, model in enumerate(report.ranked_models, start=1):
         rows.append(
@@ -338,45 +323,40 @@ def scale_value(value: float, scale: str) -> float:
     raise DomainError(f"scale must be one of {SCALES}, got {scale!r}")
 
 
-def _nice_step(span: float) -> float:
-    raw = span / 5.0
-    magnitude = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 5.0, 10.0):
-        if raw <= mult * magnitude:
-            return mult * magnitude
-    return 10.0 * magnitude
+def _axis_ticks(lo: float, hi: float, scale: str) -> list[tuple[float, str]]:
+    """Ticks i * step across [lo, hi] for whole i, each with its label.
+
+    A linear step is 1, 2 or 5 times a power of ten, the least one at or
+    above a fifth of the span, and its labels carry as many decimals as
+    the step, at least 2. A log10 step is 1, 2, 5, 10, 20, 50 or 100
+    decades, the least one that labels at most 10 decades.
+    """
+    if scale == "log10":
+        # Decades past the largest float have no value to label.
+        hi = min(hi, sys.float_info.max_10_exp)
+        lo, hi = math.ceil(lo - 1e-9), math.floor(hi + 1e-9)
+        # Axes span under 700 decades, so 100 always fits.
+        step = float(next(s for s in (1, 2, 5, 10, 20, 50, 100) if hi - lo < 10 * s))
+        places = 0
+    else:
+        raw = (hi - lo) / 5.0
+        magnitude = 10.0 ** math.floor(math.log10(raw))
+        step = next(m * magnitude for m in (1.0, 2.0, 5.0, 10.0) if raw <= m * magnitude)
+        places = max(2, -math.floor(math.log10(step)))
+    first, last = math.ceil(lo / step), math.floor(hi / step + 1e-9)
+    # Rounding to the label's places drops the float residue of i * step.
+    ticks = [round(i * step, places) for i in range(first, last + 1)]
+    return [(t, _tick_label(t, scale, places)) for t in ticks]
 
 
-def _linear_ticks(lo: float, hi: float) -> list[float]:
-    if hi <= lo:
-        return [lo]
-    step = _nice_step(hi - lo)
-    first = math.ceil(lo / step) * step
-    ticks = []
-    t = first
-    while t <= hi + 1e-9 * step:
-        ticks.append(round(t, 10))
-        t += step
-    return ticks
-
-
-def _log_ticks(lo: float, hi: float) -> list[float]:
-    # Decades past the largest float have no value to label.
-    hi = min(hi, sys.float_info.max_10_exp)
-    first, last = math.ceil(lo - 1e-9), math.floor(hi + 1e-9)
-    # At most 10 ticks; axes span under 700 decades, so 100 always fits.
-    step = next(s for s in (1, 2, 5, 10, 20, 50, 100) if last - first < 10 * s)
-    return [float(e) for e in range(-(-first // step) * step, last + 1, step)]
-
-
-def _tick_label(tick: float, scale: str) -> str:
+def _tick_label(tick: float, scale: str, places: int) -> str:
     # Decades from 1 to 1e14 are written out below, the rest read 1eN.
     if scale == "log10" and not 0 <= tick < 15:
         return f"1e{int(tick)}"
     value = 10.0 ** tick if scale == "log10" else tick
     if value == int(value) and abs(value) < 1e15:
         return f"{int(value):,}"
-    return fmt_fixed(value, 2)
+    return fmt_fixed(value, places)
 
 
 _MARKER_SHAPES = ("circle", "square", "triangle")
@@ -449,7 +429,6 @@ def emit_scatter(
     def py(sy: float) -> float:
         return height - mb - (sy - y_lo) / (y_hi - y_lo) * plot_h
 
-    ticks = _log_ticks if spec.scale == "log10" else _linear_ticks
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{width:.0f}" height="{height:.0f}" '
@@ -470,7 +449,7 @@ def emit_scatter(
         f'x2="{ml:.2f}" y2="{height - mb:.2f}"/>',
     ]
 
-    for t in ticks(x_lo, x_hi):
+    for t, label in _axis_ticks(x_lo, x_hi, spec.scale):
         tx = px(t)
         parts.append(
             f'<line class="tick" x1="{tx:.2f}" y1="{height - mb:.2f}" '
@@ -478,9 +457,9 @@ def emit_scatter(
         )
         parts.append(
             f'<text x="{tx:.2f}" y="{height - mb + 18:.2f}" '
-            f'text-anchor="middle">{_tick_label(t, spec.scale)}</text>'
+            f'text-anchor="middle">{label}</text>'
         )
-    for t in ticks(y_lo, y_hi):
+    for t, label in _axis_ticks(y_lo, y_hi, spec.scale):
         ty = py(t)
         parts.append(
             f'<line class="tick" x1="{ml - 5:.2f}" y1="{ty:.2f}" '
@@ -488,7 +467,7 @@ def emit_scatter(
         )
         parts.append(
             f'<text x="{ml - 8:.2f}" y="{ty + 4:.2f}" '
-            f'text-anchor="end">{_tick_label(t, spec.scale)}</text>'
+            f'text-anchor="end">{label}</text>'
         )
 
     parts.append(

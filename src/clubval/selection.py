@@ -15,6 +15,7 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     InsufficientObservations,
+    MissingPredictor,
     RankDeficient,
     TooManyCandidates,
 )
@@ -58,7 +59,10 @@ class CandidateSet:
         # take copies the chosen columns into one C-ordered array; x[:, idx]
         # would be F-ordered, which changes the rounding of X'X.
         ids = self.design.variable_ids
-        idx = [ids.index(vid) for vid in subset]
+        try:
+            idx = [ids.index(vid) for vid in subset]
+        except ValueError:
+            raise MissingPredictor(next(v for v in subset if v not in ids)) from None
         return DesignMatrix(subset, self.design.array.take(idx, axis=1))
 
 
@@ -82,7 +86,6 @@ class SelectionReport:
     ranked_models: tuple[RankedModel, ...]
     skipped: tuple[tuple[str, ...], ...] = ()
     converged: bool = True
-    alpha: float = 0.05
 
     @property
     def best(self) -> RankedModel | None:
@@ -136,9 +139,7 @@ def exhaustive_subsets(
             else:
                 models.append(model)
     models.sort(key=_rank_key)
-    return SelectionReport(
-        ranked_models=tuple(models), skipped=tuple(skipped), alpha=alpha
-    )
+    return SelectionReport(ranked_models=tuple(models), skipped=tuple(skipped))
 
 
 def stepwise(
@@ -202,11 +203,7 @@ def stepwise(
         seen.add(state)
 
     if not current:
-        return SelectionReport(
-            ranked_models=(), converged=converged, alpha=alpha_in
-        )
+        return SelectionReport(ranked_models=(), converged=converged)
     final = _fit_subset(cands, tuple(current), alpha_in)
     models = (final,) if final is not None else ()
-    return SelectionReport(
-        ranked_models=models, converged=converged, alpha=alpha_in
-    )
+    return SelectionReport(ranked_models=models, converged=converged)

@@ -280,15 +280,9 @@ def premiums_by_case(
     return out
 
 
-def premium_ranges(
-    cases: list[TransactionCase],
-    results: list[ValuationResult],
-    fx: FxRate,
-    stake: float = 0.51,
-) -> dict[str, tuple[float, float]]:
-    """Per-model (min, max) premium over the cases with disclosed prices,
-    keyed by model name in order of first appearance."""
-    premiums = premiums_by_case(cases, results, fx, stake=stake)
+def premium_ranges(premiums: list[PremiumResult]) -> dict[str, tuple[float, float]]:
+    """Per-model (min, max) premium over the given premiums, as from
+    premiums_by_case, keyed by model name in order of first appearance."""
     if not premiums:
         raise EmptyInput("no case with a disclosed price matched a valuation")
     by_model: dict[str, list[float]] = {}

@@ -27,7 +27,7 @@ from clubval.dataset import (
 from clubval.regression import DesignMatrix, ResponseVector, fit_through_origin
 from clubval.selection import CandidateSet, exhaustive_subsets, stepwise
 from clubval.special import t_two_sided_p
-from clubval.valuation import aggregate, premium_ranges, valuate_all
+from clubval.valuation import aggregate, premium_ranges, premiums_by_case, valuate_all
 from oracles import t_two_sided_quad, textbook_fit
 
 # Residual degrees of freedom of the published fits, determined by a
@@ -118,7 +118,7 @@ def test_criterion_3_transaction_premiums(record_criterion):
                 fv * 150.0 * 0.51 / case.price_for_51pct_myen - 1.0
             )
 
-    ranges = premium_ranges(cases, results, FxRate(150.0), stake=0.51)
+    ranges = premium_ranges(premiums_by_case(cases, results, FxRate(150.0), stake=0.51))
     for model, values in oracle.items():
         lo, hi = ranges[model]
         if abs(lo - min(values)) > 0.02:

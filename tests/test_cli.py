@@ -91,7 +91,7 @@ class TestApply:
         code, out, err = _run(capsys, "apply", "--input", str(club_file))
         assert code == 1
         assert out == ""
-        assert err.startswith("error: Urawa Reds: sns_followers")
+        assert err.startswith("error: line 2: Urawa Reds: sns_followers")
         assert "Traceback" not in err
 
     def test_out_file(self, capsys, tmp_path):

@@ -231,6 +231,25 @@ class TestInvariants:
         with pytest.raises(DomainError, match="sns_followers"):
             parse_club_csv(CSV_HEADER + f"\nX,J1,{10**400},1.0,1.0\n")
 
+    @pytest.mark.parametrize("count", [412622.5, 412622.0, True, "412622"])
+    def test_follower_count_must_be_an_integer(self, count):
+        with pytest.raises(DomainError, match="sns_followers must be an integer"):
+            ClubRecord("X", "J1", count, 1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("A,J1,1,1.0,1.0,,3.0", "line 3: A: wage_cost_ratio must lie in [0, 2]"),
+            (",J1,1,1.0,1.0", "line 3: club name must be non-empty"),
+            (f"A,J1,{10**400},1.0,1.0", "line 3: A: sns_followers must not exceed"),
+        ],
+    )
+    def test_rejected_record_names_its_line(self, row, message):
+        text = CSV_HEADER + "\nB,J1,1,1.0,1.0\n" + row + "\n"
+        with pytest.raises(DomainError) as info:
+            parse_club_csv(text)
+        assert str(info.value).startswith(message)
+
     def test_predictor_value(self):
         rec = ClubRecord("X", "J1", 2_500_000, 10.0, 20.0, stadium_owned=True)
         assert predictor_value(rec, "sns_followers_m") == 2.5

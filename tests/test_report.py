@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 import sys
@@ -6,8 +7,11 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from clubval.dataset import (
+    ClubRecord,
     FxRate,
     bundled_european_reference,
     bundled_jleague_dataset,
@@ -126,7 +130,8 @@ def _premium_pieces():
     cases = bundled_transactions()
     results = valuate_all(bundled_jleague_dataset())
     fx = FxRate(150.0)
-    return premiums_by_case(cases, results, fx), premium_ranges(cases, results, fx)
+    premiums = premiums_by_case(cases, results, fx)
+    return premiums, premium_ranges(premiums)
 
 
 _TABULAR_RENDERERS = {
@@ -197,6 +202,16 @@ class TestValuationTable:
         _results, _records, agg = _jleague_table_pieces()
         with pytest.raises(EmptyInput):
             render_valuation_table([], [], agg, RenderSpec(format="text"))
+
+    def test_follower_counts_print_exactly(self):
+        # 2**60 + 1 has no float of its own, so a pass through float() shows.
+        records = [ClubRecord("Big", "J1", 2**60 + 1, 1.0, 1.0)]
+        results = valuate_all(records)
+        pieces = (results, records, aggregate(results, records))
+        rows = list(csv.reader(io.StringIO(render_valuation_table(*pieces, RenderSpec("csv")))))
+        assert rows[1][2] == "1152921504606846977"
+        text = render_valuation_table(*pieces, RenderSpec("text"))
+        assert "1,152,921,504,606,846,977" in next(l for l in text.splitlines() if "Big" in l)
 
     def test_deterministic(self):
         results, records, agg = _jleague_table_pieces()
@@ -334,6 +349,54 @@ class TestScatter:
             ]
             assert got == labels
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=-1e300, max_value=1e300),
+                st.floats(min_value=-1e300, max_value=1e300),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @example([(1e-5, 1e-5), (3e-5, 3e-5)])
+    def test_linear_ticks_advance_with_distinct_labels(self, points):
+        series = [ScatterSeries("s", tuple((x, y, "c") for x, y in points))]
+        doc = emit_scatter(series, RenderSpec(format="svg", scale="linear"))
+        root = ET.fromstring(doc)
+        ns = "{http://www.w3.org/2000/svg}"
+        ticks = [el for el in root.iter(f"{ns}line") if el.get("class") == "tick"]
+        xs = [float(el.get("x1")) for el in ticks if el.get("x1") == el.get("x2")]
+        ys = [float(el.get("y1")) for el in ticks if el.get("y1") == el.get("y2")]
+        assert all(a < b for a, b in zip(xs, xs[1:]))
+        assert all(a > b for a, b in zip(ys, ys[1:]))
+        for anchor in ("middle", "end"):
+            labels = [
+                el.text for el in root.iter(f"{ns}text")
+                if el.get("text-anchor") == anchor and not el.text.startswith("FV")
+            ]
+            assert len(labels) == len(set(labels))
+
+    @pytest.mark.parametrize(
+        "low, high, labels",
+        [
+            # Steps below 0.01 carry as many decimals as the step.
+            (1e-5, 3e-5, ["0.000010", "0.000015", "0.000020", "0.000025", "0.000030"]),
+            # A whole tick reads as one, without the residue of i * step.
+            (3851379.55, 3851380.45,
+             ["3851379.60", "3851379.80", "3,851,380", "3851380.20", "3851380.40"]),
+        ],
+    )
+    def test_linear_tick_labels(self, low, high, labels):
+        series = [ScatterSeries("s", ((low, 1.0, "a"), (high, 2.0, "b")))]
+        doc = emit_scatter(series, RenderSpec(format="svg", scale="linear"))
+        ns = "{http://www.w3.org/2000/svg}"
+        got = [
+            el.text for el in ET.fromstring(doc).iter(f"{ns}text")
+            if el.get("text-anchor") == "middle" and not el.text.startswith("FV")
+        ]
+        assert got == labels
+
     def test_axis_past_float_range_rejected(self):
         series = [ScatterSeries("s", ((sys.float_info.max, 1.0, "a"), (0.0, 1.0, "b")))]
         with pytest.raises(DomainError, match="float range"):
@@ -357,18 +420,8 @@ class TestRenderSpec:
         with pytest.raises(DomainError):
             RenderSpec(scale="log2")
 
-    def test_rejects_negative_decimals(self):
-        with pytest.raises(DomainError):
-            RenderSpec(decimal_places={"value": -1})
-
-    def test_rejects_too_many_decimals(self):
-        with pytest.raises(DomainError):
-            RenderSpec(decimal_places={"value": MAX_PLACES + 1})
-
-    def test_decimal_override(self):
-        spec = RenderSpec(decimal_places={"value": 3})
-        assert spec.places("value") == 3
-        assert spec.places("ratio") == 1
+    def test_holds_only_format_and_scale(self):
+        assert [f.name for f in dataclasses.fields(RenderSpec)] == ["format", "scale"]
 
 
 class TestWriteDocument:

@@ -3,7 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from clubval.errors import DimensionMismatch, DomainError, TooManyCandidates
+from clubval.errors import (
+    DimensionMismatch,
+    DomainError,
+    MissingPredictor,
+    TooManyCandidates,
+)
 from clubval.regression import DesignMatrix, ResponseVector, fit_through_origin
 from clubval.selection import CandidateSet, exhaustive_subsets, stepwise
 
@@ -189,6 +194,14 @@ class TestCandidateSet:
                 [("a", np.array([1.0, 2.0]))],
                 ResponseVector("y", np.array([1.0, 2.0, 3.0])),
             )
+
+    def test_unknown_id_is_missing_predictor(self):
+        cands = CandidateSet.from_columns(
+            [("a", np.array([1.0, 2.0]))], ResponseVector("y", np.array([1.0, 2.0]))
+        )
+        for subset in (("b",), ("a", "b")):
+            with pytest.raises(MissingPredictor, match="'b'"):
+                cands.design_for(subset)
 
     def test_rejects_duplicate_ids(self):
         with pytest.raises(DimensionMismatch):

@@ -254,7 +254,9 @@ class TestPremiums:
     def test_ranges_on_bundled_data(self):
         records = bundled_jleague_dataset()
         results = valuate_all(records)
-        ranges = premium_ranges(bundled_transactions(), results, FxRate(150.0))
+        ranges = premium_ranges(
+            premiums_by_case(bundled_transactions(), results, FxRate(150.0))
+        )
         low1, high1 = ranges["Formula 1"]
         low2, high2 = ranges["Formula 2"]
         assert low1 == pytest.approx(3.04, abs=0.02)
@@ -276,7 +278,7 @@ class TestPremiums:
         records = bundled_jleague_dataset()
         results = valuate_all(records)
         case = next(c for c in bundled_transactions() if c.club == "FC Tokyo")
-        ranges = premium_ranges([case], results, FxRate(150.0))
+        ranges = premium_ranges(premiums_by_case([case], results, FxRate(150.0)))
         for low, high in ranges.values():
             assert low == high
 
@@ -292,7 +294,7 @@ class TestPremiums:
         results = valuate_all(records)
         sagan = [c for c in bundled_transactions() if c.club == "Sagan Tosu"]
         with pytest.raises(EmptyInput):
-            premium_ranges(sagan, results, FxRate(150.0))
+            premium_ranges(premiums_by_case(sagan, results, FxRate(150.0)))
 
     def test_stake_bounds(self):
         case = next(c for c in bundled_transactions() if c.club == "FC Tokyo")
