@@ -105,10 +105,6 @@ def _resolve_settings(
     return FxRate(fx_value), stake
 
 
-def _table_spec(args: argparse.Namespace, config: dict[str, str]) -> RenderSpec:
-    return RenderSpec(format=args.format or config.get("format", "text"))
-
-
 def _load_records(args: argparse.Namespace) -> list[ClubRecord]:
     if args.input:
         try:
@@ -130,6 +126,10 @@ def _predictor_columns(
     ]
 
 
+def _response(records: list[ClubRecord], variable_id: str) -> ResponseVector:
+    return ResponseVector(variable_id, [predictor_value(r, variable_id) for r in records])
+
+
 def _split_ids(text: str) -> tuple[str, ...]:
     ids = tuple(part.strip() for part in text.split(",") if part.strip())
     if not ids:
@@ -137,23 +137,17 @@ def _split_ids(text: str) -> tuple[str, ...]:
     return ids
 
 
-def _cmd_fit(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+# Each handler takes the parsed arguments, the config file's settings and
+# the render spec, and returns the document that run_cli writes.
+def _cmd_fit(args: argparse.Namespace, config: dict[str, str], spec: RenderSpec) -> str:
     records = _load_records(args)
-    predictors = _split_ids(args.predictors)
-    columns = _predictor_columns(records, predictors)
-    response = ResponseVector(
-        args.response,
-        [predictor_value(r, args.response) for r in records],
-    )
+    columns = _predictor_columns(records, _split_ids(args.predictors))
+    response = _response(records, args.response)
     fit = fit_through_origin(DesignMatrix.from_columns(columns), response)
-    spec = _table_spec(args, config)
-    write_document(render_regression_table(fit, spec), args.out)
-    return 0
+    return render_regression_table(fit, spec)
 
 
-def _cmd_select(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+def _cmd_select(args: argparse.Namespace, config: dict[str, str], spec: RenderSpec) -> str:
     records = _load_records(args)
     if args.candidates:
         candidate_ids = _split_ids(args.candidates)
@@ -161,10 +155,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
         candidate_ids = tuple(
             vid for vid in CORE_PREDICTORS if vid != args.response
         )
-    response = ResponseVector(
-        args.response,
-        [predictor_value(r, args.response) for r in records],
-    )
+    response = _response(records, args.response)
     cands = CandidateSet.from_columns(
         _predictor_columns(records, candidate_ids), response
     )
@@ -173,40 +164,27 @@ def _cmd_select(args: argparse.Namespace) -> int:
     else:
         max_size = args.max_size or len(candidate_ids)
         report = exhaustive_subsets(cands, max_size, alpha=args.alpha_in)
-    spec = _table_spec(args, config)
-    write_document(render_selection_table(report, spec), args.out)
-    return 0
+    return render_selection_table(report, spec)
 
 
-def _cmd_apply(args: argparse.Namespace) -> int:
-    if not args.input and not args.bundled:
-        print("error: apply needs --input FILE or --bundled jleague", file=sys.stderr)
-        return 2
-    config = _load_config(args.config)
+def _cmd_apply(args: argparse.Namespace, config: dict[str, str], spec: RenderSpec) -> str:
     records = _load_records(args)
     results = valuate_all(records, FORMULA_1, FORMULA_2)
     aggregates = aggregate(results, records)
-    spec = _table_spec(args, config)
-    write_document(
-        render_valuation_table(results, records, aggregates, spec), args.out
-    )
-    return 0
+    return render_valuation_table(results, records, aggregates, spec)
 
 
-def _cmd_premiums(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+def _cmd_premiums(args: argparse.Namespace, config: dict[str, str], spec: RenderSpec) -> str:
     fx, stake = _resolve_settings(args, config)
     records = _load_records(args)
     results = valuate_all(records, FORMULA_1, FORMULA_2)
     cases = bundled_transactions()
     premiums = premiums_by_case(cases, results, fx, stake=stake)
     ranges = premium_ranges(premiums)
-    spec = _table_spec(args, config)
-    write_document(render_premium_table(premiums, ranges, spec), args.out)
-    return 0
+    return render_premium_table(premiums, ranges, spec)
 
 
-def _cmd_plot(args: argparse.Namespace) -> int:
+def _cmd_plot(args: argparse.Namespace, config: dict[str, str], spec: RenderSpec) -> str:
     series: list[ScatterSeries] = []
     if args.bundled in ("jleague", "combined") or args.input:
         records = _load_records(args)
@@ -228,10 +206,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
                 ),
             )
         )
-    spec = RenderSpec(format="svg", scale=args.scale)
-    doc = emit_scatter(series, spec, guide_line=not args.no_guide)
-    write_document(doc, args.out)
-    return 0
+    return emit_scatter(series, spec, guide_line=not args.no_guide)
 
 
 def _add_common(parser: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
@@ -244,6 +219,9 @@ def _add_common(parser: argparse.ArgumentParser, formats: tuple[str, ...]) -> No
         parser.add_argument(
             "--format", choices=formats, help="output format (default: text)"
         )
+        parser.set_defaults(scale="linear")  # tables ignore the scale
+    else:
+        parser.set_defaults(config=None, format="svg")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,13 +285,20 @@ def run_cli(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "apply" and not (args.input or args.bundled):
+            parser.error("apply needs --input FILE or --bundled jleague")
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.handler(args)
+        config = _load_config(args.config)
+        spec = RenderSpec(
+            format=args.format or config.get("format", "text"), scale=args.scale
+        )
+        write_document(args.handler(args, config, spec), args.out)
     except ClubValError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def main() -> None:

@@ -22,7 +22,6 @@ from .errors import (
     DomainError,
     HeaderMismatch,
     MissingPredictor,
-    NegativeValue,
     NonNumeric,
     RowArity,
 )
@@ -72,21 +71,27 @@ class ClubRecord:
     stadium_owned: bool | None = None
 
     def __post_init__(self) -> None:
+        # A line break would split the club's row in md and text tables.
+        for field_name in ("name", "league"):
+            text = getattr(self, field_name)
+            if not isinstance(text, str) or "".join(text.splitlines()) != text:
+                raise DomainError(f"{field_name} must be a one-line string, got {text!r}")
         if not self.name:
-            raise DomainError("club name must be non-empty")
+            raise DomainError("club name must be non-empty, got ''")
         count = self.sns_followers
         # bool is an int, but True is no count.
         if isinstance(count, bool) or not isinstance(count, int):
             raise DomainError(
                 f"{self.name}: sns_followers must be an integer, got {count!r}"
             )
-        if count < 0:
-            raise DomainError(f"{self.name}: sns_followers must be >= 0")
-        if count > sys.float_info.max:
+        # Magnitude first: past 4300 digits an int cannot be printed.
+        if abs(count) > sys.float_info.max:
             raise DomainError(
                 f"{self.name}: sns_followers must not exceed the largest float, "
                 f"{sys.float_info.max!r}"
             )
+        if count < 0:
+            raise DomainError(f"{self.name}: sns_followers must be >= 0, got {count}")
         for field_name in ("revenue_meur", "player_market_value_meur",
                           "broadcasting_meur", "player_wages_meur"):
             value = getattr(self, field_name)
@@ -188,26 +193,22 @@ def predictor_value(record: ClubRecord, variable_id: str) -> float:
     raise MissingPredictor(variable_id, record.name)
 
 
-def _parse_float(cell: str, field: str, line: int) -> float:
-    try:
-        value = float(cell)
-    except ValueError:
-        raise NonNumeric(field, line, cell) from None
-    if not math.isfinite(value):
-        raise NonNumeric(field, line, cell)
-    return value
-
-
-def _parse_optional_float(cell: str, field: str, line: int) -> float | None:
-    if cell == "":
-        return None
-    return _parse_float(cell, field, line)
-
-
 _BOOL_WORDS = {
+    "": None,
     "true": True, "1": True, "yes": True,
     "false": False, "0": False, "no": False,
 }
+
+
+def _optional_float(cell: str) -> float | None:
+    return None if cell == "" else float(cell)
+
+
+# One converter per CSV_HEADER field; ValueError or KeyError means unparseable.
+_CONVERTERS = (
+    str, str, int, float, float, _optional_float, _optional_float, _optional_float,
+    lambda cell: _BOOL_WORDS[cell.strip().lower()],
+)
 
 
 def parse_club_csv(text: str) -> list[ClubRecord]:
@@ -217,6 +218,10 @@ def parse_club_csv(text: str) -> list[ClubRecord]:
     five required fields or up to all nine; omitted or empty trailing
     fields mean the optional predictors are absent. One leading UTF-8
     byte order mark, as spreadsheet exports write, is ignored.
+
+    The parser only converts cells, raising NonNumeric for one it
+    cannot read. Ranges are ClubRecord's to judge; its DomainError is
+    re-raised with the line number in front.
     """
     if text.startswith("\ufeff"):
         text = text[1:]
@@ -237,53 +242,16 @@ def parse_club_csv(text: str) -> list[ClubRecord]:
         if len(row) < _REQUIRED_FIELD_COUNT or len(row) > len(_CSV_FIELDS):
             raise RowArity(line_no, len(row))
         cells = row + [""] * (len(_CSV_FIELDS) - len(row))
-        name, league = cells[0], cells[1]
-
-        sns_cell = cells[2]
+        values = []
+        for convert, cell, field in zip(_CONVERTERS, cells, _CSV_FIELDS):
+            try:
+                values.append(convert(cell))
+            except (ValueError, KeyError):
+                raise NonNumeric(field, line_no, cell) from None
         try:
-            sns = int(sns_cell)
-        except ValueError:
-            raise NonNumeric("sns_followers", line_no, sns_cell) from None
-        if sns < 0:
-            raise NegativeValue("sns_followers", line_no, sns_cell)
-
-        numeric = {}
-        for field in ("revenue_meur", "player_market_value_meur"):
-            value = _parse_float(cells[_CSV_FIELDS.index(field)], field, line_no)
-            if value < 0:
-                raise NegativeValue(field, line_no, cells[_CSV_FIELDS.index(field)])
-            numeric[field] = value
-        for field in ("broadcasting_meur", "wage_cost_ratio", "player_wages_meur"):
-            value = _parse_optional_float(
-                cells[_CSV_FIELDS.index(field)], field, line_no
-            )
-            if value is not None and value < 0:
-                raise NegativeValue(field, line_no, cells[_CSV_FIELDS.index(field)])
-            numeric[field] = value
-
-        stadium_cell = cells[8].strip().lower()
-        if stadium_cell == "":
-            stadium = None
-        elif stadium_cell in _BOOL_WORDS:
-            stadium = _BOOL_WORDS[stadium_cell]
-        else:
-            raise NonNumeric("stadium_owned", line_no, cells[8])
-
-        try:
-            record = ClubRecord(
-                name=name,
-                league=league,
-                sns_followers=sns,
-                revenue_meur=numeric["revenue_meur"],
-                player_market_value_meur=numeric["player_market_value_meur"],
-                broadcasting_meur=numeric["broadcasting_meur"],
-                wage_cost_ratio=numeric["wage_cost_ratio"],
-                player_wages_meur=numeric["player_wages_meur"],
-                stadium_owned=stadium,
-            )
+            records.append(ClubRecord(*values))
         except DomainError as exc:
             raise DomainError(f"line {line_no}: {exc}") from None
-        records.append(record)
     return records
 
 

@@ -50,13 +50,6 @@ class NonNumeric(ClubValError):
         self.line = line
 
 
-class NegativeValue(ClubValError):
-    def __init__(self, field: str, line: int, value: float):
-        super().__init__(f"line {line}: field {field!r} must be >= 0, got {value}")
-        self.field = field
-        self.line = line
-
-
 # --- valuation ---
 
 class MissingPredictor(ClubValError):

@@ -111,7 +111,7 @@ def _text_table(rows: list[list[str]], right_align: set[int]) -> str:
 
 
 def _md_table(rows: list[list[str]], right_align: set[int]) -> str:
-    header, *body = rows
+    header, *body = [[cell.replace("|", "\\|") for cell in row] for row in rows]
     sep = ["---:" if i in right_align else "---" for i in range(len(header))]
     lines = ["| " + " | ".join(header) + " |", "| " + " | ".join(sep) + " |"]
     lines += ["| " + " | ".join(row) + " |" for row in body]

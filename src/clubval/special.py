@@ -107,14 +107,17 @@ def t_two_sided_p(t: float | Sequence[float], dof: int) -> float | list[float]:
     produce t = +-inf, for which the tail is exactly 0; a NaN t is rejected.
     t may also be a sequence of floats, all at this dof, which gives a list
     of p-values in the same order; the per-dof work is then done once.
+    dof may be at most 1e12, more than any fit reaches: past it the tail
+    drifts from the true value, and reads exactly 1 once dof / (dof + t^2)
+    rounds to 1.
     """
     try:
         ts = list(t)
     except TypeError:  # a float, or a 0-d array
         return t_two_sided_p([t], dof)[0]
-    # dof % 1 is NaN for an infinite dof, and not dof >= 1 catches a NaN one.
-    if isinstance(dof, bool) or not dof >= 1 or dof % 1:
-        raise DomainError(f"degrees of freedom must be an integer >= 1, got {dof}")
+    # A NaN or infinite dof fails the range test; dof % 1 catches a fractional one.
+    if isinstance(dof, bool) or not 1 <= dof <= 1e12 or dof % 1:
+        raise DomainError(f"degrees of freedom must be an integer in [1, 1e12], got {dof}")
     ibeta = None
     p = []
     for v in ts:

@@ -94,6 +94,48 @@ class TestApply:
         assert err.startswith("error: line 2: Urawa Reds: sns_followers")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "row, field",
+        [
+            ("A,J1,-5,1.0,1.0", "sns_followers"),
+            ("A,J1,5,-1.0,1.0", "revenue_meur"),
+            ("A,J1,5,inf,1.0", "revenue_meur"),
+            ("A,J1,5,1.0,1.0,,nan", "wage_cost_ratio"),
+            ("A,J1,5,1.0,1.0,-2", "broadcasting_meur"),
+            ("A,J1,5,abc,1.0", "revenue_meur"),
+            ("A,J1,5,1.0,1.0,,,,maybe", "stadium_owned"),
+            ('"C\nD",J1,5,1.0,1.0', "name"),
+            ('A,"J\r1",5,1.0,1.0', "league"),
+        ],
+        ids=["negative-followers", "negative-revenue", "inf-revenue", "nan-wage-ratio",
+             "negative-broadcasting", "abc-revenue", "bad-stadium", "broken-name",
+             "broken-league"],
+    )
+    def test_rejected_row_names_line_and_field(self, capsys, tmp_path, row, field):
+        club_file = tmp_path / "clubs.csv"
+        club_file.write_text(CSV_HEADER + "\n" + row + "\n", encoding="utf-8")
+        for fmt in ("text", "md"):
+            code, out, err = _run(
+                capsys, "apply", "--input", str(club_file), "--format", fmt
+            )
+            assert (code, out) == (1, "")
+            assert err.startswith("error: line 2:")
+            assert field in err
+
+    def test_md_escapes_pipe_in_club_name(self, capsys, tmp_path):
+        club_file = tmp_path / "clubs.csv"
+        club_file.write_text(CSV_HEADER + "\nA|B,J1,5,1.0,1.0\n", encoding="utf-8")
+        code, out, _err = _run(
+            capsys, "apply", "--input", str(club_file), "--format", "md"
+        )
+        assert code == 0
+        rows = [line for line in out.splitlines() if line.startswith("|")]
+        assert "| A\\|B |" in rows[2]
+        # Every row of the table has the header's column count.
+        assert {len(row.replace("\\|", "").split("|")) for row in rows} == {
+            len(rows[0].split("|"))
+        }
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "table.md"
         code, out, _err = _run(
@@ -164,7 +206,18 @@ class TestPremiums:
         assert out == ""
         assert "FC Tokyo" in err
 
-    def test_config_read_once(self, capsys, monkeypatch, tmp_path):
+    @pytest.mark.parametrize(
+        "argv, head, marker",
+        [
+            (("apply", "--bundled", "jleague"), "league,club,", "Urawa Reds"),
+            (("fit", "--response", "revenue_meur", "--predictors", "sns_followers_m"),
+             "variable,", "Observations"),
+            (("select", "--response", "revenue_meur"), "rank,", "sns_followers_m"),
+            (("premiums",), "club,", "708.7"),
+        ],
+        ids=["apply", "fit", "select", "premiums"],
+    )
+    def test_config_read_once(self, capsys, monkeypatch, tmp_path, argv, head, marker):
         monkeypatch.delenv("VALUATE_FX_RATE", raising=False)
         config = tmp_path / "settings.conf"
         config.write_text("fx_rate = 300\nformat = csv\n", encoding="utf-8")
@@ -173,11 +226,11 @@ class TestPremiums:
         monkeypatch.setattr(
             cli, "_load_config", lambda path: calls.append(path) or load(path)
         )
-        code, out, _err = _run(capsys, "premiums", "--config", str(config))
+        code, out, _err = _run(capsys, *argv, "--config", str(config))
         assert code == 0
         assert calls == [str(config)]
-        assert out.startswith("club,")
-        assert "708.7" in out
+        assert out.startswith(head)
+        assert marker in out
 
 
 class TestFitAndSelect:

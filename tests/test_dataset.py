@@ -25,7 +25,6 @@ from clubval.errors import (
     DomainError,
     HeaderMismatch,
     MissingPredictor,
-    NegativeValue,
     NonNumeric,
     RowArity,
 )
@@ -91,14 +90,14 @@ class TestParseClubCsv:
             parse_club_csv(CSV_HEADER + "\nClub,J1,100,1.0,2.0,,,,maybe\n")
 
     def test_negative_value(self):
-        with pytest.raises(NegativeValue):
+        with pytest.raises(DomainError):
             parse_club_csv(CSV_HEADER + "\nClub,J1,100,-5,2.0\n")
-        with pytest.raises(NegativeValue):
+        with pytest.raises(DomainError):
             parse_club_csv(CSV_HEADER + "\nClub,J1,-100,5,2.0\n")
 
     def test_error_carries_line_number(self):
         text = CSV_HEADER + "\nOk,J1,1,1,1\nBad,J1,1,-9,1\n"
-        with pytest.raises(NegativeValue) as exc_info:
+        with pytest.raises(DomainError) as exc_info:
             parse_club_csv(text)
         assert "line 3" in str(exc_info.value)
 
@@ -225,7 +224,7 @@ class TestInvariants:
     def test_follower_count_beyond_float_range(self):
         largest = int(sys.float_info.max)
         assert ClubRecord("X", "J1", largest, 1.0, 1.0).sns_followers == largest
-        for count in (largest + 1, 10**309, 10**400):
+        for count in (largest + 1, 10**309, 10**400, -(10**5000)):
             with pytest.raises(DomainError, match="sns_followers"):
                 ClubRecord("X", "J1", count, 1.0, 1.0)
         with pytest.raises(DomainError, match="sns_followers"):
@@ -242,6 +241,11 @@ class TestInvariants:
             ("A,J1,1,1.0,1.0,,3.0", "line 3: A: wage_cost_ratio must lie in [0, 2]"),
             (",J1,1,1.0,1.0", "line 3: club name must be non-empty"),
             (f"A,J1,{10**400},1.0,1.0", "line 3: A: sns_followers must not exceed"),
+            ("A,J1,-1,1.0,1.0", "line 3: A: sns_followers must be >= 0, got -1"),
+            ("A,J1,1,-2.5,1.0", "line 3: A: revenue_meur must be finite and >= 0"),
+            ("A,J1,1,inf,1.0", "line 3: A: revenue_meur must be finite and >= 0"),
+            ("A,J1,1,1.0,1.0,,nan", "line 3: A: wage_cost_ratio must lie in [0, 2]"),
+            ("A,J1,1,1.0,1.0,-1", "line 3: A: broadcasting_meur must be finite and >= 0"),
         ],
     )
     def test_rejected_record_names_its_line(self, row, message):

@@ -128,6 +128,14 @@ class TestTTwoSidedP:
         with pytest.raises(DomainError):
             t_two_sided_p(1.0, -4)
 
+    def test_rejects_dof_past_bound(self):
+        # Past 1e12 the tail drifts (0.0477 at 1e13 for a true 0.0455) and
+        # then reads 1.0; the bound itself stays valid.
+        assert 0.04 < t_two_sided_p(2.0, 10**12) < 0.05
+        for dof in (10**13, 10**16, 4 * 10**16):
+            with pytest.raises(DomainError, match="degrees of freedom"):
+                t_two_sided_p(2.0, dof)
+
     def test_rejects_bool_and_non_integer_dof(self):
         for dof in (True, False, 2.5, math.nan, math.inf):
             with pytest.raises(DomainError):
