@@ -162,7 +162,7 @@ def _cmd_select(args: argparse.Namespace, config: dict[str, str], spec: RenderSp
     if args.method == "stepwise":
         report = stepwise(cands, alpha_in=args.alpha_in, alpha_out=args.alpha_out)
     else:
-        max_size = args.max_size or len(candidate_ids)
+        max_size = len(candidate_ids) if args.max_size is None else args.max_size
         report = exhaustive_subsets(cands, max_size, alpha=args.alpha_in)
     return render_selection_table(report, spec)
 

@@ -120,30 +120,15 @@ class RegressionFit:
         ]
 
 
-def fit_through_origin(design: DesignMatrix, response: ResponseVector) -> RegressionFit:
-    """Fit response = design @ b with no intercept and return the full
-    inference block.
-
-    Requirements: n > k >= 1, response length matches the design rows,
-    X'X, X'y and y'y are finite (no NaN or inf in the data and no
-    overflow in the products), and X'X is numerically full rank
-    (smallest to largest eigenvalue ratio at least 1e-12).
-    """
+def _gram(
+    design: DesignMatrix, response: ResponseVector
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """X'X, X'y and y'y, or DomainError naming the input that is not finite."""
     import numpy as np
 
     x = design.array
     y = response.values
     ids = design.variable_ids
-    n, k = x.shape
-    if y.shape != (n,):
-        raise DimensionMismatch(
-            f"response has length {len(y)}, design has {n} rows"
-        )
-    if n <= k:
-        raise InsufficientObservations(
-            f"need more observations than predictors, got n={n}, k={k}"
-        )
-
     # Overflow and NaN are reported below as a DomainError naming the
     # input, so numpy's RuntimeWarnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -162,9 +147,14 @@ def fit_through_origin(design: DesignMatrix, response: ResponseVector) -> Regres
             else f"response {response.variable_id}"
         )
         raise DomainError(f"non-finite value or overflow in {what}")
+    return xtx, xty, tss_uncentered
 
-    # One eigendecomposition X'X = V diag(w) V' gives the rank test,
-    # the coefficients and (X'X)^-1 for the standard errors.
+
+def _solve(xtx: np.ndarray, xty: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(X'X)^-1 and b from one eigendecomposition X'X = V diag(w) V',
+    which also gives the rank test."""
+    import numpy as np
+
     w, v = np.linalg.eigh(xtx)
     if w[0] <= 0.0 or w[0] < RANK_RTOL * w[-1]:
         raise RankDeficient(
@@ -172,7 +162,51 @@ def fit_through_origin(design: DesignMatrix, response: ResponseVector) -> Regres
             f"below tolerance {RANK_RTOL:g}"
         )
     inv_xtx = (v / w) @ v.T
-    beta = inv_xtx @ xty
+    return inv_xtx, inv_xtx @ xty
+
+
+def _inference(
+    beta: np.ndarray, inv_xtx: np.ndarray, ssr: float, dof: int
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """sigma^2 and the standard errors, t statistics and p-values of b."""
+    import numpy as np
+
+    sigma2 = ssr / dof
+    variances = sigma2 * inv_xtx.diagonal()
+    std_errors = np.sqrt(np.maximum(variances, 0.0))
+
+    # A zero standard error makes t +-inf by the sign of b (p = 0), or 0
+    # when b is 0 too (p = 1).
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_stats = beta / std_errors
+    t_stats[(std_errors == 0.0) & (beta == 0.0)] = 0.0
+    p_values = np.array(t_two_sided_p(t_stats.tolist(), dof))
+    return sigma2, std_errors, t_stats, p_values
+
+
+def fit_through_origin(design: DesignMatrix, response: ResponseVector) -> RegressionFit:
+    """Fit response = design @ b with no intercept and return the full
+    inference block.
+
+    Requirements: n > k >= 1, response length matches the design rows,
+    X'X, X'y and y'y are finite (no NaN or inf in the data and no
+    overflow in the products), and X'X is numerically full rank
+    (smallest to largest eigenvalue ratio at least 1e-12).
+    """
+    x = design.array
+    y = response.values
+    n, k = x.shape
+    if y.shape != (n,):
+        raise DimensionMismatch(
+            f"response has length {len(y)}, design has {n} rows"
+        )
+    if n <= k:
+        raise InsufficientObservations(
+            f"need more observations than predictors, got n={n}, k={k}"
+        )
+
+    xtx, xty, tss_uncentered = _gram(design, response)
+    inv_xtx, beta = _solve(xtx, xty)
 
     fitted = x @ beta
     residuals = y - fitted
@@ -187,21 +221,10 @@ def fit_through_origin(design: DesignMatrix, response: ResponseVector) -> Regres
     adjusted = 1.0 - (1.0 - r_squared) * n / dof
     multiple_r = math.sqrt(r_squared)
 
-    sigma2 = ssr / dof
-    ser = math.sqrt(sigma2)
-
-    variances = sigma2 * inv_xtx.diagonal()
-    std_errors = np.sqrt(np.maximum(variances, 0.0))
-
-    # A zero standard error makes t +-inf by the sign of b (p = 0), or 0
-    # when b is 0 too (p = 1).
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_stats = beta / std_errors
-    t_stats[(std_errors == 0.0) & (beta == 0.0)] = 0.0
-    p_values = np.array(t_two_sided_p(t_stats.tolist(), dof))
+    sigma2, std_errors, t_stats, p_values = _inference(beta, inv_xtx, ssr, dof)
 
     return RegressionFit(
-        variable_ids=ids,
+        variable_ids=design.variable_ids,
         coefficients=beta,
         standard_errors=std_errors,
         t_stats=t_stats,
@@ -209,7 +232,7 @@ def fit_through_origin(design: DesignMatrix, response: ResponseVector) -> Regres
         r_squared=r_squared,
         adjusted_r_squared=adjusted,
         multiple_r=multiple_r,
-        standard_error_of_regression=ser,
+        standard_error_of_regression=math.sqrt(sigma2),
         n_observations=n,
         dof=dof,
         residuals=residuals,

@@ -19,7 +19,15 @@ from .errors import (
     RankDeficient,
     TooManyCandidates,
 )
-from .regression import DesignMatrix, RegressionFit, ResponseVector, fit_through_origin
+from .regression import (
+    DesignMatrix,
+    RegressionFit,
+    ResponseVector,
+    _gram,
+    _inference,
+    _solve,
+    fit_through_origin,
+)
 
 # As in regression: numpy only at call time.
 TYPE_CHECKING = False
@@ -129,6 +137,8 @@ def exhaustive_subsets(
     ids = cands.variable_ids
     if not (1 <= max_size <= len(ids)):
         raise DomainError(f"max_size must lie in [1, {len(ids)}], got {max_size}")
+    if not (0.0 < alpha <= 1.0):
+        raise DomainError(f"need 0 < alpha <= 1, got {alpha}")
     models: list[RankedModel] = []
     skipped: list[tuple[str, ...]] = []
     for size in range(1, max_size + 1):
@@ -142,6 +152,29 @@ def exhaustive_subsets(
     return SelectionReport(ranked_models=tuple(models), skipped=tuple(skipped))
 
 
+def _trial_p_values(
+    cands: CandidateSet, xtx: np.ndarray, xty: np.ndarray, idx: list[int]
+) -> np.ndarray | None:
+    """p-values of the fit on candidate columns idx (ascending), from the
+    Gram matrix of all candidates; None when the fit is impossible."""
+    import numpy as np
+
+    x = cands.design.array
+    y = cands.response.values
+    n, k = x.shape
+    if n <= len(idx):
+        return None
+    try:
+        inv_xtx, beta = _solve(xtx[np.ix_(idx, idx)], xty[idx])
+    except RankDeficient:
+        return None
+    # Residuals from X, not y'y - b'X'y, which cancels when R^2 is near 1.
+    b_full = np.zeros(k)
+    b_full[idx] = beta
+    residuals = y - x @ b_full
+    return _inference(beta, inv_xtx, float(residuals @ residuals), n - len(idx))[3]
+
+
 def stepwise(
     cands: CandidateSet, alpha_in: float = 0.05, alpha_out: float = 0.10
 ) -> SelectionReport:
@@ -151,15 +184,22 @@ def stepwise(
     below alpha_in (ties broken by candidate order), then repeatedly
     drops the worst variable whose p-value exceeds alpha_out. Stops at
     a fixed point, or with converged False if the state cycles.
+
+    Every add and drop is decided from one Gram matrix X'X of all the
+    candidates, formed once per search: each trial solves its principal
+    submatrix and takes its residuals from X. Only the chosen model is a
+    full fit_through_origin. Candidates that tie in exact arithmetic
+    (c0, c1 and c0 + c1, say) are ordered by rounding.
     """
     _guard(cands)
-    if not (0.0 < alpha_in <= alpha_out):
+    if not (0.0 < alpha_in <= alpha_out <= 1.0):
         raise DomainError(
-            f"need 0 < alpha_in <= alpha_out, got {alpha_in}, {alpha_out}"
+            f"need 0 < alpha_in <= alpha_out <= 1, got {alpha_in}, {alpha_out}"
         )
     ids = cands.variable_ids
-    current: list[str] = []
-    seen: set[frozenset[str]] = {frozenset()}
+    xtx, xty, _ = _gram(cands.design, cands.response)
+    current: list[int] = []  # positions in ids, ascending
+    seen: set[frozenset[int]] = {frozenset()}
     converged = True
 
     while True:
@@ -167,31 +207,30 @@ def stepwise(
 
         # Forward step: best addition by p-value, ties by candidate order.
         best_add: tuple[float, int] | None = None
-        for position, vid in enumerate(ids):
-            if vid in current:
+        for position in range(len(ids)):
+            if position in current:
                 continue
-            trial = tuple(v for v in ids if v in current or v == vid)
-            model = _fit_subset(cands, trial, alpha_in)
-            if model is None:
+            trial = sorted(current + [position])
+            p_values = _trial_p_values(cands, xtx, xty, trial)
+            if p_values is None:
                 continue
-            p = float(model.fit.p_values[model.variable_ids.index(vid)])
+            p = float(p_values[trial.index(position)])
             if p < alpha_in and (best_add is None or (p, position) < best_add):
                 best_add = (p, position)
         if best_add is not None:
-            current.append(ids[best_add[1]])
-            current.sort(key=ids.index)
+            current = sorted(current + [best_add[1]])
             changed = True
 
         # Backward steps: drop the worst insignificant variable until
         # everything retained clears alpha_out.
         while current:
-            model = _fit_subset(cands, tuple(current), alpha_out)
-            if model is None:
+            p_values = _trial_p_values(cands, xtx, xty, current)
+            if p_values is None:
                 break
-            worst_idx = int(model.fit.p_values.argmax())
-            if float(model.fit.p_values[worst_idx]) <= alpha_out:
+            worst_idx = int(p_values.argmax())
+            if float(p_values[worst_idx]) <= alpha_out:
                 break
-            current.remove(model.variable_ids[worst_idx])
+            del current[worst_idx]
             changed = True
 
         if not changed:
@@ -204,6 +243,6 @@ def stepwise(
 
     if not current:
         return SelectionReport(ranked_models=(), converged=converged)
-    final = _fit_subset(cands, tuple(current), alpha_in)
+    final = _fit_subset(cands, tuple(ids[j] for j in current), alpha_in)
     models = (final,) if final is not None else ()
     return SelectionReport(ranked_models=models, converged=converged)

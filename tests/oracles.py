@@ -87,3 +87,57 @@ def incomplete_beta_quad(a: float, b: float, x: float) -> float:
     part, _ = integrate.quad(g, 0.0, x, epsabs=1e-14, epsrel=1e-14, limit=300)
     whole, _ = integrate.quad(g, 0.0, 1.0, epsabs=1e-14, epsrel=1e-14, limit=300)
     return part / whole
+
+
+def stepwise_per_fit(cands, alpha_in: float = 0.05, alpha_out: float = 0.10):
+    """Forward-backward stepwise with one full fit_through_origin per
+    trial subset, as clubval did before its search shared one Gram
+    matrix. Returns (variable ids of the final model or None, converged).
+    """
+    from clubval.errors import InsufficientObservations, RankDeficient
+    from clubval.regression import fit_through_origin
+
+    def fit(subset):
+        try:
+            return fit_through_origin(cands.design_for(subset), cands.response)
+        except (RankDeficient, InsufficientObservations):
+            return None
+
+    ids = cands.variable_ids
+    current: list[str] = []
+    seen = {frozenset()}
+    converged = True
+    while True:
+        changed = False
+        best_add = None
+        for position, vid in enumerate(ids):
+            if vid in current:
+                continue
+            trial = tuple(v for v in ids if v in current or v == vid)
+            result = fit(trial)
+            if result is None:
+                continue
+            p = float(result.p_values[trial.index(vid)])
+            if p < alpha_in and (best_add is None or (p, position) < best_add):
+                best_add = (p, position)
+        if best_add is not None:
+            current.append(ids[best_add[1]])
+            current.sort(key=ids.index)
+            changed = True
+        while current:
+            result = fit(tuple(current))
+            if result is None:
+                break
+            worst = int(result.p_values.argmax())
+            if float(result.p_values[worst]) <= alpha_out:
+                break
+            current.remove(current[worst])
+            changed = True
+        if not changed:
+            break
+        state = frozenset(current)
+        if state in seen:
+            converged = False
+            break
+        seen.add(state)
+    return (tuple(current) if current else None), converged

@@ -303,6 +303,25 @@ class TestFitAndSelect:
         assert code == 0
         assert "rank" in out
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--max-size", "0"), "max_size must lie in [1, 2], got 0"),
+            (("--alpha-in", "-1"), "need 0 < alpha <= 1, got -1.0"),
+            (("--alpha-in", "nan"), "need 0 < alpha <= 1, got nan"),
+            (
+                ("--method", "stepwise", "--alpha-out", "1.5"),
+                "need 0 < alpha_in <= alpha_out <= 1, got 0.05, 1.5",
+            ),
+        ],
+        ids=["max-size-0", "negative-alpha-in", "nan-alpha-in", "alpha-out-above-1"],
+    )
+    def test_select_out_of_range_setting_is_data_error(self, capsys, flags, message):
+        code, out, err = _run(capsys, "select", "--response", "revenue_meur", *flags)
+        assert code == 1
+        assert out == ""
+        assert message in err
+
 
 class TestPlot:
     def test_combined_svg(self, capsys, tmp_path):

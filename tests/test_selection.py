@@ -1,7 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clubval.errors import (
     DimensionMismatch,
@@ -9,8 +12,16 @@ from clubval.errors import (
     MissingPredictor,
     TooManyCandidates,
 )
-from clubval.regression import DesignMatrix, ResponseVector, fit_through_origin
-from clubval.selection import CandidateSet, exhaustive_subsets, stepwise
+from clubval.dataset import bundled_jleague_dataset, predictor_value
+from clubval.regression import DesignMatrix, ResponseVector, _gram, fit_through_origin
+from clubval.selection import (
+    CandidateSet,
+    _trial_p_values,
+    exhaustive_subsets,
+    stepwise,
+)
+
+from oracles import stepwise_per_fit
 
 
 def _two_signal_candidates(seed=424, n=40, noise_cols=1):
@@ -87,6 +98,11 @@ class TestExhaustive:
         with pytest.raises(DomainError):
             exhaustive_subsets(cands, max_size=99)
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, 1.5, math.nan])
+    def test_alpha_validation(self, alpha):
+        with pytest.raises(DomainError, match="0 < alpha <= 1"):
+            exhaustive_subsets(_two_signal_candidates(), max_size=2, alpha=alpha)
+
     def test_ranking_is_deterministic(self):
         first = exhaustive_subsets(_two_signal_candidates(), max_size=3)
         second = exhaustive_subsets(_two_signal_candidates(), max_size=3)
@@ -141,12 +157,49 @@ class TestStepwise:
         )
         assert step.best.fit.adjusted_r_squared <= best_adj + 1e-12
 
-    def test_alpha_validation(self):
+    @pytest.mark.parametrize(
+        "alpha_in, alpha_out",
+        [
+            (0.2, 0.1),
+            (0.0, 0.1),
+            (-1.0, 0.1),
+            (0.05, 1.5),
+            (math.nan, 0.1),
+            (0.05, math.nan),
+        ],
+        ids=["in-above-out", "zero-in", "negative-in", "out-above-1", "nan-in", "nan-out"],
+    )
+    def test_alpha_validation(self, alpha_in, alpha_out):
+        with pytest.raises(DomainError, match="0 < alpha_in <= alpha_out <= 1"):
+            stepwise(_two_signal_candidates(), alpha_in=alpha_in, alpha_out=alpha_out)
+
+    def test_overflowing_candidate_is_named(self):
+        cands = _two_signal_candidates(noise_cols=2)
+        x = cands.design.array.copy()
+        x[:, 2] *= 1e200
+        huge = CandidateSet(DesignMatrix(cands.variable_ids, x), cands.response)
+        with pytest.raises(DomainError, match=r"predictor\(s\) noise1$"):
+            stepwise(huge)
+
+    def test_duplicate_column_is_never_selected(self):
+        # Every trial holding both x1 and its copy is rank deficient.
         cands = _two_signal_candidates()
-        with pytest.raises(DomainError):
-            stepwise(cands, alpha_in=0.2, alpha_out=0.1)
-        with pytest.raises(DomainError):
-            stepwise(cands, alpha_in=0.0)
+        x = cands.design.array
+        twin = CandidateSet.from_columns(
+            [("x1", x[:, 0]), ("x1_copy", x[:, 0].copy()), ("x2", x[:, 1])],
+            cands.response,
+        )
+        report = stepwise(twin)
+        assert report.best.variable_ids == ("x1", "x2")
+
+    def test_trials_with_too_few_rows_are_skipped(self):
+        # n = 3: a trial of 3 or 4 variables has no residual degree of
+        # freedom, so it is skipped rather than raised.
+        rng = np.random.default_rng(4)
+        columns = [(f"c{j}", rng.uniform(1.0, 9.0, size=3)) for j in range(4)]
+        y = 2.0 * columns[0][1] + columns[1][1]
+        report = stepwise(CandidateSet.from_columns(columns, ResponseVector("y", y)))
+        assert report.best is None or len(report.best.variable_ids) <= 2
 
     def test_too_many_candidates(self):
         rng = np.random.default_rng(1)
@@ -157,6 +210,79 @@ class TestStepwise:
         )
         with pytest.raises(TooManyCandidates):
             stepwise(cands)
+
+
+def _independent_candidates(seed, n, k, nulls):
+    """n rows, k candidates of different magnitudes with no exact linear
+    dependency; the last `nulls` have no effect on y."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.1, 1.0, (n, k)) * rng.uniform(1.0, 100.0, k)
+    beta = rng.uniform(0.5, 3.0, k)
+    beta[k - nulls:] = 0.0
+    signal = x @ beta
+    y = signal + rng.normal(0.0, 0.3 * signal.std(), n)
+    return CandidateSet.from_columns(
+        [(f"v{j}", x[:, j]) for j in range(k)], ResponseVector("y", y)
+    )
+
+
+def _bundled_candidates():
+    records = bundled_jleague_dataset()
+    ids = ("sns_followers_m", "revenue_meur", "player_market_value_meur")
+    for response in ids:
+        yield CandidateSet.from_columns(
+            [(vid, [predictor_value(r, vid) for r in records]) for vid in ids if vid != response],
+            ResponseVector(response, [predictor_value(r, response) for r in records]),
+        )
+
+
+class TestStepwiseAgainstPerFitReference:
+    """The Gram-matrix search against the loop that fitted every trial."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 300),
+        k=st.integers(1, 8),
+        data=st.data(),
+    )
+    def test_trial_p_values_match_full_fit(self, seed, n, k, data):
+        cands = _independent_candidates(seed, n, k, nulls=k // 2)
+        idx = sorted(data.draw(st.sets(st.integers(0, k - 1), min_size=1, max_size=min(k, 4))))
+        xtx, xty, _ = _gram(cands.design, cands.response)
+        got = _trial_p_values(cands, xtx, xty, idx)
+        subset = tuple(cands.variable_ids[j] for j in idx)
+        if n <= len(idx):
+            assert got is None
+            return
+        want = fit_through_origin(cands.design_for(subset), cands.response).p_values
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "designs",
+        [
+            pytest.param(lambda: (_independent_candidates(s, 2_000, 8, 3) for s in range(20)), id="tall"),
+            pytest.param(lambda: (_independent_candidates(s, 60, 12, 6) for s in range(20)), id="wide"),
+            pytest.param(_bundled_candidates, id="bundled"),
+        ],
+    )
+    def test_same_selection_and_final_fit(self, designs):
+        for cands in designs():
+            report = stepwise(cands)
+            want_ids, want_converged = stepwise_per_fit(cands)
+            assert report.converged == want_converged
+            if want_ids is None:
+                assert report.best is None
+                continue
+            assert report.best.variable_ids == want_ids
+            want = fit_through_origin(cands.design_for(want_ids), cands.response)
+            got = report.best.fit
+            for name in (
+                "coefficients", "standard_errors", "t_stats", "p_values",
+                "residuals", "fitted",
+            ):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            assert repr(got) == repr(want)
 
 
 class TestCandidateSet:
