@@ -41,7 +41,7 @@ from .report import (
     scale_value,
 )
 from .selection import CandidateSet, SelectionReport, exhaustive_subsets, stepwise
-from .special import ln_gamma, regularized_incomplete_beta, t_two_sided_p
+from .special import t_two_sided_p
 from .valuation import (
     FORMULA_1,
     FORMULA_2,
@@ -92,13 +92,11 @@ __all__ = [
     "exhaustive_subsets",
     "fit_through_origin",
     "followers_to_millions",
-    "ln_gamma",
     "parse_club_csv",
     "predictor_value",
     "premium_ranges",
     "premiums_by_case",
     "published_fit_statistics",
-    "regularized_incomplete_beta",
     "render_premium_table",
     "render_regression_table",
     "render_selection_table",

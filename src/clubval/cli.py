@@ -49,6 +49,7 @@ from .valuation import (
 
 DEFAULT_FX = 150.0
 DEFAULT_STAKE = 0.51
+DEFAULT_ALPHA_OUT = 0.10
 ENV_FX = "VALUATE_FX_RATE"
 
 CORE_PREDICTORS = ("sns_followers_m", "revenue_meur", "player_market_value_meur")
@@ -159,9 +160,15 @@ def _cmd_select(args: argparse.Namespace, config: dict[str, str], spec: RenderSp
     cands = CandidateSet.from_columns(
         _predictor_columns(records, candidate_ids), response
     )
+    # A setting the chosen method would ignore is refused, not dropped.
     if args.method == "stepwise":
-        report = stepwise(cands, alpha_in=args.alpha_in, alpha_out=args.alpha_out)
+        if args.max_size is not None:
+            raise DomainError("--max-size applies only to --method exhaustive, not stepwise")
+        alpha_out = DEFAULT_ALPHA_OUT if args.alpha_out is None else args.alpha_out
+        report = stepwise(cands, alpha_in=args.alpha_in, alpha_out=alpha_out)
     else:
+        if args.alpha_out is not None:
+            raise DomainError("--alpha-out applies only to --method stepwise, not exhaustive")
         max_size = len(candidate_ids) if args.max_size is None else args.max_size
         report = exhaustive_subsets(cands, max_size, alpha=args.alpha_in)
     return render_selection_table(report, spec)
@@ -249,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sel.add_argument("--max-size", type=int, default=None)
     p_sel.add_argument("--alpha-in", type=float, default=0.05)
-    p_sel.add_argument("--alpha-out", type=float, default=0.10)
+    p_sel.add_argument("--alpha-out", type=float, default=None)
     p_sel.set_defaults(handler=_cmd_select)
 
     p_apply = sub.add_parser("apply", help="valuation table for club records")

@@ -118,23 +118,19 @@ def _fit_subset(
     )
 
 
-def _guard(cands: CandidateSet) -> None:
-    if len(cands.variable_ids) > MAX_CANDIDATES:
-        raise TooManyCandidates(
-            f"{len(cands.variable_ids)} candidates exceed the exhaustive "
-            f"search cap of {MAX_CANDIDATES}"
-        )
-
-
 def exhaustive_subsets(
     cands: CandidateSet, max_size: int, alpha: float = 0.05
 ) -> SelectionReport:
     """Fit every non-empty candidate subset of at most max_size variables.
 
     Rank-deficient subsets are recorded as skipped rather than fitted.
+    At most MAX_CANDIDATES candidates are searched.
     """
-    _guard(cands)
     ids = cands.variable_ids
+    if len(ids) > MAX_CANDIDATES:
+        raise TooManyCandidates(
+            f"{len(ids)} candidates exceed the exhaustive search cap of {MAX_CANDIDATES}"
+        )
     if not (1 <= max_size <= len(ids)):
         raise DomainError(f"max_size must lie in [1, {len(ids)}], got {max_size}")
     if not (0.0 < alpha <= 1.0):
@@ -189,9 +185,9 @@ def stepwise(
     candidates, formed once per search: each trial solves its principal
     submatrix and takes its residuals from X. Only the chosen model is a
     full fit_through_origin. Candidates that tie in exact arithmetic
-    (c0, c1 and c0 + c1, say) are ordered by rounding.
+    (c0, c1 and c0 + c1, say) are ordered by rounding. There is no cap on
+    the number of candidates: a step costs one trial per candidate.
     """
-    _guard(cands)
     if not (0.0 < alpha_in <= alpha_out <= 1.0):
         raise DomainError(
             f"need 0 < alpha_in <= alpha_out <= 1, got {alpha_in}, {alpha_out}"

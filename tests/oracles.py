@@ -78,17 +78,6 @@ def t_two_sided_quad(t: float, dof: int) -> float:
     return upper / half_mass
 
 
-def incomplete_beta_quad(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta as a ratio of quadrature integrals."""
-
-    def g(u: float) -> float:
-        return u ** (a - 1.0) * (1.0 - u) ** (b - 1.0)
-
-    part, _ = integrate.quad(g, 0.0, x, epsabs=1e-14, epsrel=1e-14, limit=300)
-    whole, _ = integrate.quad(g, 0.0, 1.0, epsabs=1e-14, epsrel=1e-14, limit=300)
-    return part / whole
-
-
 def stepwise_per_fit(cands, alpha_in: float = 0.05, alpha_out: float = 0.10):
     """Forward-backward stepwise with one full fit_through_origin per
     trial subset, as clubval did before its search shared one Gram

@@ -313,8 +313,19 @@ class TestFitAndSelect:
                 ("--method", "stepwise", "--alpha-out", "1.5"),
                 "need 0 < alpha_in <= alpha_out <= 1, got 0.05, 1.5",
             ),
+            (
+                ("--method", "stepwise", "--max-size", "0"),
+                "--max-size applies only to --method exhaustive, not stepwise",
+            ),
+            (
+                ("--alpha-out", "0.01"),
+                "--alpha-out applies only to --method stepwise, not exhaustive",
+            ),
         ],
-        ids=["max-size-0", "negative-alpha-in", "nan-alpha-in", "alpha-out-above-1"],
+        ids=[
+            "max-size-0", "negative-alpha-in", "nan-alpha-in", "alpha-out-above-1",
+            "stepwise-max-size", "exhaustive-alpha-out",
+        ],
     )
     def test_select_out_of_range_setting_is_data_error(self, capsys, flags, message):
         code, out, err = _run(capsys, "select", "--response", "revenue_meur", *flags)

@@ -201,16 +201,6 @@ class TestStepwise:
         report = stepwise(CandidateSet.from_columns(columns, ResponseVector("y", y)))
         assert report.best is None or len(report.best.variable_ids) <= 2
 
-    def test_too_many_candidates(self):
-        rng = np.random.default_rng(1)
-        n = 30
-        columns = [(f"c{j}", rng.uniform(1.0, 5.0, size=n)) for j in range(13)]
-        cands = CandidateSet.from_columns(
-            columns, ResponseVector("y", rng.uniform(1.0, 5.0, size=n))
-        )
-        with pytest.raises(TooManyCandidates):
-            stepwise(cands)
-
 
 def _independent_candidates(seed, n, k, nulls):
     """n rows, k candidates of different magnitudes with no exact linear
@@ -263,6 +253,8 @@ class TestStepwiseAgainstPerFitReference:
         [
             pytest.param(lambda: (_independent_candidates(s, 2_000, 8, 3) for s in range(20)), id="tall"),
             pytest.param(lambda: (_independent_candidates(s, 60, 12, 6) for s in range(20)), id="wide"),
+            # More candidates than the exhaustive search accepts.
+            pytest.param(lambda: (_independent_candidates(s, 200, 16, 8) for s in range(5)), id="past-cap"),
             pytest.param(_bundled_candidates, id="bundled"),
         ],
     )
