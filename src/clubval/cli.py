@@ -23,7 +23,7 @@ from .dataset import (
     bundled_jleague_dataset,
     bundled_transactions,
     parse_club_csv,
-    predictor_value,
+    predictor_reader,
 )
 from .errors import ClubValError, DomainError, IoError
 from .regression import DesignMatrix, ResponseVector, fit_through_origin
@@ -122,13 +122,11 @@ def _load_records(args: argparse.Namespace) -> list[ClubRecord]:
 def _predictor_columns(
     records: list[ClubRecord], variable_ids: tuple[str, ...]
 ) -> list[tuple[str, list[float]]]:
-    return [
-        (vid, [predictor_value(r, vid) for r in records]) for vid in variable_ids
-    ]
+    return [(vid, list(map(predictor_reader(vid), records))) for vid in variable_ids]
 
 
 def _response(records: list[ClubRecord], variable_id: str) -> ResponseVector:
-    return ResponseVector(variable_id, [predictor_value(r, variable_id) for r in records])
+    return ResponseVector(variable_id, list(map(predictor_reader(variable_id), records)))
 
 
 def _split_ids(text: str) -> tuple[str, ...]:

@@ -15,7 +15,9 @@ import enum
 import io
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
+from operator import attrgetter
 
 from . import reference_data
 from .errors import (
@@ -71,43 +73,38 @@ class ClubRecord:
     stadium_owned: bool | None = None
 
     def __post_init__(self) -> None:
-        # A line break would split the club's row in md and text tables.
-        for field_name in ("name", "league"):
-            text = getattr(self, field_name)
-            if not isinstance(text, str) or "".join(text.splitlines()) != text:
+        name, league, count = self.name, self.league, self.sns_followers
+        # A line break would split the club's row in md and text tables. A
+        # printable string holds none, so only another one is split to look.
+        for field_name, text in (("name", name), ("league", league)):
+            if not (isinstance(text, str) and (
+                text.isprintable() or "".join(text.splitlines()) == text
+            )):
                 raise DomainError(f"{field_name} must be a one-line string, got {text!r}")
-        if not self.name:
+        if not name:
             raise DomainError("club name must be non-empty, got ''")
-        count = self.sns_followers
         # bool is an int, but True is no count.
         if isinstance(count, bool) or not isinstance(count, int):
-            raise DomainError(
-                f"{self.name}: sns_followers must be an integer, got {count!r}"
-            )
+            raise DomainError(f"{name}: sns_followers must be an integer, got {count!r}")
         # Magnitude first: past 4300 digits an int cannot be printed.
         if abs(count) > sys.float_info.max:
             raise DomainError(
-                f"{self.name}: sns_followers must not exceed the largest float, "
+                f"{name}: sns_followers must not exceed the largest float, "
                 f"{sys.float_info.max!r}"
             )
         if count < 0:
-            raise DomainError(f"{self.name}: sns_followers must be >= 0, got {count}")
-        for field_name in ("revenue_meur", "player_market_value_meur",
-                          "broadcasting_meur", "player_wages_meur"):
-            value = getattr(self, field_name)
-            if value is None:
-                continue
-            if not (math.isfinite(value) and value >= 0):
-                raise DomainError(
-                    f"{self.name}: {field_name} must be finite and >= 0, got {value}"
-                )
-        if self.wage_cost_ratio is not None and not (
-            0.0 <= self.wage_cost_ratio <= 2.0
+            raise DomainError(f"{name}: sns_followers must be >= 0, got {count}")
+        for field_name, value in (
+            ("revenue_meur", self.revenue_meur),
+            ("player_market_value_meur", self.player_market_value_meur),
+            ("broadcasting_meur", self.broadcasting_meur),
+            ("player_wages_meur", self.player_wages_meur),
         ):
-            raise DomainError(
-                f"{self.name}: wage_cost_ratio must lie in [0, 2], "
-                f"got {self.wage_cost_ratio}"
-            )
+            if value is not None and not (math.isfinite(value) and value >= 0):
+                raise DomainError(f"{name}: {field_name} must be finite and >= 0, got {value}")
+        ratio = self.wage_cost_ratio
+        if ratio is not None and not 0.0 <= ratio <= 2.0:
+            raise DomainError(f"{name}: wage_cost_ratio must lie in [0, 2], got {ratio}")
 
 
 @dataclass(frozen=True)
@@ -169,28 +166,30 @@ def followers_to_millions(count: int) -> float:
     return count / 1_000_000
 
 
-def predictor_value(record: ClubRecord, variable_id: str) -> float:
-    """Value of one model predictor for a club.
+def predictor_reader(variable_id: str) -> Callable[[ClubRecord], float]:
+    """The function that reads one model predictor from a club record.
 
-    Raises MissingPredictor when the record does not carry the variable
-    or the id is not in the predictor vocabulary.
+    It raises MissingPredictor, naming the club, when the record does not
+    carry the variable or the id is not in the predictor vocabulary.
     """
     if variable_id == "sns_followers_m":
-        return followers_to_millions(record.sns_followers)
-    if variable_id == "revenue_meur":
-        return record.revenue_meur
-    if variable_id == "player_market_value_meur":
-        return record.player_market_value_meur
-    if variable_id in ("broadcasting_meur", "wage_cost_ratio", "player_wages_meur"):
-        value = getattr(record, variable_id)
+        return lambda record: followers_to_millions(record.sns_followers)
+    if variable_id in ("revenue_meur", "player_market_value_meur"):
+        return attrgetter(variable_id)
+    known = variable_id in _CSV_FIELDS[_REQUIRED_FIELD_COUNT:]  # the optional fields
+
+    def read_optional(record: ClubRecord) -> float:
+        value = getattr(record, variable_id) if known else None
         if value is None:
             raise MissingPredictor(variable_id, record.name)
-        return value
-    if variable_id == "stadium_owned":
-        if record.stadium_owned is None:
-            raise MissingPredictor(variable_id, record.name)
-        return 1.0 if record.stadium_owned else 0.0
-    raise MissingPredictor(variable_id, record.name)
+        return (1.0 if value else 0.0) if variable_id == "stadium_owned" else value
+
+    return read_optional
+
+
+def predictor_value(record: ClubRecord, variable_id: str) -> float:
+    """Value of one model predictor for a club; see predictor_reader."""
+    return predictor_reader(variable_id)(record)
 
 
 _BOOL_WORDS = {
@@ -198,17 +197,31 @@ _BOOL_WORDS = {
     "true": True, "1": True, "yes": True,
     "false": False, "0": False, "no": False,
 }
+_CONVERTIBLE_ROW = ("", "", "0", "0", "0", "", "", "", "")
 
 
-def _optional_float(cell: str) -> float | None:
-    return None if cell == "" else float(cell)
+def _converted(cells: list[str]) -> tuple:
+    """A CSV row's cells as ClubRecord arguments. ValueError or KeyError
+    means some cell does not parse; an empty optional cell is None."""
+    name, league, sns, revenue, pmv, broadcasting, ratio, wages, stadium = cells
+    return (
+        name, league, int(sns), float(revenue), float(pmv),
+        float(broadcasting) if broadcasting else None,
+        float(ratio) if ratio else None,
+        float(wages) if wages else None,
+        _BOOL_WORDS[stadium.strip().lower()],
+    )
 
 
-# One converter per CSV_HEADER field; ValueError or KeyError means unparseable.
-_CONVERTERS = (
-    str, str, int, float, float, _optional_float, _optional_float, _optional_float,
-    lambda cell: _BOOL_WORDS[cell.strip().lower()],
-)
+def _unparseable(cells: list[str], line_no: int) -> NonNumeric:
+    """The NonNumeric for the first cell of a row that does not convert:
+    each cell is tried alone, in a row whose other cells all convert."""
+    for i, cell in enumerate(cells):
+        try:
+            _converted([*_CONVERTIBLE_ROW[:i], cell, *_CONVERTIBLE_ROW[i + 1:]])
+        except (ValueError, KeyError):
+            return NonNumeric(_CSV_FIELDS[i], line_no, cell)
+    raise AssertionError("every cell converts on its own")
 
 
 def parse_club_csv(text: str) -> list[ClubRecord]:
@@ -242,14 +255,10 @@ def parse_club_csv(text: str) -> list[ClubRecord]:
         if len(row) < _REQUIRED_FIELD_COUNT or len(row) > len(_CSV_FIELDS):
             raise RowArity(line_no, len(row))
         cells = row + [""] * (len(_CSV_FIELDS) - len(row))
-        values = []
-        for convert, cell, field in zip(_CONVERTERS, cells, _CSV_FIELDS):
-            try:
-                values.append(convert(cell))
-            except (ValueError, KeyError):
-                raise NonNumeric(field, line_no, cell) from None
         try:
-            records.append(ClubRecord(*values))
+            records.append(ClubRecord(*_converted(cells)))
+        except (ValueError, KeyError):
+            raise _unparseable(cells, line_no) from None
         except DomainError as exc:
             raise DomainError(f"line {line_no}: {exc}") from None
     return records

@@ -67,12 +67,18 @@ class ScatterSeries:
 
 
 def fmt_fixed(value: float, places: int) -> str:
-    """Fixed-point formatting, ties rounded away from zero."""
+    """Fixed-point formatting of the shortest repr, ties rounded away from zero."""
     value = float(value)
+    units = abs(value) * 10.0 ** places
+    # f-format rounds the value, not its repr. Under 2**40 units of the last
+    # place the two lie within 2**-12 units with no shorter decimal between,
+    # so they round alike unless that close to a midpoint: the repr may tie.
+    if units < 2.0**40 and abs(units % 1.0 - 0.5) > 2.0**-10:
+        return "%.*f" % (places, value)
     if not math.isfinite(value):
         return str(value)
     quantum = Decimal(1).scaleb(-places)
-    # Positional arguments: this runs per table cell, and keywords cost more.
+    # Positional arguments: keywords cost more.
     return f"{Decimal(repr(value)).quantize(quantum, ROUND_HALF_UP, _FIXED_CONTEXT):f}"
 
 
@@ -99,15 +105,12 @@ def write_document(doc: str, output_path: str | None = None) -> None:
 
 
 def _text_table(rows: list[list[str]], right_align: set[int]) -> str:
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    lines = []
-    for row in rows:
-        cells = [
-            cell.rjust(widths[i]) if i in right_align else cell.ljust(widths[i])
-            for i, cell in enumerate(row)
-        ]
-        lines.append("  ".join(cells).rstrip())
-    return "\n".join(lines) + "\n"
+    # One %-conversion per column pads every cell of a row in one call.
+    line = "  ".join(
+        f"%{'' if i in right_align else '-'}{max(map(len, column))}s"
+        for i, column in enumerate(zip(*rows))
+    )
+    return "\n".join([(line % tuple(row)).rstrip() for row in rows]) + "\n"
 
 
 def _md_table(rows: list[list[str]], right_align: set[int]) -> str:

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 import statistics
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import reference_data
-from .dataset import ClubRecord, FxRate, TransactionCase, eur_to_yen, predictor_value
+from .dataset import ClubRecord, FxRate, TransactionCase, eur_to_yen, predictor_reader
 from .errors import (
     DegenerateRatio,
     DimensionMismatch,
@@ -110,11 +111,23 @@ class AggregateRow:
     ratio_of_means_pct: float
 
 
+def _evaluator(model: ValuationModel) -> Callable[[ClubRecord], float]:
+    """The model as a function of a club, its predictor ids resolved once."""
+    terms = tuple((coef, predictor_reader(vid)) for vid, coef in model.terms)
+
+    def evaluate(record: ClubRecord) -> float:
+        # Plain adds, left to right from 0, with no generator per club.
+        value = 0
+        for coef, read in terms:
+            value += coef * read(record)
+        return value
+
+    return evaluate
+
+
 def apply_model(model: ValuationModel, record: ClubRecord) -> float:
     """Evaluate a model on one club: sum of coefficient times predictor."""
-    return sum(
-        coef * predictor_value(record, vid) for vid, coef in model.terms
-    )
+    return _evaluator(model)(record)
 
 
 def valuate(
@@ -123,19 +136,7 @@ def valuate(
     f2: ValuationModel = FORMULA_2,
 ) -> ValuationResult:
     """Both firm values and their percentage ratio for one club."""
-    fv1 = apply_model(f1, record)
-    fv2 = apply_model(f2, record)
-    if fv2 == 0.0:
-        raise DegenerateRatio(
-            f"{record.name}: fv2 is zero, ratio undefined"
-        )
-    ratio_pct = 100.0 * fv1 / fv2
-    if not (math.isfinite(fv1) and math.isfinite(fv2) and math.isfinite(ratio_pct)):
-        raise DomainError(
-            f"{record.name}: firm values {fv1}, {fv2} or their ratio "
-            "exceed the float range"
-        )
-    return ValuationResult(club=record.name, fv1=fv1, fv2=fv2, ratio_pct=ratio_pct)
+    return valuate_all([record], f1, f2)[0]
 
 
 def valuate_all(
@@ -143,7 +144,21 @@ def valuate_all(
     f1: ValuationModel = FORMULA_1,
     f2: ValuationModel = FORMULA_2,
 ) -> list[ValuationResult]:
-    return [valuate(r, f1, f2) for r in records]
+    """valuate for each club, with both models' terms resolved once."""
+    fv1_of, fv2_of = _evaluator(f1), _evaluator(f2)
+    results = []
+    for record in records:
+        fv1, fv2 = fv1_of(record), fv2_of(record)
+        if fv2 == 0.0:
+            raise DegenerateRatio(f"{record.name}: fv2 is zero, ratio undefined")
+        ratio_pct = 100.0 * fv1 / fv2
+        if not (math.isfinite(fv1) and math.isfinite(fv2) and math.isfinite(ratio_pct)):
+            raise DomainError(
+                f"{record.name}: firm values {fv1}, {fv2} or their ratio "
+                "exceed the float range"
+            )
+        results.append(ValuationResult(record.name, fv1, fv2, ratio_pct))
+    return results
 
 
 def _mean(values: list[float]) -> float:

@@ -4,12 +4,15 @@ Each oracle takes a different route than the library: exact rational
 Gaussian elimination instead of Cholesky, the explicit textbook
 inverse-matrix formulas instead of factored solves, scipy's t
 distribution and adaptive quadrature instead of the continued
-fraction. Agreement between routes is the point of the comparison.
+fraction, and Decimal arithmetic on every repr instead of f-format.
+Agreement between routes is the point of the comparison.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -130,3 +133,18 @@ def stepwise_per_fit(cands, alpha_in: float = 0.05, alpha_out: float = 0.10):
             break
         seen.add(state)
     return (tuple(current) if current else None), converged
+
+
+# Room for the 309 integer digits of the largest float plus 100 decimals.
+_FIXED_CONTEXT = Context(prec=sys.float_info.max_10_exp + 1 + 100)
+
+
+def fmt_fixed_reference(value: float, places: int) -> str:
+    """Fixed-point formatting by Decimal quantization of the shortest
+    repr, ties rounded away from zero, as clubval's report.fmt_fixed did
+    for every value before it took f-format away from the midpoints."""
+    value = float(value)
+    if not math.isfinite(value):
+        return str(value)
+    quantum = Decimal(1).scaleb(-places)
+    return f"{Decimal(repr(value)).quantize(quantum, ROUND_HALF_UP, _FIXED_CONTEXT):f}"

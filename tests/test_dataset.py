@@ -254,6 +254,46 @@ class TestInvariants:
             parse_club_csv(text)
         assert str(info.value).startswith(message)
 
+    # Every separator that str.splitlines breaks at.
+    LINE_BREAKS = [
+        "\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+    ]
+
+    @pytest.mark.parametrize("brk", LINE_BREAKS, ids=[repr(b) for b in LINE_BREAKS])
+    @pytest.mark.parametrize("field", ["name", "league"])
+    def test_text_field_must_be_one_line(self, field, brk):
+        text = f"A{brk}B"
+        message = f"{field} must be a one-line string, got {text!r}"
+        fields = {"name": "X", "league": "J1", field: text}
+        with pytest.raises(DomainError) as info:
+            ClubRecord(fields["name"], fields["league"], 1, 1.0, 1.0)
+        assert str(info.value) == message
+        row = ",".join(f'"{fields[f]}"' for f in ("name", "league")) + ",1,1.0,1.0"
+        with pytest.raises(DomainError) as info:
+            parse_club_csv(CSV_HEADER + "\n" + row + "\n")
+        assert str(info.value) == "line 2: " + message
+
+    @pytest.mark.parametrize(
+        "row, field, cell",
+        [
+            ("A,J1,many,1.0,1.0", "sns_followers", "many"),
+            ("A,J1,,1.0,1.0", "sns_followers", ""),
+            ("A,J1,1,abc,1.0", "revenue_meur", "abc"),
+            ("A,J1,1,1.0,1.0.0", "player_market_value_meur", "1.0.0"),
+            ("A,J1,1,1.0,1.0,n/a", "broadcasting_meur", "n/a"),
+            ("A,J1,1,1.0,1.0,,half", "wage_cost_ratio", "half"),
+            ("A,J1,1,1.0,1.0,,,1e", "player_wages_meur", "1e"),
+            ("A,J1,1,1.0,1.0,,,,maybe", "stadium_owned", "maybe"),
+            # The first cell that does not parse is the one reported.
+            ("A,J1,1,x,y,,,,maybe", "revenue_meur", "x"),
+        ],
+    )
+    def test_unparseable_cell_message(self, row, field, cell):
+        with pytest.raises(NonNumeric) as info:
+            parse_club_csv(CSV_HEADER + "\nB,J1,1,1.0,1.0\n" + row + "\n")
+        assert str(info.value) == f"line 3: field {field!r} has unparseable value {cell!r}"
+        assert (info.value.field, info.value.line) == (field, 3)
+
     def test_predictor_value(self):
         rec = ClubRecord("X", "J1", 2_500_000, 10.0, 20.0, stadium_owned=True)
         assert predictor_value(rec, "sns_followers_m") == 2.5

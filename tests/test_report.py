@@ -35,6 +35,7 @@ from clubval.report import (
 )
 from clubval.selection import CandidateSet, SelectionReport, exhaustive_subsets
 from clubval.valuation import aggregate, premium_ranges, premiums_by_case, valuate_all
+from oracles import fmt_fixed_reference
 
 
 def _reference_style_fit():
@@ -81,6 +82,30 @@ class TestFormatting:
         assert fmt_fixed(-0.0, places) == "-0." + zeros
         assert fmt_fixed(1e-7, places) == "0." + "0000001".ljust(places, "0")
         assert fmt_fixed(5e-324, places) == "0." + zeros
+
+    @given(
+        st.floats(allow_nan=False),
+        st.integers(min_value=0, max_value=MAX_PLACES),
+    )
+    @example(0.125, 2)
+    @example(2.675, 2)
+    @example(1.005, 2)
+    @example(2.5, 0)
+    @example(-2.5, 0)
+    @example(2**51 + 0.5, 0)
+    @example(1234567890123456.8, 0)
+    @example(1e16, 2)
+    @example(1e300, 4)
+    @example(5e-324, 100)
+    @example(-0.0, 3)
+    # Next to a tie, at the 2**40-unit edge, and a tie in exponent form.
+    @example(math.nextafter(0.125, 1.0), 2)
+    @example(math.nextafter(-0.125, -1.0), 2)
+    @example(2**40 / 100 - 0.005, 2)
+    @example(1099511627775.5, 0)
+    @example(1.5e-100, 100)
+    def test_matches_decimal_reference(self, value, places):
+        assert fmt_fixed(value, places) == fmt_fixed_reference(value, places)
 
     def test_scientific(self):
         assert fmt_sci(1.6946663864392964e-06) == "1.69E-06"

@@ -60,6 +60,22 @@ class TestApplyModel:
         with pytest.raises(MissingPredictor):
             apply_model(model, _record())
 
+    def test_missing_predictor_names_first_club_through_valuate_all(self):
+        records = [
+            ClubRecord("A", "J1", 1, 1.0, 1.0, broadcasting_meur=2.0),
+            ClubRecord("B", "J1", 1, 1.0, 1.0),
+            ClubRecord("C", "J1", 1, 1.0, 1.0),
+        ]
+        model = ValuationModel("M", (("revenue_meur", 1.0), ("broadcasting_meur", 1.0)))
+        with pytest.raises(MissingPredictor) as info:
+            valuate_all(records, FORMULA_1, model)
+        assert str(info.value) == "predictor 'broadcasting_meur' is not available for 'B'"
+        unknown = ValuationModel("U", (("no_such_variable", 1.0),))
+        with pytest.raises(MissingPredictor) as info:
+            valuate_all(records[1:], unknown, FORMULA_2)
+        assert str(info.value) == "predictor 'no_such_variable' is not available for 'B'"
+        assert valuate_all([], unknown, unknown) == []
+
     def test_model_needs_terms(self):
         with pytest.raises(DomainError):
             ValuationModel("empty", ())
