@@ -16,10 +16,10 @@ import io
 import math
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
 from operator import attrgetter
 
 from . import reference_data
+from ._record import record
 from .errors import (
     DomainError,
     HeaderMismatch,
@@ -34,13 +34,14 @@ CSV_HEADER = (
 )
 _CSV_FIELDS = CSV_HEADER.split(",")
 _REQUIRED_FIELD_COUNT = 5
+_OPTIONAL_AMOUNTS = ("broadcasting_meur", "player_wages_meur")
 
 class TransactionPattern(enum.Enum):
     CAPITAL_INCREASE = "capital_increase"
     SHARE_TRANSFER = "share_transfer"
 
 
-@dataclass(frozen=True)
+@record
 class FxRate:
     """Exchange rate in yen per euro. The reference analyses use 150."""
 
@@ -53,7 +54,7 @@ class FxRate:
             )
 
 
-@dataclass(frozen=True)
+@record
 class ClubRecord:
     """One club's predictor observations.
 
@@ -100,14 +101,25 @@ class ClubRecord:
             ("broadcasting_meur", self.broadcasting_meur),
             ("player_wages_meur", self.player_wages_meur),
         ):
-            if value is not None and not (math.isfinite(value) and value >= 0):
-                raise DomainError(f"{name}: {field_name} must be finite and >= 0, got {value}")
+            if value is None:
+                if field_name in _OPTIONAL_AMOUNTS:
+                    continue
+            else:
+                try:
+                    if math.isfinite(value) and value >= 0:
+                        continue
+                except OverflowError:
+                    raise DomainError(
+                        f"{name}: {field_name} must be finite and >= 0, "
+                        "got an int past the float range"
+                    ) from None
+            raise DomainError(f"{name}: {field_name} must be finite and >= 0, got {value}")
         ratio = self.wage_cost_ratio
         if ratio is not None and not 0.0 <= ratio <= 2.0:
             raise DomainError(f"{name}: wage_cost_ratio must lie in [0, 2], got {ratio}")
 
 
-@dataclass(frozen=True)
+@record
 class TransactionCase:
     """A historical acquisition of club control.
 
@@ -130,7 +142,7 @@ class TransactionCase:
             )
 
 
-@dataclass(frozen=True)
+@record
 class EuropeanReference:
     """Published enterprise value and the two model estimates for one
     European club, all in millions of euros."""

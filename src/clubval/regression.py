@@ -9,8 +9,8 @@ without the usual n - 1 numerator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
+from ._record import record
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -29,12 +29,13 @@ if TYPE_CHECKING:
 RANK_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
+@record
 class DesignMatrix:
     """Predictor columns without intercept: array is n x k, column j is variable_ids[j]."""
 
     variable_ids: tuple[str, ...]
-    array: np.ndarray = field(repr=False)
+    array: np.ndarray
+    _unprinted = ("array",)
 
     def __post_init__(self) -> None:
         ids = self.variable_ids
@@ -63,7 +64,7 @@ class DesignMatrix:
         return len(self.array)
 
 
-@dataclass(frozen=True)
+@record
 class ResponseVector:
     """The explained variable: an id and its observations."""
 
@@ -80,7 +81,7 @@ class ResponseVector:
             raise DimensionMismatch("response must be a non-empty vector")
 
 
-@dataclass(frozen=True)
+@record
 class RegressionFit:
     """Result of a through-origin least squares fit.
 
@@ -100,8 +101,9 @@ class RegressionFit:
     standard_error_of_regression: float
     n_observations: int
     dof: int
-    residuals: np.ndarray = field(repr=False)
-    fitted: np.ndarray = field(repr=False)
+    residuals: np.ndarray
+    fitted: np.ndarray
+    _unprinted = ("residuals", "fitted")
 
     def coefficient(self, variable_id: str) -> float:
         return float(self.coefficients[self.variable_ids.index(variable_id)])

@@ -12,10 +12,9 @@ import csv
 import io
 import math
 import sys
-from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Context, Decimal
 from pathlib import Path
 
+from ._record import record
 from .dataset import ClubRecord
 from .errors import DomainError, EmptyInput, IoError, NonPositiveLogInput
 from .regression import RegressionFit
@@ -33,13 +32,9 @@ AGGREGATE_PLACES = 1
 PERCENT_PLACES = 1
 
 MAX_PLACES = 100
-# Room for the 309 integer digits of the largest finite float plus
-# MAX_PLACES decimals, so fmt_fixed never runs out of precision. The
-# default context holds only 28 digits.
-_FIXED_CONTEXT = Context(prec=sys.float_info.max_10_exp + 1 + MAX_PLACES)
 
 
-@dataclass(frozen=True)
+@record
 class RenderSpec:
     """How to render: output format and plot scale."""
 
@@ -53,7 +48,7 @@ class RenderSpec:
             raise DomainError(f"scale must be one of {SCALES}, got {self.scale!r}")
 
 
-@dataclass(frozen=True)
+@record
 class ScatterSeries:
     """One plotted series: a label and (x, y, club) points in m EUR."""
 
@@ -77,9 +72,14 @@ def fmt_fixed(value: float, places: int) -> str:
         return "%.*f" % (places, value)
     if not math.isfinite(value):
         return str(value)
+    # No bundled command gets here, so decimal is loaded only on demand.
+    from decimal import ROUND_HALF_UP, Context, Decimal
+
+    # Room for the 309 integer digits of the largest finite float plus
+    # MAX_PLACES decimals; the default context holds only 28 digits.
+    context = Context(prec=sys.float_info.max_10_exp + 1 + MAX_PLACES)
     quantum = Decimal(1).scaleb(-places)
-    # Positional arguments: keywords cost more.
-    return f"{Decimal(repr(value)).quantize(quantum, ROUND_HALF_UP, _FIXED_CONTEXT):f}"
+    return f"{Decimal(repr(value)).quantize(quantum, ROUND_HALF_UP, context):f}"
 
 
 def fmt_sci(value: float) -> str:

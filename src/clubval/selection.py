@@ -9,8 +9,8 @@ deterministic report shape.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
+from ._record import record
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -37,7 +37,7 @@ if TYPE_CHECKING:
 MAX_CANDIDATES = 12
 
 
-@dataclass(frozen=True)
+@record
 class CandidateSet:
     """Candidate predictor columns and the response they explain."""
 
@@ -74,14 +74,14 @@ class CandidateSet:
         return DesignMatrix(subset, self.design.array.take(idx, axis=1))
 
 
-@dataclass(frozen=True)
+@record
 class RankedModel:
     variable_ids: tuple[str, ...]
     fit: RegressionFit
     all_significant: bool
 
 
-@dataclass(frozen=True)
+@record
 class SelectionReport:
     """Ranked fits plus the subsets that could not be fitted.
 

@@ -9,11 +9,10 @@ constants here and the published inference block share one source.
 from __future__ import annotations
 
 import math
-import statistics
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from . import reference_data
+from ._record import record
 from .dataset import ClubRecord, FxRate, TransactionCase, eur_to_yen, predictor_reader
 from .errors import (
     DegenerateRatio,
@@ -24,7 +23,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class ValuationModel:
     """A named linear through-origin formula.
 
@@ -61,7 +60,7 @@ FORMULA_1, FORMULA_2 = map(
 )
 
 
-@dataclass(frozen=True)
+@record
 class ValuationResult:
     """Per-club firm values and their ratio (fv1/fv2 in percent)."""
 
@@ -71,7 +70,7 @@ class ValuationResult:
     ratio_pct: float
 
 
-@dataclass(frozen=True)
+@record
 class PremiumResult:
     """Model-implied value of an acquisition stake against the price paid.
 
@@ -85,7 +84,7 @@ class PremiumResult:
     premium: float
 
 
-@dataclass(frozen=True)
+@record
 class AggregateRow:
     """Mean and median summary of a valuation table.
 
@@ -162,21 +161,33 @@ def valuate_all(
 
 
 def _mean(values: list[float]) -> float:
-    """Arithmetic mean, also of values whose sum exceeds the float range."""
+    """Arithmetic mean, also of values whose sum exceeds the float range.
+
+    The same float as statistics.fmean, which is this expression; the
+    statistics module itself is loaded only when the sum overflows.
+    """
     try:
-        return statistics.fmean(values)
+        return math.fsum(values) / len(values)
     except OverflowError:
+        import statistics
+
         # mean sums exactly, in fractions; a mean of finite values is finite.
         return statistics.mean(values)
 
 
 def _median(values: list[float]) -> float:
-    """Median, also of values whose middle pair sums past the float range."""
-    median = statistics.median(values)
+    """Median, also of values whose middle pair sums past the float range.
+
+    The same float as statistics.median: the middle value, or the
+    midpoint of the middle pair.
+    """
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    median = (ordered[mid - 1] + ordered[mid]) / 2
     if math.isinf(median):
         # Finite values, so the midpoint overflowed: halve before adding.
-        ordered = sorted(values)
-        mid = len(ordered) // 2
         median = ordered[mid - 1] / 2 + ordered[mid] / 2
     return median
 

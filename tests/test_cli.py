@@ -392,10 +392,15 @@ def run(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
         assert run_cli(list(argv)) == 0
 
+COLD_UNLOADED = (
+    "dataclasses", "decimal", "fractions", "inspect", "numpy", "statistics",
+    "urllib.request",
+)
+print(sorted(m for m in COLD_UNLOADED if m in sys.modules))
 run("apply", "--bundled", "jleague")
 run("premiums")
 run("plot")
-print(sorted(m for m in ("numpy", "urllib.request") if m in sys.modules))
+print(sorted(m for m in COLD_UNLOADED if m in sys.modules))
 run("fit", "--response", "revenue_meur", "--predictors", "sns_followers_m")
 print("numpy" in sys.modules)
 """
@@ -412,7 +417,8 @@ class TestColdPath:
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["[]", "True"]
+        # The import, then apply, premiums and plot, load none of these.
+        assert proc.stdout.splitlines() == ["[]", "[]", "True"]
 
 
 # Extreme finite amounts and follower counts, up to past the float range.

@@ -230,6 +230,31 @@ class TestInvariants:
         with pytest.raises(DomainError, match="sns_followers"):
             parse_club_csv(CSV_HEADER + f"\nX,J1,{10**400},1.0,1.0\n")
 
+    @pytest.mark.parametrize("field", ["revenue_meur", "player_market_value_meur"])
+    def test_required_amount_must_not_be_none(self, field):
+        amounts = {"revenue_meur": 1.0, "player_market_value_meur": 1.0, field: None}
+        with pytest.raises(DomainError, match=f"X: {field} must be finite and >= 0, got None"):
+            ClubRecord("X", "J1", 1, **amounts)
+
+    def test_optional_amounts_may_be_none(self):
+        rec = ClubRecord("X", "J1", 1, 1.0, 1.0, broadcasting_meur=None, player_wages_meur=None)
+        assert rec.broadcasting_meur is None and rec.player_wages_meur is None
+
+    @pytest.mark.parametrize(
+        "field",
+        ["revenue_meur", "player_market_value_meur", "broadcasting_meur", "player_wages_meur"],
+    )
+    @pytest.mark.parametrize(
+        "amount", [10**400, -(10**400), 10**5000], ids=["1e400", "-1e400", "1e5000"]
+    )
+    def test_int_amount_past_the_float_range(self, field, amount):
+        amounts = {"revenue_meur": 1.0, "player_market_value_meur": 1.0, field: amount}
+        with pytest.raises(DomainError, match=f"X: {field} must be finite and >= 0, got an int"):
+            ClubRecord("X", "J1", 0, **amounts)
+        largest = int(sys.float_info.max)
+        amounts[field] = largest
+        assert getattr(ClubRecord("X", "J1", 0, **amounts), field) == largest
+
     @pytest.mark.parametrize("count", [412622.5, 412622.0, True, "412622"])
     def test_follower_count_must_be_an_integer(self, count):
         with pytest.raises(DomainError, match="sns_followers must be an integer"):

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import math
 import sys
@@ -446,7 +445,7 @@ class TestRenderSpec:
             RenderSpec(scale="log2")
 
     def test_holds_only_format_and_scale(self):
-        assert [f.name for f in dataclasses.fields(RenderSpec)] == ["format", "scale"]
+        assert RenderSpec._fields == ("format", "scale")
 
 
 class TestWriteDocument:

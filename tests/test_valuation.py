@@ -1,3 +1,4 @@
+import math
 import statistics
 import sys
 
@@ -24,6 +25,8 @@ from clubval.errors import (
 )
 from clubval.valuation import (
     FORMULA_1,
+    _mean,
+    _median,
     FORMULA_2,
     ValuationModel,
     ValuationResult,
@@ -216,6 +219,21 @@ class TestAggregate:
         records = [_record(name, sns=int(top), rev=top, pmv=top) for name in "ABC"]
         agg = aggregate(results, records)
         assert agg.mean_sns == agg.mean_revenue == agg.mean_pmv == top
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+    def test_mean_and_median_match_statistics_bit_for_bit(self, values):
+        try:
+            mean = statistics.fmean(values)
+        except OverflowError:  # the sum leaves the float range; mean sums exactly
+            mean = statistics.mean(values)
+        assert _mean(values).hex() == mean.hex()
+        median = statistics.median(values)
+        if math.isinf(median):  # the middle pair sums past the float range
+            ordered = sorted(values)
+            mid = len(ordered) // 2
+            assert ordered[mid - 1] <= _median(values) <= ordered[mid]
+        else:
+            assert _median(values).hex() == median.hex()
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
