@@ -16,12 +16,9 @@ from .dataset import (
     bundled_jleague_reported_values,
     bundled_transactions,
     club_csv,
-    eur_to_yen,
-    followers_to_millions,
     parse_club_csv,
-    predictor_value,
+    predictor_reader,
     published_fit_statistics,
-    yen_to_eur,
 )
 from .errors import ClubValError
 from .regression import (
@@ -50,11 +47,9 @@ from .valuation import (
     ValuationModel,
     ValuationResult,
     aggregate,
-    apply_model,
     premium_ranges,
     premiums_by_case,
     transaction_premium,
-    valuate,
     valuate_all,
 )
 
@@ -81,19 +76,16 @@ __all__ = [
     "ValuationModel",
     "ValuationResult",
     "aggregate",
-    "apply_model",
     "bundled_european_reference",
     "bundled_jleague_dataset",
     "bundled_jleague_reported_values",
     "bundled_transactions",
     "club_csv",
     "emit_scatter",
-    "eur_to_yen",
     "exhaustive_subsets",
     "fit_through_origin",
-    "followers_to_millions",
     "parse_club_csv",
-    "predictor_value",
+    "predictor_reader",
     "premium_ranges",
     "premiums_by_case",
     "published_fit_statistics",
@@ -105,7 +97,5 @@ __all__ = [
     "stepwise",
     "t_two_sided_p",
     "transaction_premium",
-    "valuate",
     "valuate_all",
-    "yen_to_eur",
 ]

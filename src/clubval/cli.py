@@ -53,6 +53,7 @@ DEFAULT_ALPHA_OUT = 0.10
 ENV_FX = "VALUATE_FX_RATE"
 
 CORE_PREDICTORS = ("sns_followers_m", "revenue_meur", "player_market_value_meur")
+CONFIG_KEYS = ("fx_rate", "stake", "format")
 
 
 def _load_config(path: str | None) -> dict[str, str]:
@@ -69,8 +70,10 @@ def _load_config(path: str | None) -> dict[str, str]:
             continue
         if "=" not in line:
             raise DomainError(f"{path}:{line_no}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        config[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in CONFIG_KEYS:
+            raise DomainError(f"{path}:{line_no}: unknown key {key!r}, not one of {CONFIG_KEYS}")
+        config[key] = value
     return config
 
 
@@ -191,7 +194,8 @@ def _cmd_premiums(args: argparse.Namespace, config: dict[str, str], spec: Render
 
 def _cmd_plot(args: argparse.Namespace, config: dict[str, str], spec: RenderSpec) -> str:
     series: list[ScatterSeries] = []
-    if args.bundled in ("jleague", "combined") or args.input:
+    bundled = args.bundled or "combined"
+    if bundled in ("jleague", "combined") or args.input:
         records = _load_records(args)
         results = valuate_all(records, FORMULA_1, FORMULA_2)
         label = "J.League" if not args.input else "Clubs"
@@ -201,7 +205,7 @@ def _cmd_plot(args: argparse.Namespace, config: dict[str, str], spec: RenderSpec
                 points=tuple((r.fv1, r.fv2, r.club) for r in results),
             )
         )
-    if args.bundled in ("european", "combined") and not args.input:
+    if bundled in ("european", "combined") and not args.input:
         series.append(
             ScatterSeries(
                 label="European reference",
@@ -214,8 +218,10 @@ def _cmd_plot(args: argparse.Namespace, config: dict[str, str], spec: RenderSpec
     return emit_scatter(series, spec, guide_line=not args.no_guide)
 
 
-def _add_common(parser: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
-    parser.add_argument(
+def _add_common(parser: argparse.ArgumentParser, formats: tuple[str, ...]):
+    # The returned group holds --input; a --bundled added to it excludes it.
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument(
         "--input", help="club CSV file (default: the bundled J.League table)"
     )
     parser.add_argument("--out", help="output file (default: stdout)")
@@ -227,6 +233,7 @@ def _add_common(parser: argparse.ArgumentParser, formats: tuple[str, ...]) -> No
         parser.set_defaults(scale="linear")  # tables ignore the scale
     else:
         parser.set_defaults(config=None, format="svg")
+    return source
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -258,8 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sel.set_defaults(handler=_cmd_select)
 
     p_apply = sub.add_parser("apply", help="valuation table for club records")
-    _add_common(p_apply, tabular)
-    p_apply.add_argument(
+    _add_common(p_apply, tabular).add_argument(
         "--bundled", choices=("jleague",), help="use a bundled dataset"
     )
     p_apply.set_defaults(handler=_cmd_apply)
@@ -271,11 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_prem.set_defaults(handler=_cmd_premiums)
 
     p_plot = sub.add_parser("plot", help="scatter figure as SVG")
-    _add_common(p_plot, ())
-    p_plot.add_argument(
+    _add_common(p_plot, ()).add_argument(
         "--bundled",
         choices=("jleague", "european", "combined"),
-        default="combined",
+        help="bundled data to draw (default: combined)",
     )
     p_plot.add_argument("--scale", choices=("linear", "log10"), default="log10")
     p_plot.add_argument(

@@ -1,4 +1,4 @@
-"""Club data model, CSV ingestion, unit conversions, and bundled datasets.
+"""Club data model, CSV ingestion, predictor readers, and bundled datasets.
 
 Monetary amounts are held in millions of euros everywhere inside the
 package. Yen appears only at the boundary: acquisition prices and the
@@ -113,10 +113,19 @@ class ClubRecord:
                         f"{name}: {field_name} must be finite and >= 0, "
                         "got an int past the float range"
                     ) from None
-            raise DomainError(f"{name}: {field_name} must be finite and >= 0, got {value}")
+                except TypeError:
+                    pass  # not a number: refused below, shown by its repr
+            raise DomainError(f"{name}: {field_name} must be finite and >= 0, got {value!r}")
         ratio = self.wage_cost_ratio
-        if ratio is not None and not 0.0 <= ratio <= 2.0:
-            raise DomainError(f"{name}: wage_cost_ratio must lie in [0, 2], got {ratio}")
+        try:
+            if ratio is not None and not 0.0 <= ratio <= 2.0:
+                raise DomainError(f"{name}: wage_cost_ratio must lie in [0, 2], got {ratio}")
+        except TypeError:
+            raise DomainError(f"{name}: wage_cost_ratio must be a number, got {ratio!r}") from None
+        if not (self.stadium_owned is None or isinstance(self.stadium_owned, bool)):
+            raise DomainError(
+                f"{name}: stadium_owned must be True, False or None, got {self.stadium_owned!r}"
+            )
 
 
 @record
@@ -157,27 +166,6 @@ class EuropeanReference:
             raise DomainError(f"{self.club}: reference values must be positive")
 
 
-def yen_to_eur(amount_myen: float, fx: FxRate) -> float:
-    """Convert millions of yen to millions of euros."""
-    if amount_myen < 0:
-        raise DomainError(f"amount must be >= 0, got {amount_myen}")
-    return amount_myen / fx.yen_per_euro
-
-
-def eur_to_yen(amount_meur: float, fx: FxRate) -> float:
-    """Convert millions of euros to millions of yen."""
-    if amount_meur < 0:
-        raise DomainError(f"amount must be >= 0, got {amount_meur}")
-    return amount_meur * fx.yen_per_euro
-
-
-def followers_to_millions(count: int) -> float:
-    """Express a raw follower count in millions."""
-    if count < 0:
-        raise DomainError(f"follower count must be >= 0, got {count}")
-    return count / 1_000_000
-
-
 def predictor_reader(variable_id: str) -> Callable[[ClubRecord], float]:
     """The function that reads one model predictor from a club record.
 
@@ -185,7 +173,7 @@ def predictor_reader(variable_id: str) -> Callable[[ClubRecord], float]:
     carry the variable or the id is not in the predictor vocabulary.
     """
     if variable_id == "sns_followers_m":
-        return lambda record: followers_to_millions(record.sns_followers)
+        return lambda record: record.sns_followers / 1_000_000
     if variable_id in ("revenue_meur", "player_market_value_meur"):
         return attrgetter(variable_id)
     known = variable_id in _CSV_FIELDS[_REQUIRED_FIELD_COUNT:]  # the optional fields
@@ -197,11 +185,6 @@ def predictor_reader(variable_id: str) -> Callable[[ClubRecord], float]:
         return (1.0 if value else 0.0) if variable_id == "stadium_owned" else value
 
     return read_optional
-
-
-def predictor_value(record: ClubRecord, variable_id: str) -> float:
-    """Value of one model predictor for a club; see predictor_reader."""
-    return predictor_reader(variable_id)(record)
 
 
 _BOOL_WORDS = {

@@ -105,9 +105,6 @@ class RegressionFit:
     fitted: np.ndarray
     _unprinted = ("residuals", "fitted")
 
-    def coefficient(self, variable_id: str) -> float:
-        return float(self.coefficients[self.variable_ids.index(variable_id)])
-
     def summary_rows(self) -> list[tuple[str, float, float, float, float]]:
         """Per-variable (id, coefficient, standard error, t, p) rows."""
         return [

@@ -385,25 +385,26 @@ def emit_scatter(
     series: list[ScatterSeries],
     spec: RenderSpec,
     guide_line: bool = False,
-    x_label: str = "FV1 (m EUR)",
-    y_label: str = "FV2 (m EUR)",
 ) -> str:
-    """Build an SVG 1.1 scatter figure.
+    """Build an SVG 1.1 scatter figure of FV1 against FV2.
 
-    One marker element per point, a distinct shape per series, axes
-    with tick labels, and optionally a y = x guide line (the 100 percent
-    ratio locus).
+    One marker element per point, a distinct shape for each of at most
+    three series, axes with tick labels, and optionally a y = x guide
+    line (the 100 percent ratio locus).
     """
     if spec.format != "svg":
         raise DomainError(f"emit_scatter requires svg format, got {spec.format!r}")
+    if len(series) > len(_MARKER_SHAPES):
+        raise DomainError(f"at most {len(_MARKER_SHAPES)} series can be drawn, got {len(series)}")
     if not series or all(not s.points for s in series):
         raise EmptyInput("nothing to plot")
 
-    xs, ys = [], []
-    for s in series:
-        for x, y, _club in s.points:
-            xs.append(scale_value(x, spec.scale))
-            ys.append(scale_value(y, spec.scale))
+    scaled = [
+        [(scale_value(x, spec.scale), scale_value(y, spec.scale), club) for x, y, club in s.points]
+        for s in series
+    ]
+    xs = [x for points in scaled for x, _y, _club in points]
+    ys = [y for points in scaled for _x, y, _club in points]
 
     def padded(values: list[float]) -> tuple[float, float]:
         lo, hi = min(values), max(values)
@@ -475,11 +476,11 @@ def emit_scatter(
 
     parts.append(
         f'<text x="{ml + plot_w / 2:.2f}" y="{height - 12:.2f}" '
-        f'text-anchor="middle">{_xml_escape(x_label)}</text>'
+        'text-anchor="middle">FV1 (m EUR)</text>'
     )
     parts.append(
         f'<text x="18" y="{mt + plot_h / 2:.2f}" text-anchor="middle" '
-        f'transform="rotate(-90 18 {mt + plot_h / 2:.2f})">{_xml_escape(y_label)}</text>'
+        f'transform="rotate(-90 18 {mt + plot_h / 2:.2f})">FV2 (m EUR)</text>'
     )
 
     if guide_line:
@@ -491,20 +492,12 @@ def emit_scatter(
                 f'x2="{px(hi):.2f}" y2="{py(hi):.2f}"/>'
             )
 
-    for idx, s in enumerate(series):
-        shape = _MARKER_SHAPES[idx % len(_MARKER_SHAPES)]
+    for idx, (s, points) in enumerate(zip(series, scaled)):
+        shape = _MARKER_SHAPES[idx]
         label_attr = _xml_escape(s.label, quote=True)
         parts.append(f'<g class="series" data-label="{label_attr}">')
-        for x, y, club in s.points:
-            parts.append(
-                _marker_element(
-                    shape,
-                    px(scale_value(x, spec.scale)),
-                    py(scale_value(y, spec.scale)),
-                    f"marker s{idx}",
-                    club,
-                )
-            )
+        for x, y, club in points:
+            parts.append(_marker_element(shape, px(x), py(y), f"marker s{idx}", club))
         parts.append("</g>")
         legend_y = mt + 16.0 * idx
         lx = width - mr + 18.0

@@ -13,7 +13,7 @@ from collections.abc import Callable
 
 from . import reference_data
 from ._record import record
-from .dataset import ClubRecord, FxRate, TransactionCase, eur_to_yen, predictor_reader
+from .dataset import ClubRecord, FxRate, TransactionCase, predictor_reader
 from .errors import (
     DegenerateRatio,
     DimensionMismatch,
@@ -40,10 +40,6 @@ class ValuationModel:
         for vid, coef in self.terms:
             if not math.isfinite(coef):
                 raise DomainError(f"{self.name}: coefficient for {vid} not finite")
-
-    @property
-    def variable_ids(self) -> tuple[str, ...]:
-        return tuple(vid for vid, _ in self.terms)
 
 
 def _model_from_published(name: str) -> ValuationModel:
@@ -124,26 +120,12 @@ def _evaluator(model: ValuationModel) -> Callable[[ClubRecord], float]:
     return evaluate
 
 
-def apply_model(model: ValuationModel, record: ClubRecord) -> float:
-    """Evaluate a model on one club: sum of coefficient times predictor."""
-    return _evaluator(model)(record)
-
-
-def valuate(
-    record: ClubRecord,
-    f1: ValuationModel = FORMULA_1,
-    f2: ValuationModel = FORMULA_2,
-) -> ValuationResult:
-    """Both firm values and their percentage ratio for one club."""
-    return valuate_all([record], f1, f2)[0]
-
-
 def valuate_all(
     records: list[ClubRecord],
     f1: ValuationModel = FORMULA_1,
     f2: ValuationModel = FORMULA_2,
 ) -> list[ValuationResult]:
-    """valuate for each club, with both models' terms resolved once."""
+    """Each club's firm values and ratio, both models' terms resolved once."""
     fv1_of, fv2_of = _evaluator(f1), _evaluator(f2)
     results = []
     for record in records:
@@ -260,7 +242,7 @@ def transaction_premium(
         raise DomainError(f"{case.club}: firm value must be positive, got {fv_meur}")
     if not (0.0 < stake <= 1.0):
         raise DomainError(f"stake must lie in (0, 1], got {stake}")
-    implied = eur_to_yen(fv_meur, fx) * stake
+    implied = fv_meur * fx.yen_per_euro * stake
     if not math.isfinite(implied):
         raise DomainError(f"{case.club}: implied stake value exceeds the float range")
     return PremiumResult(

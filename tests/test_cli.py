@@ -232,6 +232,17 @@ class TestPremiums:
         assert out.startswith(head)
         assert marker in out
 
+    def test_unknown_config_key_is_data_error(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.delenv("VALUATE_FX_RATE", raising=False)
+        config = tmp_path / "settings.conf"
+        config.write_text("# settings\nstake = 0.51\nfxrate = 300\n", encoding="utf-8")
+        code, out, err = _run(capsys, "premiums", "--config", str(config))
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: {config}:3: unknown key 'fxrate', "
+            "not one of ('fx_rate', 'stake', 'format')\n"
+        )
+
 
 class TestFitAndSelect:
     def test_fit_bundled(self, capsys):
@@ -362,6 +373,17 @@ class TestPlot:
         guides = [el for el in root.iter() if el.get("class") == "guide"]
         assert guides == []
 
+    def test_source_defaults(self, capsys, tmp_path):
+        club_file = tmp_path / "clubs.csv"
+        club_file.write_text(CSV_HEADER + "\nUrawa Reds,J1,807734,54.18,28.55\n", encoding="utf-8")
+        _code, bare, _err = _run(capsys, "plot")
+        _code, combined, _err = _run(capsys, "plot", "--bundled", "combined")
+        assert bare == combined
+        code, out, _err = _run(capsys, "plot", "--input", str(club_file))
+        assert code == 0
+        groups = ET.fromstring(out).findall("{http://www.w3.org/2000/svg}g")
+        assert [g.get("data-label") for g in groups] == ["Clubs"]
+
     def test_config_is_usage_error(self, capsys):
         # plot has no setting to read, so it takes no --config.
         code, out, err = _run(capsys, "plot", "--config", "settings.conf")
@@ -382,6 +404,19 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert _run(capsys, "--help")[0] == 0
+
+    @pytest.mark.parametrize(
+        "command, bundled",
+        [("apply", "jleague"), ("plot", "jleague"), ("plot", "european"), ("plot", "combined")],
+    )
+    def test_bundled_with_input_is_usage_error(self, capsys, tmp_path, command, bundled):
+        club_file = tmp_path / "clubs.csv"
+        club_file.write_text(CSV_HEADER + "\nUrawa Reds,J1,807734,54.18,28.55\n", encoding="utf-8")
+        for argv in (("--bundled", bundled, "--input", str(club_file)),
+                     ("--input", str(club_file), "--bundled", bundled)):
+            code, out, err = _run(capsys, command, *argv)
+            assert (code, out) == (2, "")
+            assert "not allowed with argument" in err
 
 
 COLD_PATH_SCRIPT = """

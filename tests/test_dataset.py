@@ -8,18 +8,16 @@ from clubval.dataset import (
     CSV_HEADER,
     ClubRecord,
     FxRate,
+    TransactionCase,
     TransactionPattern,
     bundled_european_reference,
     bundled_jleague_dataset,
     bundled_jleague_reported_values,
     bundled_transactions,
     club_csv,
-    eur_to_yen,
-    followers_to_millions,
     parse_club_csv,
-    predictor_value,
+    predictor_reader,
     published_fit_statistics,
-    yen_to_eur,
 )
 from clubval.errors import (
     DomainError,
@@ -28,6 +26,7 @@ from clubval.errors import (
     NonNumeric,
     RowArity,
 )
+from clubval.valuation import transaction_premium
 
 
 class TestParseClubCsv:
@@ -174,32 +173,33 @@ class TestBundles:
         assert f2["rows"][1][:2] == ("player_market_value_meur", 1.2599)
 
 
+_PRICED_CASE = TransactionCase("X", TransactionPattern.SHARE_TRANSFER, None, None, 1.0, "")
+
+
 class TestConversions:
-    def test_yen_to_eur(self):
-        assert yen_to_eur(1330.0, FxRate(150.0)) == pytest.approx(8.8667, abs=5e-5)
-        assert yen_to_eur(0.0, FxRate(150.0)) == 0.0
+    """The two unit conversions: the sns_followers_m reader's count in
+    millions, and transaction_premium's euros to yen."""
 
     def test_followers_to_millions(self):
-        assert followers_to_millions(807_734) == pytest.approx(0.807734, abs=1e-15)
-        assert followers_to_millions(0) == 0.0
-        assert followers_to_millions(1_000_000) == 1.0
+        millions = predictor_reader("sns_followers_m")
+        for count, expected in ((807_734, 0.807734), (0, 0.0), (1_000_000, 1.0)):
+            assert millions(ClubRecord("X", "J1", count, 1.0, 1.0)) == expected
 
     def test_negative_amounts_rejected(self):
-        with pytest.raises(DomainError):
-            yen_to_eur(-1.0, FxRate())
-        with pytest.raises(DomainError):
-            eur_to_yen(-1.0, FxRate())
-        with pytest.raises(DomainError):
-            followers_to_millions(-1)
+        # Each conversion reads a value that was checked on the way in.
+        with pytest.raises(DomainError, match="sns_followers must be >= 0"):
+            ClubRecord("X", "J1", -1, 1.0, 1.0)
+        with pytest.raises(DomainError, match="firm value must be positive"):
+            transaction_premium(_PRICED_CASE, -1.0, FxRate())
 
     @given(
-        st.floats(min_value=0.0, max_value=1e9),
+        st.floats(min_value=1e-300, max_value=1e9),
         st.floats(min_value=1.0, max_value=500.0),
     )
     def test_round_trip(self, amount, rate):
-        fx = FxRate(rate)
-        back = eur_to_yen(yen_to_eur(amount, fx), fx)
-        assert back == pytest.approx(amount, rel=1e-12, abs=1e-12)
+        implied = transaction_premium(_PRICED_CASE, amount, FxRate(rate)).implied_stake_value_myen
+        assert implied == amount * rate * 0.51
+        assert implied / 0.51 / rate == pytest.approx(amount, rel=1e-12)
 
 
 class TestInvariants:
@@ -254,6 +254,33 @@ class TestInvariants:
         largest = int(sys.float_info.max)
         amounts[field] = largest
         assert getattr(ClubRecord("X", "J1", 0, **amounts), field) == largest
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("revenue_meur", "5", "revenue_meur must be finite and >= 0, got '5'"),
+            ("player_market_value_meur", [1.0], "must be finite and >= 0, got [1.0]"),
+            ("broadcasting_meur", 1j, "broadcasting_meur must be finite and >= 0, got 1j"),
+            ("player_wages_meur", b"2", "player_wages_meur must be finite and >= 0, got b'2'"),
+            ("wage_cost_ratio", "x", "wage_cost_ratio must be a number, got 'x'"),
+            ("wage_cost_ratio", [0.5], "wage_cost_ratio must be a number, got [0.5]"),
+        ],
+        ids=["str", "list", "complex", "bytes", "str-ratio", "list-ratio"],
+    )
+    def test_non_number_names_field_and_value(self, field, value, message):
+        amounts = {"revenue_meur": 1.0, "player_market_value_meur": 1.0, field: value}
+        with pytest.raises(DomainError) as info:
+            ClubRecord("X", "J1", 1, **amounts)
+        assert str(info.value).startswith("X: ")
+        assert str(info.value).endswith(message)
+
+    @pytest.mark.parametrize("owned", ["no", "false", "", 0, 1, 1.0, [True]])
+    def test_stadium_owned_must_be_a_bool_or_none(self, owned):
+        with pytest.raises(DomainError) as info:
+            ClubRecord("X", "J1", 1, 1.0, 1.0, stadium_owned=owned)
+        assert str(info.value) == f"X: stadium_owned must be True, False or None, got {owned!r}"
+        for ok in (True, False, None):
+            assert ClubRecord("X", "J1", 1, 1.0, 1.0, stadium_owned=ok).stadium_owned is ok
 
     @pytest.mark.parametrize("count", [412622.5, 412622.0, True, "412622"])
     def test_follower_count_must_be_an_integer(self, count):
@@ -321,14 +348,14 @@ class TestInvariants:
 
     def test_predictor_value(self):
         rec = ClubRecord("X", "J1", 2_500_000, 10.0, 20.0, stadium_owned=True)
-        assert predictor_value(rec, "sns_followers_m") == 2.5
-        assert predictor_value(rec, "revenue_meur") == 10.0
-        assert predictor_value(rec, "player_market_value_meur") == 20.0
-        assert predictor_value(rec, "stadium_owned") == 1.0
+        assert predictor_reader("sns_followers_m")(rec) == 2.5
+        assert predictor_reader("revenue_meur")(rec) == 10.0
+        assert predictor_reader("player_market_value_meur")(rec) == 20.0
+        assert predictor_reader("stadium_owned")(rec) == 1.0
 
     def test_missing_predictor(self):
         rec = ClubRecord("X", "J1", 1, 1.0, 1.0)
         with pytest.raises(MissingPredictor):
-            predictor_value(rec, "broadcasting_meur")
+            predictor_reader("broadcasting_meur")(rec)
         with pytest.raises(MissingPredictor):
-            predictor_value(rec, "no_such_variable")
+            predictor_reader("no_such_variable")(rec)

@@ -32,13 +32,13 @@ def _random_dataset(rng, n, k, noise=0.3):
 class TestFitThroughOrigin:
     def test_exact_single_column(self):
         fit = _fit([("x", [1.0, 2.0, 3.0])], [2.0, 4.0, 6.0])
-        assert fit.coefficient("x") == pytest.approx(2.0, abs=1e-12)
+        assert fit.coefficients[0] == pytest.approx(2.0, abs=1e-12)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(fit.residuals, 0.0, atol=1e-12)
 
     def test_orthogonal_response(self):
         fit = _fit([("x", [1.0, 0.0])], [0.0, 1.0])
-        assert fit.coefficient("x") == pytest.approx(0.0, abs=1e-15)
+        assert fit.coefficients[0] == pytest.approx(0.0, abs=1e-15)
         assert fit.r_squared == pytest.approx(0.0, abs=1e-15)
 
     def test_seeded_two_predictor_dataset_matches_oracle(self):

@@ -18,6 +18,7 @@ from clubval.dataset import (
 )
 from clubval.errors import DomainError, EmptyInput, IoError, NonPositiveLogInput
 from clubval.regression import DesignMatrix, ResponseVector, fit_through_origin
+from clubval import report
 from clubval.report import (
     MAX_PLACES,
     RenderSpec,
@@ -433,6 +434,28 @@ class TestScatter:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
             emit_scatter([], RenderSpec(format="svg"))
+
+    def test_three_series_styled_and_a_fourth_rejected(self):
+        series = [ScatterSeries(f"s{i}", ((1.0 + i, 2.0, f"c{i}"),)) for i in range(4)]
+        doc = emit_scatter(series[:3], RenderSpec(format="svg", scale="linear"))
+        markers = [el for el in ET.fromstring(doc).iter() if "marker" in el.get("class", "")]
+        assert [el.get("class") for el in markers] == ["marker s0", "marker s1", "marker s2"]
+        assert len({el.tag for el in markers}) == 3
+        assert all(f".s{i}{{fill:" in doc for i in range(3))
+        with pytest.raises(DomainError, match="at most 3 series can be drawn, got 4"):
+            emit_scatter(series, RenderSpec(format="svg", scale="linear"))
+
+    def test_each_point_scaled_once(self, monkeypatch):
+        calls = []
+
+        def counted(value, scale):
+            calls.append(value)
+            return scale_value(value, scale)
+
+        monkeypatch.setattr(report, "scale_value", counted)
+        series = self._series()
+        emit_scatter(series, RenderSpec(format="svg", scale="log10"))
+        assert len(calls) == 2 * sum(len(s.points) for s in series)
 
 
 class TestRenderSpec:

@@ -12,7 +12,7 @@ from clubval.errors import (
     MissingPredictor,
     TooManyCandidates,
 )
-from clubval.dataset import bundled_jleague_dataset, predictor_value
+from clubval.dataset import bundled_jleague_dataset, predictor_reader
 from clubval.regression import DesignMatrix, ResponseVector, _gram, fit_through_origin
 from clubval.selection import (
     CandidateSet,
@@ -221,8 +221,8 @@ def _bundled_candidates():
     ids = ("sns_followers_m", "revenue_meur", "player_market_value_meur")
     for response in ids:
         yield CandidateSet.from_columns(
-            [(vid, [predictor_value(r, vid) for r in records]) for vid in ids if vid != response],
-            ResponseVector(response, [predictor_value(r, response) for r in records]),
+            [(vid, list(map(predictor_reader(vid), records))) for vid in ids if vid != response],
+            ResponseVector(response, list(map(predictor_reader(response), records))),
         )
 
 

@@ -25,17 +25,16 @@ from clubval.errors import (
 )
 from clubval.valuation import (
     FORMULA_1,
+    _evaluator,
     _mean,
     _median,
     FORMULA_2,
     ValuationModel,
     ValuationResult,
     aggregate,
-    apply_model,
     premium_ranges,
     premiums_by_case,
     transaction_premium,
-    valuate,
     valuate_all,
 )
 
@@ -45,23 +44,25 @@ def _record(name="X", league="J1", sns=0, rev=0.0, pmv=0.0):
 
 
 class TestApplyModel:
+    """One model applied to one club, by the evaluator valuate_all builds."""
+
     def test_urawa_formula_1(self):
         rec = _record("Urawa Reds", sns=807_734, rev=54.18, pmv=28.55)
-        assert apply_model(FORMULA_1, rec) == pytest.approx(161.39, abs=0.05)
+        assert _evaluator(FORMULA_1)(rec) == pytest.approx(161.39, abs=0.05)
 
     def test_kashima_formula_2(self):
         rec = _record("Kashima Antlers", sns=792_968, rev=40.77, pmv=20.80)
-        assert apply_model(FORMULA_2, rec) == pytest.approx(30.79, abs=0.05)
+        assert _evaluator(FORMULA_2)(rec) == pytest.approx(30.79, abs=0.05)
 
     def test_zero_record_gives_zero(self):
         rec = _record()
-        assert apply_model(FORMULA_1, rec) == 0.0
-        assert apply_model(FORMULA_2, rec) == 0.0
+        assert _evaluator(FORMULA_1)(rec) == 0.0
+        assert _evaluator(FORMULA_2)(rec) == 0.0
 
     def test_missing_predictor(self):
         model = ValuationModel("M", (("broadcasting_meur", 1.0),))
         with pytest.raises(MissingPredictor):
-            apply_model(model, _record())
+            valuate_all([_record()], model, FORMULA_2)
 
     def test_missing_predictor_names_first_club_through_valuate_all(self):
         records = [
@@ -88,8 +89,8 @@ class TestApplyModel:
         base = _record(sns=400_000, rev=20.0, pmv=10.0)
         scaled = _record(sns=400_000 * a, rev=20.0 * a, pmv=10.0 * a)
         for model in (FORMULA_1, FORMULA_2):
-            assert apply_model(model, scaled) == pytest.approx(
-                a * apply_model(model, base), rel=1e-12, abs=1e-12
+            assert _evaluator(model)(scaled) == pytest.approx(
+                a * _evaluator(model)(base), rel=1e-12, abs=1e-12
             )
 
     def test_monotonicity(self):
@@ -98,37 +99,38 @@ class TestApplyModel:
             _record(sns=100_001, rev=5.0, pmv=3.0),
             _record(sns=100_000, rev=5.1, pmv=3.0),
         ):
-            assert apply_model(FORMULA_1, bumped) > apply_model(FORMULA_1, lo)
-        assert apply_model(
-            FORMULA_2, _record(sns=100_000, rev=5.0, pmv=3.1)
-        ) > apply_model(FORMULA_2, lo)
+            assert _evaluator(FORMULA_1)(bumped) > _evaluator(FORMULA_1)(lo)
+        fv2 = _evaluator(FORMULA_2)
+        assert fv2(_record(sns=100_000, rev=5.0, pmv=3.1)) > fv2(lo)
 
 
 class TestValuate:
+    """valuate_all on a single club."""
+
     def test_iwaki_extreme_ratio(self):
         rec = _record("Iwaki FC", sns=87_485, rev=5.13, pmv=0.65)
-        result = valuate(rec)
+        result = valuate_all([rec])[0]
         assert result.ratio_pct == pytest.approx(1157.8, abs=1.5)
 
     def test_shonan_fv2(self):
         rec = _record("Shonan Bellmare", sns=311_333, rev=16.51, pmv=15.03)
-        assert valuate(rec).fv2 == pytest.approx(20.73, abs=0.05)
+        assert valuate_all([rec])[0].fv2 == pytest.approx(20.73, abs=0.05)
 
     def test_equal_models_give_ratio_100(self):
         model = ValuationModel("same", (("revenue_meur", 2.0),))
-        result = valuate(_record(rev=5.0), model, model)
+        result = valuate_all([_record(rev=5.0)], model, model)[0]
         assert result.ratio_pct == pytest.approx(100.0, abs=1e-12)
 
     def test_firm_values_past_float_range_rejected(self):
         with pytest.raises(DomainError, match="float range"):
-            valuate(_record(rev=1.7e308, pmv=1.0))
+            valuate_all([_record(rev=1.7e308, pmv=1.0)])
         # fv2 rounds to the smallest float, so the ratio overflows.
         with pytest.raises(DomainError, match="float range"):
-            valuate(_record(rev=1e10, pmv=5e-324))
+            valuate_all([_record(rev=1e10, pmv=5e-324)])
 
     def test_zero_fv2_is_degenerate(self):
         with pytest.raises(DegenerateRatio):
-            valuate(_record(sns=0, rev=10.0, pmv=0.0))
+            valuate_all([_record(sns=0, rev=10.0, pmv=0.0)])
 
 
 class TestFullTableReproduction:
