@@ -36,6 +36,22 @@ _CSV_FIELDS = CSV_HEADER.split(",")
 _REQUIRED_FIELD_COUNT = 5
 _OPTIONAL_AMOUNTS = ("broadcasting_meur", "player_wages_meur")
 
+
+def _require_finite(label: str, value, positive: bool = True) -> None:
+    """DomainError naming label unless value is a finite number, and a
+    positive one when positive is set."""
+    try:
+        if math.isfinite(value) and (value > 0 or not positive):
+            return
+        shown = repr(value)
+    except OverflowError:  # past 4300 digits an int cannot be printed
+        shown = "an int past the float range"
+    except TypeError:
+        shown = repr(value)  # not a number
+    need = "positive and finite" if positive else "a finite number"
+    raise DomainError(f"{label} must be {need}, got {shown}")
+
+
 class TransactionPattern(enum.Enum):
     CAPITAL_INCREASE = "capital_increase"
     SHARE_TRANSFER = "share_transfer"
@@ -48,10 +64,7 @@ class FxRate:
     yen_per_euro: float = 150.0
 
     def __post_init__(self) -> None:
-        if not (self.yen_per_euro > 0 and math.isfinite(self.yen_per_euro)):
-            raise DomainError(
-                f"yen_per_euro must be positive and finite, got {self.yen_per_euro}"
-            )
+        _require_finite("yen_per_euro", self.yen_per_euro)
 
 
 @record
@@ -144,11 +157,10 @@ class TransactionCase:
     method_label: str
 
     def __post_init__(self) -> None:
-        if self.price_for_51pct_myen is not None and self.price_for_51pct_myen <= 0:
-            raise DomainError(
-                f"{self.club}: disclosed price must be positive, "
-                f"got {self.price_for_51pct_myen}"
-            )
+        for field_name in ("par_value_kyen", "stock_price_kyen", "price_for_51pct_myen"):
+            value = getattr(self, field_name)
+            if value is not None:
+                _require_finite(f"{self.club}: {field_name}", value)
 
 
 @record
@@ -162,8 +174,8 @@ class EuropeanReference:
     fv2: float
 
     def __post_init__(self) -> None:
-        if min(self.ev_kpmg, self.fv1, self.fv2) <= 0:
-            raise DomainError(f"{self.club}: reference values must be positive")
+        for field_name in ("ev_kpmg", "fv1", "fv2"):
+            _require_finite(f"{self.club}: {field_name}", getattr(self, field_name))
 
 
 def predictor_reader(variable_id: str) -> Callable[[ClubRecord], float]:

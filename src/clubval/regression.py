@@ -105,19 +105,6 @@ class RegressionFit:
     fitted: np.ndarray
     _unprinted = ("residuals", "fitted")
 
-    def summary_rows(self) -> list[tuple[str, float, float, float, float]]:
-        """Per-variable (id, coefficient, standard error, t, p) rows."""
-        return [
-            (
-                vid,
-                float(self.coefficients[j]),
-                float(self.standard_errors[j]),
-                float(self.t_stats[j]),
-                float(self.p_values[j]),
-            )
-            for j, vid in enumerate(self.variable_ids)
-        ]
-
 
 def _gram(
     design: DesignMatrix, response: ResponseVector
@@ -149,11 +136,31 @@ def _gram(
     return xtx, xty, tss_uncentered
 
 
-def _solve(xtx: np.ndarray, xty: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(X'X)^-1 and b from one eigendecomposition X'X = V diag(w) V',
-    which also gives the rank test."""
+def _fit(
+    design: DesignMatrix,
+    response: ResponseVector,
+    gram: tuple[np.ndarray, np.ndarray, float],
+    idx: list[int] | None = None,
+) -> RegressionFit:
+    """The fit on the design's columns idx (ascending), or on all of them,
+    from the Gram triple of the whole design.
+
+    One eigendecomposition V diag(w) V' of the principal block of X'X
+    gives the rank test, (X'X)^-1 and b. Residuals come from X, not
+    y'y - b'X'y, which cancels when R^2 is near 1.
+    """
     import numpy as np
 
+    xtx, xty, tss_uncentered = gram
+    x = design.array
+    ids = design.variable_ids
+    if idx is not None:
+        xtx, xty, ids = xtx[np.ix_(idx, idx)], xty[idx], tuple([ids[j] for j in idx])
+    n, k = len(x), len(ids)
+    if n <= k:
+        raise InsufficientObservations(
+            f"need more observations than predictors, got n={n}, k={k}"
+        )
     w, v = np.linalg.eigh(xtx)
     if w[0] <= 0.0 or w[0] < RANK_RTOL * w[-1]:
         raise RankDeficient(
@@ -161,79 +168,56 @@ def _solve(xtx: np.ndarray, xty: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             f"below tolerance {RANK_RTOL:g}"
         )
     inv_xtx = (v / w) @ v.T
-    return inv_xtx, inv_xtx @ xty
-
-
-def _inference(
-    beta: np.ndarray, inv_xtx: np.ndarray, ssr: float, dof: int
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """sigma^2 and the standard errors, t statistics and p-values of b."""
-    import numpy as np
+    beta = inv_xtx @ xty
+    if idx is None:
+        fitted = x @ beta
+    else:
+        b_full = np.zeros(x.shape[1])
+        b_full[idx] = beta
+        fitted = x @ b_full
+    residuals = response.values - fitted
+    ssr = float(residuals @ residuals)
+    dof = n - k
+    r_squared = 1.0 if tss_uncentered == 0.0 else 1.0 - ssr / tss_uncentered
+    r_squared = min(1.0, max(0.0, r_squared))
 
     sigma2 = ssr / dof
-    variances = sigma2 * inv_xtx.diagonal()
-    std_errors = np.sqrt(np.maximum(variances, 0.0))
-
+    std_errors = np.sqrt(np.maximum(sigma2 * inv_xtx.diagonal(), 0.0))
     # A zero standard error makes t +-inf by the sign of b (p = 0), or 0
     # when b is 0 too (p = 1).
     with np.errstate(divide="ignore", invalid="ignore"):
         t_stats = beta / std_errors
     t_stats[(std_errors == 0.0) & (beta == 0.0)] = 0.0
-    p_values = np.array(t_two_sided_p(t_stats.tolist(), dof))
-    return sigma2, std_errors, t_stats, p_values
-
-
-def fit_through_origin(design: DesignMatrix, response: ResponseVector) -> RegressionFit:
-    """Fit response = design @ b with no intercept and return the full
-    inference block.
-
-    Requirements: n > k >= 1, response length matches the design rows,
-    X'X, X'y and y'y are finite (no NaN or inf in the data and no
-    overflow in the products), and X'X is numerically full rank
-    (smallest to largest eigenvalue ratio at least 1e-12).
-    """
-    x = design.array
-    y = response.values
-    n, k = x.shape
-    if y.shape != (n,):
-        raise DimensionMismatch(
-            f"response has length {len(y)}, design has {n} rows"
-        )
-    if n <= k:
-        raise InsufficientObservations(
-            f"need more observations than predictors, got n={n}, k={k}"
-        )
-
-    xtx, xty, tss_uncentered = _gram(design, response)
-    inv_xtx, beta = _solve(xtx, xty)
-
-    fitted = x @ beta
-    residuals = y - fitted
-    ssr = float(residuals @ residuals)
-    dof = n - k
-
-    if tss_uncentered == 0.0:
-        r_squared = 1.0
-    else:
-        r_squared = 1.0 - ssr / tss_uncentered
-    r_squared = min(1.0, max(0.0, r_squared))
-    adjusted = 1.0 - (1.0 - r_squared) * n / dof
-    multiple_r = math.sqrt(r_squared)
-
-    sigma2, std_errors, t_stats, p_values = _inference(beta, inv_xtx, ssr, dof)
 
     return RegressionFit(
-        variable_ids=design.variable_ids,
+        variable_ids=ids,
         coefficients=beta,
         standard_errors=std_errors,
         t_stats=t_stats,
-        p_values=p_values,
+        p_values=np.array(t_two_sided_p(t_stats.tolist(), dof)),
         r_squared=r_squared,
-        adjusted_r_squared=adjusted,
-        multiple_r=multiple_r,
+        adjusted_r_squared=1.0 - (1.0 - r_squared) * n / dof,
+        multiple_r=math.sqrt(r_squared),
         standard_error_of_regression=math.sqrt(sigma2),
         n_observations=n,
         dof=dof,
         residuals=residuals,
         fitted=fitted,
     )
+
+
+def fit_through_origin(design: DesignMatrix, response: ResponseVector) -> RegressionFit:
+    """Fit response = design @ b with no intercept and return the full
+    inference block.
+
+    Requirements: response length matches the design rows, X'X, X'y and
+    y'y are finite (no NaN or inf in the data and no overflow in the
+    products), n > k >= 1, and X'X is numerically full rank (smallest to
+    largest eigenvalue ratio at least 1e-12).
+    """
+    n = design.n_rows
+    if response.values.shape != (n,):
+        raise DimensionMismatch(
+            f"response has length {len(response.values)}, design has {n} rows"
+        )
+    return _fit(design, response, _gram(design, response))

@@ -18,7 +18,7 @@ from ._record import record
 from .dataset import ClubRecord
 from .errors import DomainError, EmptyInput, IoError, NonPositiveLogInput
 from .regression import RegressionFit
-from .valuation import AggregateRow, PremiumResult, ValuationResult
+from .valuation import AggregateRow, PremiumResult, ValuationResult, _require_paired
 
 FORMATS = ("text", "csv", "md", "svg")
 SCALES = ("linear", "log10")
@@ -160,7 +160,13 @@ def render_regression_table(fit: RegressionFit, spec: RenderSpec) -> str:
     cp, sp = COEFFICIENT_PLACES, STATISTIC_PLACES
     coef_rows = [["variable", "coefficient", "standard_error", "t_stat", "p_value"]]
     coef_rows.append(["intercept", "0", "", "", ""])
-    for vid, coef, se, t, p in fit.summary_rows():
+    for vid, coef, se, t, p in zip(
+        fit.variable_ids,
+        fit.coefficients.tolist(),
+        fit.standard_errors.tolist(),
+        fit.t_stats.tolist(),
+        fit.p_values.tolist(),
+    ):
         coef_rows.append(
             [vid, fmt_fixed(coef, cp), fmt_fixed(se, cp), fmt_fixed(t, cp), fmt_sci(p)]
         )
@@ -192,8 +198,7 @@ def render_valuation_table(
     """
     if not results:
         raise EmptyInput("no valuation rows to render")
-    if len(results) != len(records):
-        raise DomainError(f"{len(results)} results for {len(records)} records")
+    _require_paired(results, records)
     vp, ap, rp = VALUE_PLACES, AGGREGATE_PLACES, RATIO_PLACES
 
     rows = [

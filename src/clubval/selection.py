@@ -23,9 +23,8 @@ from .regression import (
     DesignMatrix,
     RegressionFit,
     ResponseVector,
+    _fit,
     _gram,
-    _inference,
-    _solve,
     fit_through_origin,
 )
 
@@ -35,6 +34,9 @@ if TYPE_CHECKING:
     import numpy as np
 
 MAX_CANDIDATES = 12
+
+# What makes a subset unfittable: too few rows, or X'X not of full rank.
+_UNFITTABLE = (RankDeficient, InsufficientObservations)
 
 
 @record
@@ -109,7 +111,7 @@ def _fit_subset(
 ) -> RankedModel | None:
     try:
         fit = fit_through_origin(cands.design_for(subset), cands.response)
-    except (RankDeficient, InsufficientObservations):
+    except _UNFITTABLE:
         return None
     return RankedModel(
         variable_ids=subset,
@@ -148,29 +150,6 @@ def exhaustive_subsets(
     return SelectionReport(ranked_models=tuple(models), skipped=tuple(skipped))
 
 
-def _trial_p_values(
-    cands: CandidateSet, xtx: np.ndarray, xty: np.ndarray, idx: list[int]
-) -> np.ndarray | None:
-    """p-values of the fit on candidate columns idx (ascending), from the
-    Gram matrix of all candidates; None when the fit is impossible."""
-    import numpy as np
-
-    x = cands.design.array
-    y = cands.response.values
-    n, k = x.shape
-    if n <= len(idx):
-        return None
-    try:
-        inv_xtx, beta = _solve(xtx[np.ix_(idx, idx)], xty[idx])
-    except RankDeficient:
-        return None
-    # Residuals from X, not y'y - b'X'y, which cancels when R^2 is near 1.
-    b_full = np.zeros(k)
-    b_full[idx] = beta
-    residuals = y - x @ b_full
-    return _inference(beta, inv_xtx, float(residuals @ residuals), n - len(idx))[3]
-
-
 def stepwise(
     cands: CandidateSet, alpha_in: float = 0.05, alpha_out: float = 0.10
 ) -> SelectionReport:
@@ -182,18 +161,21 @@ def stepwise(
     a fixed point, or with converged False if the state cycles.
 
     Every add and drop is decided from one Gram matrix X'X of all the
-    candidates, formed once per search: each trial solves its principal
-    submatrix and takes its residuals from X. Only the chosen model is a
-    full fit_through_origin. Candidates that tie in exact arithmetic
-    (c0, c1 and c0 + c1, say) are ordered by rounding. There is no cap on
-    the number of candidates: a step costs one trial per candidate.
+    candidates, formed once per search: each trial runs the routine
+    behind fit_through_origin on a principal submatrix of it, with
+    residuals from X, and a subset that routine cannot fit is skipped.
+    Only the chosen model is a fit_through_origin call of its own, on a
+    copy of its columns. Candidates that tie in exact arithmetic (c0, c1
+    and c0 + c1, say) are ordered by rounding. There is no cap on the
+    number of candidates: a step costs one trial per candidate.
     """
     if not (0.0 < alpha_in <= alpha_out <= 1.0):
         raise DomainError(
             f"need 0 < alpha_in <= alpha_out <= 1, got {alpha_in}, {alpha_out}"
         )
     ids = cands.variable_ids
-    xtx, xty, _ = _gram(cands.design, cands.response)
+    design, response = cands.design, cands.response
+    gram = _gram(design, response)
     current: list[int] = []  # positions in ids, ascending
     seen: set[frozenset[int]] = {frozenset()}
     converged = True
@@ -207,8 +189,9 @@ def stepwise(
             if position in current:
                 continue
             trial = sorted(current + [position])
-            p_values = _trial_p_values(cands, xtx, xty, trial)
-            if p_values is None:
+            try:
+                p_values = _fit(design, response, gram, trial).p_values
+            except _UNFITTABLE:
                 continue
             p = float(p_values[trial.index(position)])
             if p < alpha_in and (best_add is None or (p, position) < best_add):
@@ -220,8 +203,9 @@ def stepwise(
         # Backward steps: drop the worst insignificant variable until
         # everything retained clears alpha_out.
         while current:
-            p_values = _trial_p_values(cands, xtx, xty, current)
-            if p_values is None:
+            try:
+                p_values = _fit(design, response, gram, current).p_values
+            except _UNFITTABLE:
                 break
             worst_idx = int(p_values.argmax())
             if float(p_values[worst_idx]) <= alpha_out:

@@ -13,7 +13,13 @@ from collections.abc import Callable
 
 from . import reference_data
 from ._record import record
-from .dataset import ClubRecord, FxRate, TransactionCase, predictor_reader
+from .dataset import (
+    ClubRecord,
+    FxRate,
+    TransactionCase,
+    _require_finite,
+    predictor_reader,
+)
 from .errors import (
     DegenerateRatio,
     DimensionMismatch,
@@ -38,8 +44,7 @@ class ValuationModel:
         if not self.terms:
             raise DomainError(f"{self.name}: a model needs at least one term")
         for vid, coef in self.terms:
-            if not math.isfinite(coef):
-                raise DomainError(f"{self.name}: coefficient for {vid} not finite")
+            _require_finite(f"{self.name}: coefficient for {vid}", coef, positive=False)
 
 
 def _model_from_published(name: str) -> ValuationModel:
@@ -174,6 +179,18 @@ def _median(values: list[float]) -> float:
     return median
 
 
+def _require_paired(results: list[ValuationResult], records: list[ClubRecord]) -> None:
+    """DimensionMismatch unless results and records are the same clubs in
+    the same order."""
+    if len(results) != len(records):
+        raise DimensionMismatch(f"{len(results)} results for {len(records)} records")
+    for res, rec in zip(results, records):
+        if res.club != rec.name:
+            raise DimensionMismatch(
+                f"result for {res.club!r} paired with record {rec.name!r}"
+            )
+
+
 def aggregate(
     results: list[ValuationResult], records: list[ClubRecord]
 ) -> AggregateRow:
@@ -185,15 +202,7 @@ def aggregate(
     """
     if not results or not records:
         raise EmptyInput("aggregate needs at least one club")
-    if len(results) != len(records):
-        raise DimensionMismatch(
-            f"{len(results)} results for {len(records)} records"
-        )
-    for res, rec in zip(results, records):
-        if res.club != rec.name:
-            raise DimensionMismatch(
-                f"result for {res.club!r} paired with record {rec.name!r}"
-            )
+    _require_paired(results, records)
 
     sns = [float(r.sns_followers) for r in records]
     revenue = [r.revenue_meur for r in records]
@@ -238,8 +247,7 @@ def transaction_premium(
     """
     if case.price_for_51pct_myen is None:
         raise MissingPrice(f"{case.club}: no disclosed transaction price")
-    if fv_meur <= 0:
-        raise DomainError(f"{case.club}: firm value must be positive, got {fv_meur}")
+    _require_finite(f"{case.club}: firm value", fv_meur)
     if not (0.0 < stake <= 1.0):
         raise DomainError(f"stake must lie in (0, 1], got {stake}")
     implied = fv_meur * fx.yen_per_euro * stake

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from clubval.dataset import (
     CSV_HEADER,
     ClubRecord,
+    EuropeanReference,
     FxRate,
     TransactionCase,
     TransactionPattern,
@@ -210,6 +211,45 @@ class TestInvariants:
             FxRate(-150.0)
         with pytest.raises(DomainError):
             FxRate(float("inf"))
+
+    # NaN and inf were accepted as prices and reference values, and a
+    # string reached a comparison as a bare TypeError.
+    _NOT_POSITIVE_NUMBERS = [
+        float("nan"), float("inf"), -1.0, 0.0, "5", None,
+        pytest.param(10**400, id="int-past-float-range"),
+    ]
+
+    @pytest.mark.parametrize("value", _NOT_POSITIVE_NUMBERS)
+    def test_fx_rate_judges_its_number(self, value):
+        with pytest.raises(DomainError, match="^yen_per_euro must be positive and finite"):
+            FxRate(value)
+
+    @pytest.mark.parametrize("value", _NOT_POSITIVE_NUMBERS)
+    @pytest.mark.parametrize("field", ["par_value_kyen", "stock_price_kyen", "price_for_51pct_myen"])
+    def test_transaction_case_judges_its_numbers(self, field, value):
+        amounts = {"par_value_kyen": 50.0, "stock_price_kyen": 50.0, "price_for_51pct_myen": 714.0}
+        amounts[field] = value
+
+        def case():
+            return TransactionCase("A", TransactionPattern.CAPITAL_INCREASE, **amounts, method_label="")
+
+        if value is None:  # each of them may be undisclosed
+            assert getattr(case(), field) is None
+            return
+        with pytest.raises(DomainError, match=f"^A: {field} must be positive and finite"):
+            case()
+
+    @pytest.mark.parametrize("value", _NOT_POSITIVE_NUMBERS)
+    @pytest.mark.parametrize("field", ["ev_kpmg", "fv1", "fv2"])
+    def test_european_reference_judges_its_numbers(self, field, value):
+        values = {"ev_kpmg": 1.0, "fv1": 1.0, "fv2": 2.0, field: value}
+        with pytest.raises(DomainError, match=f"^A: {field} must be positive and finite"):
+            EuropeanReference("A", **values)
+
+    def test_non_finite_firm_value_named_as_such(self):
+        for fv in (float("nan"), float("inf"), "10"):
+            with pytest.raises(DomainError, match="firm value must be positive and finite"):
+                transaction_premium(_PRICED_CASE, fv, FxRate())
 
     def test_club_record_validation(self):
         with pytest.raises(DomainError):

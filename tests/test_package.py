@@ -1,3 +1,8 @@
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
 import clubval
 
 
@@ -56,3 +61,20 @@ def test_public_names_are_pinned():
         "transaction_premium",
         "valuate_all",
     ]
+
+
+def test_benchmark_tracer_names_resolve(monkeypatch):
+    # bench/tracer.py wraps these module-level names from outside the
+    # package, so renaming one would otherwise break only a benchmark run.
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("clubval_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up in sys.modules.
+    monkeypatch.setitem(sys.modules, spec.name, tracer)
+    spec.loader.exec_module(tracer)
+    names = [(module, attr) for module, attr, *_ in tracer.SPANNED + tracer.TALLIED]
+    assert len(names) == len(tracer.SPANNED) + len(tracer.TALLIED) > 0
+    assert [
+        (module, attr) for module, attr in names
+        if not hasattr(importlib.import_module(module), attr)
+    ] == []

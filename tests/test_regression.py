@@ -128,6 +128,11 @@ class TestFitThroughOrigin:
         with pytest.raises(DomainError, match="response y"):
             _fit([("a", xs)], y)
 
+    def test_non_finite_data_wins_over_too_few_rows(self):
+        # The Gram triple is judged before the fit routine's n > k test.
+        with pytest.raises(DomainError, match=r"predictor\(s\) a$"):
+            _fit([("a", [np.nan]), ("b", [1.0])], [1.0])
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(DimensionMismatch):
             DesignMatrix.from_columns([("a", [1.0]), ("a", [2.0])])

@@ -16,7 +16,7 @@ from clubval.dataset import (
     bundled_jleague_dataset,
     bundled_transactions,
 )
-from clubval.errors import DomainError, EmptyInput, IoError, NonPositiveLogInput
+from clubval.errors import DimensionMismatch, DomainError, EmptyInput, IoError, NonPositiveLogInput
 from clubval.regression import DesignMatrix, ResponseVector, fit_through_origin
 from clubval import report
 from clubval.report import (
@@ -227,6 +227,15 @@ class TestValuationTable:
         _results, _records, agg = _jleague_table_pieces()
         with pytest.raises(EmptyInput):
             render_valuation_table([], [], agg, RenderSpec(format="text"))
+
+    def test_records_in_another_order_rejected(self):
+        # Zipped unchecked, each club's name would sit beside another
+        # club's firm values.
+        results, records, agg = _jleague_table_pieces()
+        with pytest.raises(DimensionMismatch, match="paired with record"):
+            render_valuation_table(results[:3], records[2::-1], agg, RenderSpec("text"))
+        with pytest.raises(DimensionMismatch, match="3 results for 2 records"):
+            render_valuation_table(results[:3], records[:2], agg, RenderSpec("text"))
 
     def test_follower_counts_print_exactly(self):
         # 2**60 + 1 has no float of its own, so a pass through float() shows.

@@ -9,17 +9,13 @@ from hypothesis import strategies as st
 from clubval.errors import (
     DimensionMismatch,
     DomainError,
+    InsufficientObservations,
     MissingPredictor,
     TooManyCandidates,
 )
 from clubval.dataset import bundled_jleague_dataset, predictor_reader
-from clubval.regression import DesignMatrix, ResponseVector, _gram, fit_through_origin
-from clubval.selection import (
-    CandidateSet,
-    _trial_p_values,
-    exhaustive_subsets,
-    stepwise,
-)
+from clubval.regression import DesignMatrix, ResponseVector, _fit, _gram, fit_through_origin
+from clubval.selection import CandidateSet, exhaustive_subsets, stepwise
 
 from oracles import stepwise_per_fit
 
@@ -236,17 +232,24 @@ class TestStepwiseAgainstPerFitReference:
         k=st.integers(1, 8),
         data=st.data(),
     )
-    def test_trial_p_values_match_full_fit(self, seed, n, k, data):
+    def test_trial_fit_matches_full_fit(self, seed, n, k, data):
+        # A stepwise trial: the kernel on a principal block of the Gram
+        # matrix of all candidates, against a fresh fit of the columns.
         cands = _independent_candidates(seed, n, k, nulls=k // 2)
         idx = sorted(data.draw(st.sets(st.integers(0, k - 1), min_size=1, max_size=min(k, 4))))
-        xtx, xty, _ = _gram(cands.design, cands.response)
-        got = _trial_p_values(cands, xtx, xty, idx)
+        gram = _gram(cands.design, cands.response)
         subset = tuple(cands.variable_ids[j] for j in idx)
         if n <= len(idx):
-            assert got is None
+            with pytest.raises(InsufficientObservations):
+                _fit(cands.design, cands.response, gram, idx)
             return
-        want = fit_through_origin(cands.design_for(subset), cands.response).p_values
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+        got = _fit(cands.design, cands.response, gram, idx)
+        want = fit_through_origin(cands.design_for(subset), cands.response)
+        assert got.variable_ids == subset
+        np.testing.assert_allclose(got.p_values, want.p_values, rtol=0.0, atol=1e-10)
+        scale = np.abs(want.coefficients).max()
+        np.testing.assert_allclose(got.coefficients, want.coefficients, rtol=0.0, atol=1e-9 * scale)
+        np.testing.assert_allclose(got.standard_errors, want.standard_errors, rtol=1e-9)
 
     @pytest.mark.parametrize(
         "designs",

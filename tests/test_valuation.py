@@ -84,6 +84,18 @@ class TestApplyModel:
         with pytest.raises(DomainError):
             ValuationModel("empty", ())
 
+    @pytest.mark.parametrize("coef", [
+        float("nan"), float("-inf"), "2.9", None,
+        pytest.param(10**400, id="int-past-float-range"),
+    ])
+    def test_coefficient_must_be_a_finite_number(self, coef):
+        with pytest.raises(DomainError, match="^M: coefficient for revenue_meur must be a finite number"):
+            ValuationModel("M", (("sns_followers_m", 1.0), ("revenue_meur", coef)))
+
+    def test_coefficient_may_be_negative_or_zero(self):
+        model = ValuationModel("M", (("revenue_meur", -1.5), ("sns_followers_m", 0)))
+        assert valuate_all([_record(sns=10**6, rev=2.0)], model, FORMULA_2)[0].fv1 == -3.0
+
     @given(st.integers(min_value=0, max_value=50))
     def test_linearity(self, a):
         base = _record(sns=400_000, rev=20.0, pmv=10.0)
