@@ -205,24 +205,14 @@ class TestConversions:
 
 class TestInvariants:
     def test_fx_rate_must_be_positive(self):
-        with pytest.raises(DomainError):
-            FxRate(0.0)
-        with pytest.raises(DomainError):
-            FxRate(-150.0)
-        with pytest.raises(DomainError):
-            FxRate(float("inf"))
+        for value in (0.0, -150.0, float("inf"), float("nan"), "150", None, 10**400):
+            with pytest.raises(DomainError, match="^yen_per_euro must be positive and finite"):
+                FxRate(value)
 
-    # NaN and inf were accepted as prices and reference values, and a
-    # string reached a comparison as a bare TypeError.
     _NOT_POSITIVE_NUMBERS = [
         float("nan"), float("inf"), -1.0, 0.0, "5", None,
         pytest.param(10**400, id="int-past-float-range"),
     ]
-
-    @pytest.mark.parametrize("value", _NOT_POSITIVE_NUMBERS)
-    def test_fx_rate_judges_its_number(self, value):
-        with pytest.raises(DomainError, match="^yen_per_euro must be positive and finite"):
-            FxRate(value)
 
     @pytest.mark.parametrize("value", _NOT_POSITIVE_NUMBERS)
     @pytest.mark.parametrize("field", ["par_value_kyen", "stock_price_kyen", "price_for_51pct_myen"])
