@@ -52,6 +52,19 @@ def _require_finite(label: str, value, positive: bool = True) -> None:
     raise DomainError(f"{label} must be {need}, got {shown}")
 
 
+def _require_line(field_name: str, text, nonempty: bool = True) -> None:
+    """DomainError unless text is a one-line string, and a non-empty one
+    when nonempty is set."""
+    # A line break would split the club's row in md and text tables. A
+    # printable string holds none, so only another one is split to look.
+    if not (isinstance(text, str) and (
+        text.isprintable() or "".join(text.splitlines()) == text
+    )):
+        raise DomainError(f"{field_name} must be a one-line string, got {text!r}")
+    if nonempty and not text:
+        raise DomainError("club name must be non-empty, got ''")
+
+
 class TransactionPattern(enum.Enum):
     CAPITAL_INCREASE = "capital_increase"
     SHARE_TRANSFER = "share_transfer"
@@ -87,16 +100,9 @@ class ClubRecord:
     stadium_owned: bool | None = None
 
     def __post_init__(self) -> None:
-        name, league, count = self.name, self.league, self.sns_followers
-        # A line break would split the club's row in md and text tables. A
-        # printable string holds none, so only another one is split to look.
-        for field_name, text in (("name", name), ("league", league)):
-            if not (isinstance(text, str) and (
-                text.isprintable() or "".join(text.splitlines()) == text
-            )):
-                raise DomainError(f"{field_name} must be a one-line string, got {text!r}")
-        if not name:
-            raise DomainError("club name must be non-empty, got ''")
+        name, count = self.name, self.sns_followers
+        _require_line("name", name)
+        _require_line("league", self.league, nonempty=False)
         # bool is an int, but True is no count.
         if isinstance(count, bool) or not isinstance(count, int):
             raise DomainError(f"{name}: sns_followers must be an integer, got {count!r}")
@@ -157,6 +163,7 @@ class TransactionCase:
     method_label: str
 
     def __post_init__(self) -> None:
+        _require_line("club", self.club)
         for field_name in ("par_value_kyen", "stock_price_kyen", "price_for_51pct_myen"):
             value = getattr(self, field_name)
             if value is not None:
@@ -174,6 +181,7 @@ class EuropeanReference:
     fv2: float
 
     def __post_init__(self) -> None:
+        _require_line("club", self.club)
         for field_name in ("ev_kpmg", "fv1", "fv2"):
             _require_finite(f"{self.club}: {field_name}", getattr(self, field_name))
 

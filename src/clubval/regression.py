@@ -87,7 +87,8 @@ class RegressionFit:
 
     Coefficient-aligned arrays (coefficients, standard_errors, t_stats,
     p_values) share the order of variable_ids. Every reported statistic
-    uses the uncentered convention.
+    uses the uncentered convention. residuals and fitted are None on a
+    fit from a stacked _fit call.
     """
 
     variable_ids: tuple[str, ...]
@@ -140,70 +141,92 @@ def _fit(
     design: DesignMatrix,
     response: ResponseVector,
     gram: tuple[np.ndarray, np.ndarray, float],
-    idx: list[int] | None = None,
-) -> RegressionFit:
+    idx: list[int] | list[list[int]] | None = None,
+) -> RegressionFit | list[RegressionFit | None]:
     """The fit on the design's columns idx (ascending), or on all of them,
     from the Gram triple of the whole design.
 
-    One eigendecomposition V diag(w) V' of the principal block of X'X
+    idx may also be an (m, s) stack of column lists, fitted together into
+    a list of m fits, None where a row is rank deficient: one eigh, one
+    matmul for all fitted values, turned into residuals in place, and one
+    tail call. Stacked fits carry no residuals or fitted values, so no
+    (m, n) array outlives the call. A single fit raises RankDeficient
+    instead; both raise InsufficientObservations when n <= s.
+
+    One eigendecomposition V diag(w) V' of a principal block of X'X
     gives the rank test, (X'X)^-1 and b. Residuals come from X, not
     y'y - b'X'y, which cancels when R^2 is near 1.
     """
     import numpy as np
 
     xtx, xty, tss_uncentered = gram
-    x = design.array
-    ids = design.variable_ids
+    x, ids = design.array, design.variable_ids
+    # Every array below gains a leading axis for a stack. A single fit keeps
+    # the plain shapes, and so its cost and its bits: it is the row () below.
     if idx is not None:
-        xtx, xty, ids = xtx[np.ix_(idx, idx)], xty[idx], tuple([ids[j] for j in idx])
-    n, k = len(x), len(ids)
+        rows = np.asarray(idx)
+        xtx, xty = xtx[rows[..., :, None], rows[..., None, :]], xty[rows]
+    stacked = xty.ndim == 2
+    n, k = len(x), xty.shape[-1]
     if n <= k:
         raise InsufficientObservations(
             f"need more observations than predictors, got n={n}, k={k}"
         )
     w, v = np.linalg.eigh(xtx)
-    if w[0] <= 0.0 or w[0] < RANK_RTOL * w[-1]:
+    lo, hi = w.T[0], w.T[-1]
+    ok = (lo > 0.0) & (lo >= RANK_RTOL * hi)
+    if stacked:
+        # A row that cannot be fitted solves to b = 0, and so t = 0, with
+        # 1 / w = 0; it is dropped at the end.
+        w[~ok] = np.inf
+    elif not ok:
         raise RankDeficient(
-            f"X'X eigenvalue ratio {w[0]:.3e} / {w[-1]:.3e} "
-            f"below tolerance {RANK_RTOL:g}"
+            f"X'X eigenvalue ratio {lo:.3e} / {hi:.3e} below tolerance {RANK_RTOL:g}"
         )
-    inv_xtx = (v / w) @ v.T
-    beta = inv_xtx @ xty
+    inv_xtx = (v / w[..., None, :]) @ v.swapaxes(-1, -2)
+    beta = (inv_xtx @ xty[..., None])[..., 0]
     if idx is None:
-        fitted = x @ beta
+        b_full = beta
     else:
-        b_full = np.zeros(x.shape[1])
-        b_full[idx] = beta
-        fitted = x @ b_full
-    residuals = response.values - fitted
-    ssr = float(residuals @ residuals)
+        b_full = np.zeros(beta.shape[:-1] + x.shape[1:])
+        np.put_along_axis(b_full, rows, beta, axis=-1)
+    fitted = b_full @ x.T
+    y = response.values
+    residuals = np.subtract(y, fitted, out=fitted) if stacked else y - fitted
+    ssr = (residuals[..., None, :] @ residuals[..., None])[..., 0, 0]
     dof = n - k
-    r_squared = 1.0 if tss_uncentered == 0.0 else 1.0 - ssr / tss_uncentered
-    r_squared = min(1.0, max(0.0, r_squared))
-
-    sigma2 = ssr / dof
-    std_errors = np.sqrt(np.maximum(sigma2 * inv_xtx.diagonal(), 0.0))
+    std_errors = np.sqrt(np.maximum(inv_xtx.diagonal(0, -2, -1).T * (ssr / dof), 0.0)).T
     # A zero standard error makes t +-inf by the sign of b (p = 0), or 0
     # when b is 0 too (p = 1).
     with np.errstate(divide="ignore", invalid="ignore"):
         t_stats = beta / std_errors
     t_stats[(std_errors == 0.0) & (beta == 0.0)] = 0.0
+    p_values = np.array(t_two_sided_p(t_stats.ravel().tolist(), dof)).reshape(t_stats.shape)
 
-    return RegressionFit(
-        variable_ids=ids,
-        coefficients=beta,
-        standard_errors=std_errors,
-        t_stats=t_stats,
-        p_values=np.array(t_two_sided_p(t_stats.tolist(), dof)),
-        r_squared=r_squared,
-        adjusted_r_squared=1.0 - (1.0 - r_squared) * n / dof,
-        multiple_r=math.sqrt(r_squared),
-        standard_error_of_regression=math.sqrt(sigma2),
-        n_observations=n,
-        dof=dof,
-        residuals=residuals,
-        fitted=fitted,
-    )
+    fits = []
+    for i, good in enumerate(ok.tolist()) if stacked else [((), True)]:
+        if not good:
+            fits.append(None)
+            continue
+        row_ssr = float(ssr[i])
+        r2 = 1.0 if tss_uncentered == 0.0 else 1.0 - row_ssr / tss_uncentered
+        r2 = min(1.0, max(0.0, r2))
+        fits.append(RegressionFit(
+            variable_ids=ids if idx is None else tuple([ids[j] for j in rows[i].tolist()]),
+            coefficients=beta[i],
+            standard_errors=std_errors[i],
+            t_stats=t_stats[i],
+            p_values=p_values[i],
+            r_squared=r2,
+            adjusted_r_squared=1.0 - (1.0 - r2) * n / dof,
+            multiple_r=math.sqrt(r2),
+            standard_error_of_regression=math.sqrt(row_ssr / dof),
+            n_observations=n,
+            dof=dof,
+            residuals=None if stacked else residuals,
+            fitted=None if stacked else fitted,
+        ))
+    return fits if stacked else fits[0]
 
 
 def fit_through_origin(design: DesignMatrix, response: ResponseVector) -> RegressionFit:

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from ._record import record
-from .dataset import ClubRecord
+from .dataset import ClubRecord, _require_finite
 from .errors import DomainError, EmptyInput, IoError, NonPositiveLogInput
 from .regression import RegressionFit
 from .valuation import AggregateRow, PremiumResult, ValuationResult, _require_paired
@@ -57,8 +57,8 @@ class ScatterSeries:
 
     def __post_init__(self) -> None:
         for x, y, club in self.points:
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise DomainError(f"{club}: scatter coordinates must be finite")
+            _require_finite(f"{club}: scatter x", x, positive=False)
+            _require_finite(f"{club}: scatter y", y, positive=False)
 
 
 def fmt_fixed(value: float, places: int) -> str:

@@ -161,13 +161,16 @@ def stepwise(
     a fixed point, or with converged False if the state cycles.
 
     Every add and drop is decided from one Gram matrix X'X of all the
-    candidates, formed once per search: each trial runs the routine
-    behind fit_through_origin on a principal submatrix of it, with
-    residuals from X, and a subset that routine cannot fit is skipped.
-    Only the chosen model is a fit_through_origin call of its own, on a
-    copy of its columns. Candidates that tie in exact arithmetic (c0, c1
-    and c0 + c1, say) are ordered by rounding. There is no cap on the
-    number of candidates: a step costs one trial per candidate.
+    candidates, formed once per search. A forward step fits all of its
+    trials as one stack in the routine behind fit_through_origin (one
+    eigh, one matmul against X for the residuals, one tail call) and
+    skips a trial it cannot fit. The winning trial's p-values are the
+    first backward check; each drop costs one fit, and a forward step
+    that adds nothing ends the search. Only the chosen model is a
+    fit_through_origin call of its own, on a copy of its columns.
+    Candidates that tie in exact arithmetic (c0, c1 and c0 + c1, say)
+    are ordered by rounding. There is no cap on the number of
+    candidates: a forward step holds one n-vector per trial.
     """
     if not (0.0 < alpha_in <= alpha_out <= 1.0):
         raise DomainError(
@@ -181,40 +184,39 @@ def stepwise(
     converged = True
 
     while True:
-        changed = False
-
-        # Forward step: best addition by p-value, ties by candidate order.
-        best_add: tuple[float, int] | None = None
-        for position in range(len(ids)):
-            if position in current:
+        # Forward step: every trial that adds one candidate, fitted as one
+        # stack; the best addition by p-value, ties by candidate order.
+        others = [j for j in range(len(ids)) if j not in current]
+        trials = [sorted(current + [j]) for j in others]
+        try:
+            fits = _fit(design, response, gram, trials) if trials else []
+        except InsufficientObservations:
+            fits = []
+        best_add = None
+        for j, trial, fit in zip(others, trials, fits):
+            if fit is None:
                 continue
-            trial = sorted(current + [position])
-            try:
-                p_values = _fit(design, response, gram, trial).p_values
-            except _UNFITTABLE:
-                continue
-            p = float(p_values[trial.index(position)])
-            if p < alpha_in and (best_add is None or (p, position) < best_add):
-                best_add = (p, position)
-        if best_add is not None:
-            current = sorted(current + [best_add[1]])
-            changed = True
+            p = float(fit.p_values[trial.index(j)])
+            if p < alpha_in and (best_add is None or (p, j) < best_add[:2]):
+                best_add = (p, j, trial, fit.p_values)
+        # With nothing added, a backward pass would refit the state the
+        # last one accepted.
+        if best_add is None:
+            break
+        _, _, current, p_values = best_add
 
         # Backward steps: drop the worst insignificant variable until
-        # everything retained clears alpha_out.
-        while current:
+        # everything retained clears alpha_out, starting from the winning
+        # trial's p-values.
+        while float(p_values.max()) > alpha_out:
+            del current[int(p_values.argmax())]
+            if not current:
+                break
             try:
                 p_values = _fit(design, response, gram, current).p_values
             except _UNFITTABLE:
                 break
-            worst_idx = int(p_values.argmax())
-            if float(p_values[worst_idx]) <= alpha_out:
-                break
-            del current[worst_idx]
-            changed = True
 
-        if not changed:
-            break
         state = frozenset(current)
         if state in seen:
             converged = False

@@ -3,6 +3,7 @@
 The two-sided p-value of a t statistic is the regularized incomplete
 beta function I_x(dof/2, 1/2) at x = dof / (dof + t^2), evaluated by its
 continued fraction on whichever side of the branch point converges fast.
+1 - x is formed as t^2 / (dof + t^2), so a tiny t keeps its digits.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def t_two_sided_p(t: float | Sequence[float], dof: int) -> float | list[float]:
     cancel and the fraction converges slowly beside the branch point: about
     1e-13 at dof 1e3, 7e-10 at 1e6, 7e-7 at 1e9 and 5e-5 at 1e12.
     dof may be at most 1e12, more than any fit reaches: past it the tail
-    drifts further, and reads exactly 1 once dof / (dof + t^2) rounds to 1.
+    drifts further.
     """
     try:
         ts = list(t)
@@ -85,14 +86,17 @@ def t_two_sided_p(t: float | Sequence[float], dof: int) -> float | list[float]:
     for v in ts:
         if math.isnan(v):
             raise DomainError("t statistic is NaN")
-        x = dof / (dof + v * v)
-        # x is 1 for t = 0 or a t lost beside dof, and 0 for t = +-inf or
-        # t * t past the float range: p is x itself.
-        if 0 < x < 1:
-            front = math.exp(a * math.log(x) + 0.5 * math.log1p(-x) - ln_beta)
+        tt = v * v
+        # y is 1 - x without the subtraction, which would lose a tiny t.
+        x, y = (dof / (dof + tt), tt / (dof + tt)) if tt < math.inf else (0.0, 1.0)
+        # x is 1 (y is 0) for t = 0 or a t * t lost beside dof, and 0 for
+        # t = +-inf or t * t past the float range: p is x itself.
+        if x > 0.0 and y > 0.0:
+            ln_x = math.log1p(-y) if y < 0.5 else math.log(x)
+            front = math.exp(a * ln_x + 0.5 * math.log(y) - ln_beta)
             if x < split:
                 x = front * _beta_cf(a, 0.5, x) / a
             else:
-                x = 1.0 - front * _beta_cf(0.5, a, 1.0 - x) / 0.5
+                x = 1.0 - front * _beta_cf(0.5, a, y) / 0.5
         p.append(x)
     return p

@@ -236,6 +236,25 @@ class TestInvariants:
         with pytest.raises(DomainError, match=f"^A: {field} must be positive and finite"):
             EuropeanReference("A", **values)
 
+    @pytest.mark.parametrize(
+        "club, message",
+        [
+            (None, "club must be a one-line string, got None"),
+            (7, "club must be a one-line string, got 7"),
+            ("X\nY", "club must be a one-line string, got 'X\\nY'"),
+            ("", "club name must be non-empty, got ''"),
+        ],
+        ids=["none", "int", "line-break", "empty"],
+    )
+    def test_transaction_and_reference_club_is_one_line_name(self, club, message):
+        # The same judge, and message, as ClubRecord.name.
+        with pytest.raises(DomainError) as info:
+            TransactionCase(club, TransactionPattern.SHARE_TRANSFER, None, None, 1.0, "")
+        assert str(info.value) == message
+        with pytest.raises(DomainError) as info:
+            EuropeanReference(club, 1.0, 1.0, 2.0)
+        assert str(info.value) == message
+
     def test_non_finite_firm_value_named_as_such(self):
         for fv in (float("nan"), float("inf"), "10"):
             with pytest.raises(DomainError, match="firm value must be positive and finite"):

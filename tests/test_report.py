@@ -293,6 +293,21 @@ class TestScatter:
         with pytest.raises(NonPositiveLogInput):
             emit_scatter(series, RenderSpec(format="svg", scale="log10"))
 
+    @pytest.mark.parametrize(
+        "point, message",
+        [
+            (("1", 2.0, "c"), "c: scatter x must be a finite number, got '1'"),
+            ((1.0, None, "c"), "c: scatter y must be a finite number, got None"),
+            ((math.inf, 2.0, "c"), "c: scatter x must be a finite number, got inf"),
+            ((1.0, math.nan, "c"), "c: scatter y must be a finite number, got nan"),
+        ],
+        ids=["str", "none", "inf", "nan"],
+    )
+    def test_coordinate_must_be_a_finite_number(self, point, message):
+        with pytest.raises(DomainError) as info:
+            ScatterSeries("s", (point,))
+        assert str(info.value) == message
+
     def test_marker_count_and_well_formed(self):
         doc = emit_scatter(
             self._series(), RenderSpec(format="svg", scale="log10"), guide_line=True

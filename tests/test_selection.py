@@ -11,6 +11,7 @@ from clubval.errors import (
     DomainError,
     InsufficientObservations,
     MissingPredictor,
+    RankDeficient,
     TooManyCandidates,
 )
 from clubval.dataset import bundled_jleague_dataset, predictor_reader
@@ -250,6 +251,50 @@ class TestStepwiseAgainstPerFitReference:
         scale = np.abs(want.coefficients).max()
         np.testing.assert_allclose(got.coefficients, want.coefficients, rtol=0.0, atol=1e-9 * scale)
         np.testing.assert_allclose(got.standard_errors, want.standard_errors, rtol=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 300),
+        k=st.integers(3, 8),
+        collinear=st.booleans(),
+        data=st.data(),
+    )
+    def test_stacked_rows_match_single_fits(self, seed, n, k, collinear, data):
+        # One stacked kernel call against the single call on each row's
+        # columns. With c2 = c0 + c1 a row holding all three is rank
+        # deficient: None in the stack, RankDeficient alone.
+        cands = _independent_candidates(seed, n, k, nulls=k // 2)
+        x = cands.design.array.copy()
+        if collinear:
+            x[:, 2] = x[:, 0] + x[:, 1]
+        design, response = DesignMatrix(cands.variable_ids, x), cands.response
+        size = data.draw(st.integers(3 if collinear else 1, min(k, 4)))
+        subsets = st.lists(st.integers(0, k - 1), min_size=size, max_size=size, unique=True)
+        rows = [sorted(row) for row in data.draw(st.lists(subsets, min_size=1, max_size=6))]
+        if collinear:
+            rows.append(sorted({0, 1, 2} | set(range(3, size))))
+        gram = _gram(design, response)
+        if n <= size:
+            with pytest.raises(InsufficientObservations):
+                _fit(design, response, gram, rows)
+            return
+        stacked = _fit(design, response, gram, rows)
+        assert len(stacked) == len(rows)
+        for row, got in zip(rows, stacked):
+            try:
+                want = _fit(design, response, gram, row)
+            except RankDeficient:
+                assert got is None
+                continue
+            assert got is not None
+            assert got.variable_ids == want.variable_ids
+            assert got.dof == want.dof
+            assert got.residuals is None and got.fitted is None
+            np.testing.assert_allclose(got.p_values, want.p_values, rtol=0.0, atol=1e-10)
+            scale = np.abs(want.coefficients).max()
+            np.testing.assert_allclose(got.coefficients, want.coefficients, rtol=0.0, atol=1e-9 * scale)
+            np.testing.assert_allclose(got.standard_errors, want.standard_errors, rtol=1e-9)
 
     @pytest.mark.parametrize(
         "designs",

@@ -49,6 +49,15 @@ class TestTTwoSidedP:
                     t_two_sided_quad(t, dof), abs=1e-10
                 )
 
+    def test_tiny_t_against_quadrature(self):
+        # Here x = dof / (dof + t^2) lies within t^2 / dof of 1, or is 1:
+        # 1 - x formed by subtraction lost up to 8e-8 of p.
+        for dof in (5, 55, 1000):
+            for t in (1e-7, 1e-5, 1e-4):
+                assert t_two_sided_p(t, dof) == pytest.approx(
+                    t_two_sided_quad(t, dof), abs=1e-13
+                )
+
     def test_rejects_bad_dof(self):
         with pytest.raises(DomainError):
             t_two_sided_p(1.0, 0)
@@ -56,8 +65,8 @@ class TestTTwoSidedP:
             t_two_sided_p(1.0, -4)
 
     def test_rejects_dof_past_bound(self):
-        # Past 1e12 the tail drifts (0.0477 at 1e13 for a true 0.0455) and
-        # then reads 1.0; the bound itself stays valid.
+        # Past 1e12 the tail drifts (0.0477 at 1e13 for a true 0.0455); the
+        # bound itself stays valid.
         assert 0.04 < t_two_sided_p(2.0, 10**12) < 0.05
         for dof in (10**13, 10**16, 4 * 10**16):
             with pytest.raises(DomainError, match="degrees of freedom"):
