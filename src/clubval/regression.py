@@ -88,7 +88,9 @@ class RegressionFit:
     Coefficient-aligned arrays (coefficients, standard_errors, t_stats,
     p_values) share the order of variable_ids. Every reported statistic
     uses the uncentered convention. residuals and fitted are None on a
-    fit from a stacked _fit call.
+    fit from a stacked _fit call, which is every fit in an exhaustive
+    search and every stepwise trial; fit_through_origin on the chosen
+    columns gives them.
     """
 
     variable_ids: tuple[str, ...]
@@ -102,8 +104,8 @@ class RegressionFit:
     standard_error_of_regression: float
     n_observations: int
     dof: int
-    residuals: np.ndarray
-    fitted: np.ndarray
+    residuals: np.ndarray | None
+    fitted: np.ndarray | None
     _unprinted = ("residuals", "fitted")
 
 

@@ -106,18 +106,8 @@ def _rank_key(model: RankedModel) -> tuple:
     return (-model.fit.adjusted_r_squared, len(model.variable_ids), model.variable_ids)
 
 
-def _fit_subset(
-    cands: CandidateSet, subset: tuple[str, ...], alpha: float
-) -> RankedModel | None:
-    try:
-        fit = fit_through_origin(cands.design_for(subset), cands.response)
-    except _UNFITTABLE:
-        return None
-    return RankedModel(
-        variable_ids=subset,
-        fit=fit,
-        all_significant=all(p <= alpha for p in fit.p_values),
-    )
+def _ranked(fit: RegressionFit, alpha: float) -> RankedModel:
+    return RankedModel(fit.variable_ids, fit, all(p <= alpha for p in fit.p_values))
 
 
 def exhaustive_subsets(
@@ -125,8 +115,17 @@ def exhaustive_subsets(
 ) -> SelectionReport:
     """Fit every non-empty candidate subset of at most max_size variables.
 
-    Rank-deficient subsets are recorded as skipped rather than fitted.
-    At most MAX_CANDIDATES candidates are searched.
+    Rank-deficient subsets, and every subset of a size s with n <= s,
+    are recorded as skipped rather than fitted. At most MAX_CANDIDATES
+    candidates are searched.
+
+    X'X of all the candidates is formed once, and each size is one
+    stacked call of the routine behind fit_through_origin: one eigh, one
+    matmul against X for the residuals, one tail call. Subsets of equal
+    span (c0 + c1 and c0 + c2 with c2 = c0 + c1, say) are ordered by
+    rounding. Search fits carry no residuals or fitted values; refit a
+    model for them with
+    fit_through_origin(cands.design_for(ids), cands.response).
     """
     ids = cands.variable_ids
     if len(ids) > MAX_CANDIDATES:
@@ -137,15 +136,21 @@ def exhaustive_subsets(
         raise DomainError(f"max_size must lie in [1, {len(ids)}], got {max_size}")
     if not (0.0 < alpha <= 1.0):
         raise DomainError(f"need 0 < alpha <= 1, got {alpha}")
+    design, response = cands.design, cands.response
+    gram = _gram(design, response)
     models: list[RankedModel] = []
     skipped: list[tuple[str, ...]] = []
     for size in range(1, max_size + 1):
-        for subset in itertools.combinations(ids, size):
-            model = _fit_subset(cands, subset, alpha)
-            if model is None:
-                skipped.append(subset)
+        combos = list(itertools.combinations(range(len(ids)), size))
+        try:
+            fits = _fit(design, response, gram, combos)
+        except InsufficientObservations:
+            fits = [None] * len(combos)
+        for cols, fit in zip(combos, fits):
+            if fit is None:
+                skipped.append(tuple(ids[j] for j in cols))
             else:
-                models.append(model)
+                models.append(_ranked(fit, alpha))
     models.sort(key=_rank_key)
     return SelectionReport(ranked_models=tuple(models), skipped=tuple(skipped))
 
@@ -225,6 +230,8 @@ def stepwise(
 
     if not current:
         return SelectionReport(ranked_models=(), converged=converged)
-    final = _fit_subset(cands, tuple(ids[j] for j in current), alpha_in)
-    models = (final,) if final is not None else ()
-    return SelectionReport(ranked_models=models, converged=converged)
+    try:
+        final = fit_through_origin(cands.design_for(tuple(ids[j] for j in current)), response)
+    except _UNFITTABLE:
+        return SelectionReport(ranked_models=(), converged=converged)
+    return SelectionReport(ranked_models=(_ranked(final, alpha_in),), converged=converged)

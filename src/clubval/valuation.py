@@ -18,6 +18,7 @@ from .dataset import (
     FxRate,
     TransactionCase,
     _require_finite,
+    _require_line,
     predictor_reader,
 )
 from .errors import (
@@ -33,17 +34,24 @@ from .errors import (
 class ValuationModel:
     """A named linear through-origin formula.
 
-    terms maps predictor ids to coefficients in millions of euros per
-    predictor unit; there is no intercept term.
+    terms maps predictor ids, each given once, to coefficients in
+    millions of euros per predictor unit; there is no intercept term.
+    The name and the ids are one-line strings.
     """
 
     name: str
     terms: tuple[tuple[str, float], ...]
 
     def __post_init__(self) -> None:
+        _require_line("model name", self.name, nonempty=False)
         if not self.terms:
             raise DomainError(f"{self.name}: a model needs at least one term")
+        seen = set()
         for vid, coef in self.terms:
+            _require_line(f"{self.name}: term id", vid, nonempty=False)
+            if vid in seen:
+                raise DomainError(f"{self.name}: term {vid} is given twice")
+            seen.add(vid)
             _require_finite(f"{self.name}: coefficient for {vid}", coef, positive=False)
 
 

@@ -135,6 +135,30 @@ def stepwise_per_fit(cands, alpha_in: float = 0.05, alpha_out: float = 0.10):
     return (tuple(current) if current else None), converged
 
 
+def exhaustive_per_fit(cands, max_size: int, alpha: float = 0.05):
+    """Exhaustive search with one full fit_through_origin per subset, on
+    a copy of its columns, as clubval did before its search shared one
+    Gram matrix. Returns a SelectionReport ranked as the search ranks.
+    """
+    import itertools
+
+    from clubval.errors import InsufficientObservations, RankDeficient
+    from clubval.regression import fit_through_origin
+    from clubval.selection import RankedModel, SelectionReport
+
+    models, skipped = [], []
+    for size in range(1, max_size + 1):
+        for subset in itertools.combinations(cands.variable_ids, size):
+            try:
+                fit = fit_through_origin(cands.design_for(subset), cands.response)
+            except (RankDeficient, InsufficientObservations):
+                skipped.append(subset)
+                continue
+            models.append(RankedModel(subset, fit, all(p <= alpha for p in fit.p_values)))
+    models.sort(key=lambda m: (-m.fit.adjusted_r_squared, len(m.variable_ids), m.variable_ids))
+    return SelectionReport(ranked_models=tuple(models), skipped=tuple(skipped))
+
+
 # Room for the 309 integer digits of the largest float plus 100 decimals.
 _FIXED_CONTEXT = Context(prec=sys.float_info.max_10_exp + 1 + 100)
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clubval.errors import (
@@ -18,7 +18,7 @@ from clubval.dataset import bundled_jleague_dataset, predictor_reader
 from clubval.regression import DesignMatrix, ResponseVector, _fit, _gram, fit_through_origin
 from clubval.selection import CandidateSet, exhaustive_subsets, stepwise
 
-from oracles import stepwise_per_fit
+from oracles import exhaustive_per_fit, stepwise_per_fit
 
 
 def _two_signal_candidates(seed=424, n=40, noise_cols=1):
@@ -112,6 +112,14 @@ class TestExhaustive:
         report = exhaustive_subsets(_two_signal_candidates(), max_size=3)
         values = [m.fit.adjusted_r_squared for m in report.ranked_models]
         assert values == sorted(values, reverse=True)
+
+    def test_non_finite_candidate_is_named(self):
+        cands = _two_signal_candidates(noise_cols=2)
+        x = cands.design.array.copy()
+        x[7, 1] = math.nan
+        bad = CandidateSet(DesignMatrix(cands.variable_ids, x), cands.response)
+        with pytest.raises(DomainError, match=r"predictor\(s\) x2$"):
+            exhaustive_subsets(bad, max_size=2)
 
 
 class TestStepwise:
@@ -323,6 +331,77 @@ class TestStepwiseAgainstPerFitReference:
             ):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
             assert repr(got) == repr(want)
+
+
+class TestExhaustiveAgainstPerFitReference:
+    """The search, one stacked fit per subset size from one Gram matrix,
+    against the loop that fitted every subset on its own columns."""
+
+    @staticmethod
+    def _assert_same_report(got, want):
+        assert got.skipped == want.skipped
+        assert {m.variable_ids for m in got.ranked_models} == {
+            m.variable_ids for m in want.ranked_models
+        }
+        by_ids = {m.variable_ids: m for m in want.ranked_models}
+        for model in got.ranked_models:
+            ref = by_ids[model.variable_ids]
+            fit, ref_fit = model.fit, ref.fit
+            assert fit.variable_ids == model.variable_ids
+            assert fit.residuals is None and fit.fitted is None
+            assert fit.dof == ref_fit.dof
+            scale = np.abs(ref_fit.coefficients).max()
+            np.testing.assert_allclose(fit.coefficients, ref_fit.coefficients, rtol=0.0, atol=1e-9 * scale)
+            np.testing.assert_allclose(fit.standard_errors, ref_fit.standard_errors, rtol=1e-9)
+            np.testing.assert_allclose(fit.p_values, ref_fit.p_values, rtol=0.0, atol=1e-10)
+            assert abs(fit.adjusted_r_squared - ref_fit.adjusted_r_squared) <= 1e-12
+            assert model.all_significant == ref.all_significant
+        # The order is the reference's, but for runs of models whose
+        # adjusted R^2 tie within 1e-12 (equal spans), which rounding orders.
+        group, tie_group = 0, {}
+        previous = None
+        for m in want.ranked_models:
+            if previous is not None and previous - m.fit.adjusted_r_squared > 1e-12:
+                group += 1
+            tie_group[m.variable_ids] = group
+            previous = m.fit.adjusted_r_squared
+        groups = [tie_group[m.variable_ids] for m in got.ranked_models]
+        assert groups == sorted(groups)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 80),
+        k=st.integers(2, 7),
+        collinear=st.booleans(),
+        cut=st.integers(0, 6),
+    )
+    # n <= s for sizes 4 to 6, and c2 = c0 + c1.
+    @example(seed=1, n=4, k=6, collinear=True, cut=0)
+    # max_size < k.
+    @example(seed=2, n=40, k=7, collinear=True, cut=3)
+    def test_same_report_as_per_subset_fits(self, seed, n, k, collinear, cut):
+        cands = _independent_candidates(seed, n, k, nulls=k // 2)
+        if collinear and k >= 3:
+            x = cands.design.array.copy()
+            x[:, 2] = x[:, 0] + x[:, 1]
+            cands = CandidateSet(DesignMatrix(cands.variable_ids, x), cands.response)
+        max_size = max(1, k - cut)
+        self._assert_same_report(
+            exhaustive_subsets(cands, max_size), exhaustive_per_fit(cands, max_size)
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_ten_candidates_with_a_sum_column(self, seed):
+        # The bench's shape: 1,023 subsets at n = 60, the 128 holding c0,
+        # c1 and c2 = c0 + c1 skipped, and equal-span ties among the rest.
+        cands = _independent_candidates(seed, 60, 10, nulls=5)
+        x = cands.design.array.copy()
+        x[:, 2] = x[:, 0] + x[:, 1]
+        cands = CandidateSet(DesignMatrix(cands.variable_ids, x), cands.response)
+        got = exhaustive_subsets(cands, 10)
+        assert len(got.ranked_models) == 895 and len(got.skipped) == 128
+        self._assert_same_report(got, exhaustive_per_fit(cands, 10))
 
 
 class TestCandidateSet:

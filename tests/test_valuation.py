@@ -84,6 +84,27 @@ class TestApplyModel:
         with pytest.raises(DomainError):
             ValuationModel("empty", ())
 
+    @pytest.mark.parametrize(
+        "name, terms, message",
+        [
+            (None, (("revenue_meur", 1.0),), "model name must be a one-line string, got None"),
+            ("F\nG", (("revenue_meur", 1.0),), "model name must be a one-line string, got 'F\\nG'"),
+            ("F", ((None, 1.0),), "F: term id must be a one-line string, got None"),
+            ("F", (("a\rb", 1.0),), "F: term id must be a one-line string, got 'a\\rb'"),
+            (
+                "F",
+                (("revenue_meur", 1.0), ("sns_followers_m", 1.0), ("revenue_meur", 2.0)),
+                "F: term revenue_meur is given twice",
+            ),
+        ],
+        ids=["name-none", "name-line-break", "id-none", "id-line-break", "id-repeated"],
+    )
+    def test_name_and_term_ids_are_judged(self, name, terms, message):
+        # A repeated id would count its predictor twice in every firm value.
+        with pytest.raises(DomainError) as info:
+            ValuationModel(name, terms)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("coef", [
         float("nan"), float("-inf"), "2.9", None,
         pytest.param(10**400, id="int-past-float-range"),
