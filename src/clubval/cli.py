@@ -16,6 +16,7 @@ import os
 import sys
 from pathlib import Path
 
+from ._record import finite
 from .dataset import (
     ClubRecord,
     FxRate,
@@ -82,8 +83,7 @@ def _positive_float(text: str, origin: str) -> float:
         value = float(text)
     except ValueError:
         raise DomainError(f"{origin} must be a number, got {text!r}") from None
-    if value <= 0:
-        raise DomainError(f"{origin} must be positive, got {value}")
+    finite(value, None, origin, 0, True)
     return value
 
 
@@ -103,8 +103,6 @@ def _resolve_settings(
         stake = _positive_float(config["stake"], "config stake")
     if stake is None:
         stake = DEFAULT_STAKE
-    if not (0.0 < stake <= 1.0):
-        raise DomainError(f"stake must lie in (0, 1], got {stake}")
 
     return FxRate(fx_value), stake
 

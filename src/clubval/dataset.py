@@ -13,13 +13,11 @@ from __future__ import annotations
 import csv
 import enum
 import io
-import math
-import sys
 from collections.abc import Callable
 from operator import attrgetter
 
 from . import reference_data
-from ._record import record
+from ._record import count, finite, finite_or_none, one_line, record, refuse
 from .errors import (
     DomainError,
     HeaderMismatch,
@@ -34,35 +32,6 @@ CSV_HEADER = (
 )
 _CSV_FIELDS = CSV_HEADER.split(",")
 _REQUIRED_FIELD_COUNT = 5
-_OPTIONAL_AMOUNTS = ("broadcasting_meur", "player_wages_meur")
-
-
-def _require_finite(label: str, value, positive: bool = True) -> None:
-    """DomainError naming label unless value is a finite number, and a
-    positive one when positive is set."""
-    try:
-        if math.isfinite(value) and (value > 0 or not positive):
-            return
-        shown = repr(value)
-    except OverflowError:  # past 4300 digits an int cannot be printed
-        shown = "an int past the float range"
-    except TypeError:
-        shown = repr(value)  # not a number
-    need = "positive and finite" if positive else "a finite number"
-    raise DomainError(f"{label} must be {need}, got {shown}")
-
-
-def _require_line(field_name: str, text, nonempty: bool = True) -> None:
-    """DomainError unless text is a one-line string, and a non-empty one
-    when nonempty is set."""
-    # A line break would split the club's row in md and text tables. A
-    # printable string holds none, so only another one is split to look.
-    if not (isinstance(text, str) and (
-        text.isprintable() or "".join(text.splitlines()) == text
-    )):
-        raise DomainError(f"{field_name} must be a one-line string, got {text!r}")
-    if nonempty and not text:
-        raise DomainError("club name must be non-empty, got ''")
 
 
 class TransactionPattern(enum.Enum):
@@ -77,7 +46,7 @@ class FxRate:
     yen_per_euro: float = 150.0
 
     def __post_init__(self) -> None:
-        _require_finite("yen_per_euro", self.yen_per_euro)
+        finite(self.yen_per_euro, None, "yen_per_euro", 0, True)
 
 
 @record
@@ -100,51 +69,17 @@ class ClubRecord:
     stadium_owned: bool | None = None
 
     def __post_init__(self) -> None:
-        name, count = self.name, self.sns_followers
-        _require_line("name", name)
-        _require_line("league", self.league, nonempty=False)
-        # bool is an int, but True is no count.
-        if isinstance(count, bool) or not isinstance(count, int):
-            raise DomainError(f"{name}: sns_followers must be an integer, got {count!r}")
-        # Magnitude first: past 4300 digits an int cannot be printed.
-        if abs(count) > sys.float_info.max:
-            raise DomainError(
-                f"{name}: sns_followers must not exceed the largest float, "
-                f"{sys.float_info.max!r}"
-            )
-        if count < 0:
-            raise DomainError(f"{name}: sns_followers must be >= 0, got {count}")
-        for field_name, value in (
-            ("revenue_meur", self.revenue_meur),
-            ("player_market_value_meur", self.player_market_value_meur),
-            ("broadcasting_meur", self.broadcasting_meur),
-            ("player_wages_meur", self.player_wages_meur),
-        ):
-            if value is None:
-                if field_name in _OPTIONAL_AMOUNTS:
-                    continue
-            else:
-                try:
-                    if math.isfinite(value) and value >= 0:
-                        continue
-                except OverflowError:
-                    raise DomainError(
-                        f"{name}: {field_name} must be finite and >= 0, "
-                        "got an int past the float range"
-                    ) from None
-                except TypeError:
-                    pass  # not a number: refused below, shown by its repr
-            raise DomainError(f"{name}: {field_name} must be finite and >= 0, got {value!r}")
-        ratio = self.wage_cost_ratio
-        try:
-            if ratio is not None and not 0.0 <= ratio <= 2.0:
-                raise DomainError(f"{name}: wage_cost_ratio must lie in [0, 2], got {ratio}")
-        except TypeError:
-            raise DomainError(f"{name}: wage_cost_ratio must be a number, got {ratio!r}") from None
-        if not (self.stadium_owned is None or isinstance(self.stadium_owned, bool)):
-            raise DomainError(
-                f"{name}: stadium_owned must be True, False or None, got {self.stadium_owned!r}"
-            )
+        name, owned = self.name, self.stadium_owned
+        one_line(name, None, "name", "club name")
+        one_line(self.league, None, "league")
+        count(self.sns_followers, name, "sns_followers", 0)
+        finite(self.revenue_meur, name, "revenue_meur", 0)
+        finite(self.player_market_value_meur, name, "player_market_value_meur", 0)
+        finite_or_none(self.broadcasting_meur, name, "broadcasting_meur", 0)
+        finite_or_none(self.player_wages_meur, name, "player_wages_meur", 0)
+        finite_or_none(self.wage_cost_ratio, name, "wage_cost_ratio", 0, False, 2)
+        if not (owned is None or isinstance(owned, bool)):
+            refuse(name, "stadium_owned", "be True, False or None", owned)
 
 
 @record
@@ -163,11 +98,9 @@ class TransactionCase:
     method_label: str
 
     def __post_init__(self) -> None:
-        _require_line("club", self.club)
+        one_line(self.club, None, "club", "club name")
         for field_name in ("par_value_kyen", "stock_price_kyen", "price_for_51pct_myen"):
-            value = getattr(self, field_name)
-            if value is not None:
-                _require_finite(f"{self.club}: {field_name}", value)
+            finite_or_none(getattr(self, field_name), self.club, field_name, 0, True)
 
 
 @record
@@ -181,9 +114,9 @@ class EuropeanReference:
     fv2: float
 
     def __post_init__(self) -> None:
-        _require_line("club", self.club)
+        one_line(self.club, None, "club", "club name")
         for field_name in ("ev_kpmg", "fv1", "fv2"):
-            _require_finite(f"{self.club}: {field_name}", getattr(self, field_name))
+            finite(getattr(self, field_name), self.club, field_name, 0, True)
 
 
 def predictor_reader(variable_id: str) -> Callable[[ClubRecord], float]:

@@ -14,8 +14,8 @@ import math
 import sys
 from pathlib import Path
 
-from ._record import record
-from .dataset import ClubRecord, _require_finite
+from ._record import finite, one_line, record, refuse
+from .dataset import ClubRecord
 from .errors import DomainError, EmptyInput, IoError, NonPositiveLogInput
 from .regression import RegressionFit
 from .valuation import AggregateRow, PremiumResult, ValuationResult, _require_paired
@@ -43,9 +43,9 @@ class RenderSpec:
 
     def __post_init__(self) -> None:
         if self.format not in FORMATS:
-            raise DomainError(f"format must be one of {FORMATS}, got {self.format!r}")
+            refuse(None, "format", f"be one of {FORMATS}", self.format)
         if self.scale not in SCALES:
-            raise DomainError(f"scale must be one of {SCALES}, got {self.scale!r}")
+            refuse(None, "scale", f"be one of {SCALES}", self.scale)
 
 
 @record
@@ -56,9 +56,14 @@ class ScatterSeries:
     points: tuple[tuple[float, float, str], ...]
 
     def __post_init__(self) -> None:
+        one_line(self.label, None, "scatter label")
+        if not isinstance(self.points, tuple) or any(
+                not isinstance(point, tuple) or len(point) != 3 for point in self.points):
+            refuse(None, "scatter points", "be a tuple of (x, y, club) tuples", self.points)
         for x, y, club in self.points:
-            _require_finite(f"{club}: scatter x", x, positive=False)
-            _require_finite(f"{club}: scatter y", y, positive=False)
+            one_line(club, None, "scatter club")
+            finite(x, club, "scatter x")
+            finite(y, club, "scatter y")
 
 
 def fmt_fixed(value: float, places: int) -> str:

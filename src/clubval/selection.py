@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from ._record import record
+from ._record import count, finite, record
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -132,10 +132,8 @@ def exhaustive_subsets(
         raise TooManyCandidates(
             f"{len(ids)} candidates exceed the exhaustive search cap of {MAX_CANDIDATES}"
         )
-    if not (1 <= max_size <= len(ids)):
-        raise DomainError(f"max_size must lie in [1, {len(ids)}], got {max_size}")
-    if not (0.0 < alpha <= 1.0):
-        raise DomainError(f"need 0 < alpha <= 1, got {alpha}")
+    count(max_size, None, "max_size", 1, len(ids))
+    finite(alpha, None, "alpha", 0, True, 1)
     design, response = cands.design, cands.response
     gram = _gram(design, response)
     models: list[RankedModel] = []
@@ -177,10 +175,11 @@ def stepwise(
     are ordered by rounding. There is no cap on the number of
     candidates: a forward step holds one n-vector per trial.
     """
+    need = "need 0 < alpha_in <= alpha_out <= 1"
+    finite(alpha_in, need, "alpha_in")
+    finite(alpha_out, need, "alpha_out")
     if not (0.0 < alpha_in <= alpha_out <= 1.0):
-        raise DomainError(
-            f"need 0 < alpha_in <= alpha_out <= 1, got {alpha_in}, {alpha_out}"
-        )
+        raise DomainError(f"{need}, got {alpha_in}, {alpha_out}")
     ids = cands.variable_ids
     design, response = cands.design, cands.response
     gram = _gram(design, response)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
+from ._record import count
 from .errors import DomainError
 
 _CF_MAX_ITER = 500
@@ -74,9 +75,7 @@ def t_two_sided_p(t: float | Sequence[float], dof: int) -> float | list[float]:
         ts = list(t)
     except TypeError:  # a float, or a 0-d array
         return t_two_sided_p([t], dof)[0]
-    # A NaN or infinite dof fails the range test; dof % 1 catches a fractional one.
-    if isinstance(dof, bool) or not 1 <= dof <= 1e12 or dof % 1:
-        raise DomainError(f"degrees of freedom must be an integer in [1, 1e12], got {dof}")
+    count(dof, None, "degrees of freedom", 1, 10**12)
     a = dof / 2.0
     ln_beta = math.lgamma(a) + math.lgamma(0.5) - math.lgamma(a + 0.5)
     # The branch point (a + 1) / (a + b + 2) at b = 1/2, summed in that order:

@@ -12,15 +12,8 @@ import math
 from collections.abc import Callable
 
 from . import reference_data
-from ._record import record
-from .dataset import (
-    ClubRecord,
-    FxRate,
-    TransactionCase,
-    _require_finite,
-    _require_line,
-    predictor_reader,
-)
+from ._record import finite, one_line, record, refuse
+from .dataset import ClubRecord, FxRate, TransactionCase, predictor_reader
 from .errors import (
     DegenerateRatio,
     DimensionMismatch,
@@ -36,23 +29,24 @@ class ValuationModel:
 
     terms maps predictor ids, each given once, to coefficients in
     millions of euros per predictor unit; there is no intercept term.
-    The name and the ids are one-line strings.
+    The name is a non-empty one-line string, each id a one-line string.
     """
 
     name: str
     terms: tuple[tuple[str, float], ...]
 
     def __post_init__(self) -> None:
-        _require_line("model name", self.name, nonempty=False)
-        if not self.terms:
-            raise DomainError(f"{self.name}: a model needs at least one term")
-        seen = set()
-        for vid, coef in self.terms:
-            _require_line(f"{self.name}: term id", vid, nonempty=False)
-            if vid in seen:
-                raise DomainError(f"{self.name}: term {vid} is given twice")
-            seen.add(vid)
-            _require_finite(f"{self.name}: coefficient for {vid}", coef, positive=False)
+        name, terms = self.name, self.terms
+        one_line(name, None, "model name", "model name")
+        if not isinstance(terms, tuple) or not terms or any(
+                not isinstance(term, tuple) or len(term) != 2 for term in terms):
+            refuse(name, "terms", "be a non-empty tuple of (id, coefficient) tuples", terms)
+        ids = [vid for vid, _ in terms]
+        for vid, coef in terms:
+            one_line(vid, name, "term id")
+            if ids.count(vid) > 1:
+                raise DomainError(f"{name}: term {vid} is given twice")
+            finite(coef, name, f"coefficient for {vid}")
 
 
 def _model_from_published(name: str) -> ValuationModel:
@@ -255,9 +249,8 @@ def transaction_premium(
     """
     if case.price_for_51pct_myen is None:
         raise MissingPrice(f"{case.club}: no disclosed transaction price")
-    _require_finite(f"{case.club}: firm value", fv_meur)
-    if not (0.0 < stake <= 1.0):
-        raise DomainError(f"stake must lie in (0, 1], got {stake}")
+    finite(fv_meur, case.club, "firm value", 0, True)
+    finite(stake, None, "stake", 0, True, 1)
     implied = fv_meur * fx.yen_per_euro * stake
     if not math.isfinite(implied):
         raise DomainError(f"{case.club}: implied stake value exceeds the float range")
@@ -281,6 +274,7 @@ def premiums_by_case(
     club has no valuation is ignored, and one whose club has more than
     one is rejected.
     """
+    finite(stake, None, "stake", 0, True, 1)
     by_club: dict[str, list[ValuationResult]] = {}
     for r in results:
         by_club.setdefault(r.club, []).append(r)

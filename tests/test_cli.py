@@ -179,10 +179,12 @@ class TestPremiums:
         assert "708.7" in out_config
 
     def test_bad_env_value_is_data_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("VALUATE_FX_RATE", "not-a-number")
-        code, _out, err = _run(capsys, "premiums")
-        assert code == 1
-        assert "VALUATE_FX_RATE" in err
+        # inf and nan parse as floats, and the error still names their source.
+        for value in ("not-a-number", "inf", "nan", "-1"):
+            monkeypatch.setenv("VALUATE_FX_RATE", value)
+            code, _out, err = _run(capsys, "premiums")
+            assert code == 1
+            assert "VALUATE_FX_RATE" in err
 
     def test_stake_flag(self, capsys):
         code, out, _err = _run(capsys, "premiums", "--stake", "1.0")
@@ -482,25 +484,65 @@ _FUZZED_COMMANDS = (
     ("plot", "--scale", "log10"),
     ("plot", "--scale", "linear"),
 )
+# Setting values, in and out of range and of every kind, as argv or config
+# text; each command is given the flags it takes.
+_NUMBER_TEXTS = ["0.05", "0.51", "1", "150", "0", "-1", "1.5", "nan", "inf", "1e400", "x", ""]
+_FLAG_VALUES = {
+    "--fx-rate": _NUMBER_TEXTS,
+    "--stake": _NUMBER_TEXTS,
+    "--alpha-in": _NUMBER_TEXTS,
+    "--max-size": ["1", "2", "0", "-1", "99", "2.5", "x", str(10**400)],
+    "--format": ["text", "csv", "md", "svg", "pdf"],
+}
+_FLAGS_TAKEN = {
+    "apply": {"--format"},
+    "premiums": {"--fx-rate", "--stake", "--format"},
+    "fit": {"--format"},
+    "select": {"--alpha-in", "--max-size", "--format"},
+    "plot": set(),
+}
+_SETTINGS = st.fixed_dictionaries(
+    {}, optional={flag: st.sampled_from(values) for flag, values in _FLAG_VALUES.items()}
+)
+_CONFIG_LINES = st.lists(
+    st.one_of(
+        st.builds("fx_rate = {}".format, st.sampled_from(_NUMBER_TEXTS)),
+        st.builds("stake = {}".format, st.sampled_from(_NUMBER_TEXTS)),
+        st.builds("format = {}".format, st.sampled_from(_FLAG_VALUES["--format"])),
+        st.sampled_from(["# comment", "", "fx_rate", "bogus = 1", "stake = 0.5 = 1"]),
+    ),
+    max_size=3,
+)
 
 
 class TestFuzz:
     @settings(max_examples=50, deadline=None)
-    @given(_ROWS)
-    @example([("Club A", 10**400, 1.0, 1.0)])
-    @example([("Club A", 0, 1.7e308, 1.0), ("Club B", 0, 1.7e308, 1.0)])
-    @example([("Club A", 0, 2.05e16, 5e16)])
-    @example([("Club A", 0, 3e306, 1.0), ("Club B", 0, 1.0, 1.0)])
-    def test_every_command_exits_0_or_1(self, rows):
+    @given(_ROWS, _SETTINGS, _CONFIG_LINES)
+    @example([("Club A", 10**400, 1.0, 1.0)], {}, [])
+    @example([("Club A", 0, 1.7e308, 1.0), ("Club B", 0, 1.7e308, 1.0)], {}, [])
+    @example([("Club A", 0, 2.05e16, 5e16)], {}, [])
+    @example([("Club A", 0, 3e306, 1.0), ("Club B", 0, 1.0, 1.0)], {}, [])
+    @example([("FC Tokyo", 1, 1.0, 1.0)], {"--stake": "inf", "--fx-rate": "1e400"}, [])
+    @example([("Club A", 1, 1.0, 1.0)], {"--max-size": str(10**400)}, ["stake = nan"])
+    def test_every_command_exits_0_or_1(self, rows, flags, config_lines):
         # Every generated CSV, whether parse_club_csv accepts it or not,
-        # ends in exit 0 or a ClubValError (exit 1), never an exception.
+        # ends in exit 0 or a ClubValError (exit 1), never an exception;
+        # a fuzzed setting may also end in a usage error (exit 2).
         text = CSV_HEADER + "\n" + "".join(
             f"{name},J1,{sns},{rev!r},{pmv!r}\n" for name, sns, rev, pmv in rows
         )
         with tempfile.TemporaryDirectory() as tmp:
             club_file = Path(tmp) / "clubs.csv"
             club_file.write_text(text, encoding="utf-8")
+            config = Path(tmp) / "settings.conf"
+            config.write_text("\n".join(config_lines), encoding="utf-8")
             out = str(Path(tmp) / "out")
             for command in _FUZZED_COMMANDS:
-                argv = [*command, "--input", str(club_file), "--out", out]
-                assert run_cli(argv) in (0, 1), argv
+                fuzzed = [
+                    arg for flag, value in flags.items()
+                    if flag in _FLAGS_TAKEN[command[0]] for arg in (flag, value)
+                ]
+                if config_lines and command[0] != "plot":
+                    fuzzed += ["--config", str(config)]
+                argv = [*command, "--input", str(club_file), "--out", out, *fuzzed]
+                assert run_cli(argv) in ((0, 1, 2) if fuzzed else (0, 1)), argv

@@ -205,7 +205,7 @@ class TestConversions:
 
 class TestInvariants:
     def test_fx_rate_must_be_positive(self):
-        for value in (0.0, -150.0, float("inf"), float("nan"), "150", None, 10**400):
+        for value in (0.0, -150.0, float("inf"), float("nan"), "150", None, 10**400, True):
             with pytest.raises(DomainError, match="^yen_per_euro must be positive and finite"):
                 FxRate(value)
 
@@ -313,8 +313,14 @@ class TestInvariants:
             ("player_wages_meur", b"2", "player_wages_meur must be finite and >= 0, got b'2'"),
             ("wage_cost_ratio", "x", "wage_cost_ratio must be a number, got 'x'"),
             ("wage_cost_ratio", [0.5], "wage_cost_ratio must be a number, got [0.5]"),
+            (
+                "wage_cost_ratio", 10**5000,
+                "wage_cost_ratio must lie in [0, 2], got an int past the float range",
+            ),
+            ("revenue_meur", True, "revenue_meur must be finite and >= 0, got True"),
         ],
-        ids=["str", "list", "complex", "bytes", "str-ratio", "list-ratio"],
+        ids=["str", "list", "complex", "bytes", "str-ratio", "list-ratio", "1e5000-ratio",
+             "bool"],
     )
     def test_non_number_names_field_and_value(self, field, value, message):
         amounts = {"revenue_meur": 1.0, "player_market_value_meur": 1.0, field: value}

@@ -5,6 +5,7 @@ dataclass with the same name and fields, built with make_dataclass.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from clubval.dataset import (
     TransactionCase,
     TransactionPattern,
 )
-from clubval.errors import DomainError
+from clubval.errors import ClubValError, DomainError
 from clubval.regression import (
     DesignMatrix,
     RegressionFit,
@@ -228,3 +229,19 @@ def test_post_init_runs():
 def test_field_without_default_after_one_with_a_default_is_refused():
     with pytest.raises(TypeError, match="without a default"):
         record(type("Bad", (), {"__annotations__": {"a": "int", "b": "int"}, "a": 1}))
+
+
+# The records whose fields the judges check, and values of every wrong kind.
+JUDGED = [FxRate, ClubRecord, TransactionCase, EuropeanReference, ValuationModel, ScatterSeries]
+ODD_VALUES = [None, object(), "a\nb", True, 10**5000, math.nan, -1, ("x",)]
+
+
+@pytest.mark.parametrize("cls", JUDGED, ids=[cls.__name__ for cls in JUDGED])
+def test_any_field_value_is_accepted_or_a_clubval_error(cls):
+    values = next(values for sample, values, _ in SAMPLES if sample is cls)
+    for name in values:
+        for odd in ODD_VALUES:
+            try:
+                cls(**{**values, name: odd})
+            except ClubValError:
+                pass

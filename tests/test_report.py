@@ -308,6 +308,24 @@ class TestScatter:
             ScatterSeries("s", (point,))
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "label, points, message",
+        [
+            (None, ((1.0, 2.0, "c"),), "scatter label must be a one-line string, got None"),
+            ("s", ((1.0, 2.0, None),), "scatter club must be a one-line string, got None"),
+            (
+                "s", ((1.0, 2.0),),
+                "scatter points must be a tuple of (x, y, club) tuples, got ((1.0, 2.0),)",
+            ),
+        ],
+        ids=["label-none", "club-none", "pair"],
+    )
+    def test_label_club_and_point_shape_are_judged(self, label, points, message):
+        # Each was accepted, or raised a bare error, and emit_scatter then failed.
+        with pytest.raises(DomainError) as info:
+            ScatterSeries(label, points)
+        assert str(info.value) == message
+
     def test_marker_count_and_well_formed(self):
         doc = emit_scatter(
             self._series(), RenderSpec(format="svg", scale="log10"), guide_line=True

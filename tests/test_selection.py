@@ -94,8 +94,11 @@ class TestExhaustive:
             exhaustive_subsets(cands, max_size=0)
         with pytest.raises(DomainError):
             exhaustive_subsets(cands, max_size=99)
+        for max_size in (2.5, True):
+            with pytest.raises(DomainError, match="max_size must be an integer"):
+                exhaustive_subsets(cands, max_size=max_size)
 
-    @pytest.mark.parametrize("alpha", [0.0, -1.0, 1.5, math.nan])
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, 1.5, math.nan, "x"])
     def test_alpha_validation(self, alpha):
         with pytest.raises(DomainError, match="0 < alpha <= 1"):
             exhaustive_subsets(_two_signal_candidates(), max_size=2, alpha=alpha)
@@ -171,8 +174,10 @@ class TestStepwise:
             (0.05, 1.5),
             (math.nan, 0.1),
             (0.05, math.nan),
+            (None, 0.1),
         ],
-        ids=["in-above-out", "zero-in", "negative-in", "out-above-1", "nan-in", "nan-out"],
+        ids=["in-above-out", "zero-in", "negative-in", "out-above-1", "nan-in", "nan-out",
+             "none-in"],
     )
     def test_alpha_validation(self, alpha_in, alpha_out):
         with pytest.raises(DomainError, match="0 < alpha_in <= alpha_out <= 1"):

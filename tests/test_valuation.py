@@ -96,8 +96,16 @@ class TestApplyModel:
                 (("revenue_meur", 1.0), ("sns_followers_m", 1.0), ("revenue_meur", 2.0)),
                 "F: term revenue_meur is given twice",
             ),
+            ("", (("revenue_meur", 1.0),), "model name must be non-empty, got ''"),
+            (
+                "F",
+                (("a",),),
+                "F: terms must be a non-empty tuple of (id, coefficient) tuples, got (('a',),)",
+            ),
+            ("F", "ab", "F: terms must be a non-empty tuple of (id, coefficient) tuples, got 'ab'"),
         ],
-        ids=["name-none", "name-line-break", "id-none", "id-line-break", "id-repeated"],
+        ids=["name-none", "name-line-break", "id-none", "id-line-break", "id-repeated",
+             "name-empty", "term-not-a-pair", "terms-a-string"],
     )
     def test_name_and_term_ids_are_judged(self, name, terms, message):
         # A repeated id would count its predictor twice in every firm value.
@@ -371,3 +379,8 @@ class TestPremiums:
             transaction_premium(case, 10.0, FxRate(150.0), stake=0.0)
         with pytest.raises(DomainError):
             transaction_premium(case, 10.0, FxRate(150.0), stake=1.5)
+        with pytest.raises(DomainError):
+            transaction_premium(case, 10.0, FxRate(150.0), stake="x")
+        # Refused before the loop, so also when no case matches.
+        with pytest.raises(DomainError):
+            premiums_by_case([], [], FxRate(150.0), stake=1.5)
