@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from ._record import record
+from ._record import one_line, record, refuse
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -29,6 +29,16 @@ if TYPE_CHECKING:
 RANK_RTOL = 1e-12
 
 
+def _float_array(values, what: str) -> np.ndarray:
+    """values as a float ndarray, or a DomainError naming what they are for."""
+    import numpy as np
+
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{what} cannot become a float array: {exc}") from None
+
+
 @record
 class DesignMatrix:
     """Predictor columns without intercept: array is n x k, column j is variable_ids[j]."""
@@ -39,10 +49,15 @@ class DesignMatrix:
 
     def __post_init__(self) -> None:
         ids = self.variable_ids
+        if not isinstance(ids, tuple):
+            refuse("design matrix", "variable ids", "be a tuple of one-line strings", ids)
         if not ids:
             raise DimensionMismatch("design matrix needs at least one column")
+        for vid in ids:
+            one_line(vid, "design matrix", "variable id", "variable id")
         if len(set(ids)) != len(ids):
             raise DimensionMismatch(f"duplicate variable ids in {list(ids)}")
+        object.__setattr__(self, "array", _float_array(self.array, "design matrix"))
         if self.array.shape[1:] != (len(ids),) or self.n_rows == 0:
             raise DimensionMismatch(f"array {self.array.shape} is not n x {len(ids)}, n > 0")
 
@@ -52,10 +67,12 @@ class DesignMatrix:
     ) -> "DesignMatrix":
         import numpy as np
 
-        vectors = [np.asarray(vec, dtype=float) for _, vec in pairs]
-        lengths = {len(vec) for vec in vectors}
-        if len(lengths) > 1:
-            raise DimensionMismatch(f"columns have mixed lengths {sorted(lengths)}")
+        vectors = [_float_array(vec, f"column {vid}") for vid, vec in pairs]
+        shapes = {vec.shape for vec in vectors}
+        if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
+            raise DimensionMismatch(
+                f"columns must be vectors of one length, got shapes {sorted(shapes)}"
+            )
         array = np.column_stack(vectors) if vectors else np.empty((0, 0))
         return cls(tuple(vid for vid, _ in pairs), array)
 
@@ -72,12 +89,10 @@ class ResponseVector:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        import numpy as np
-
-        object.__setattr__(
-            self, "values", np.asarray(self.values, dtype=float)
-        )
-        if self.values.ndim != 1 or len(self.values) == 0:
+        one_line(self.variable_id, "response", "variable id", "response id")
+        values = _float_array(self.values, f"response {self.variable_id}")
+        object.__setattr__(self, "values", values)
+        if values.ndim != 1 or len(values) == 0:
             raise DimensionMismatch("response must be a non-empty vector")
 
 

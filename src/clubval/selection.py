@@ -73,7 +73,7 @@ class CandidateSet:
             idx = [ids.index(vid) for vid in subset]
         except ValueError:
             raise MissingPredictor(next(v for v in subset if v not in ids)) from None
-        return DesignMatrix(subset, self.design.array.take(idx, axis=1))
+        return DesignMatrix(tuple(subset), self.design.array.take(idx, axis=1))
 
 
 @record

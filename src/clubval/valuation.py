@@ -245,12 +245,14 @@ def transaction_premium(
 
     The implied value of the stake is fv times the exchange rate times
     the stake fraction, in millions of yen; the premium is that value
-    divided by the disclosed price, minus one.
+    divided by the disclosed price, minus one. model_name, the premium's
+    table cell, is a one-line string and may be empty.
     """
     if case.price_for_51pct_myen is None:
         raise MissingPrice(f"{case.club}: no disclosed transaction price")
     finite(fv_meur, case.club, "firm value", 0, True)
     finite(stake, None, "stake", 0, True, 1)
+    one_line(model_name, case.club, "model name")
     implied = fv_meur * fx.yen_per_euro * stake
     if not math.isfinite(implied):
         raise DomainError(f"{case.club}: implied stake value exceeds the float range")

@@ -232,7 +232,10 @@ def test_field_without_default_after_one_with_a_default_is_refused():
 
 
 # The records whose fields the judges check, and values of every wrong kind.
-JUDGED = [FxRate, ClubRecord, TransactionCase, EuropeanReference, ValuationModel, ScatterSeries]
+JUDGED = [
+    FxRate, ClubRecord, TransactionCase, EuropeanReference, ValuationModel, ScatterSeries,
+    DesignMatrix, ResponseVector,
+]
 ODD_VALUES = [None, object(), "a\nb", True, 10**5000, math.nan, -1, ("x",)]
 
 

@@ -147,6 +147,42 @@ class TestFitThroughOrigin:
         with pytest.raises(DimensionMismatch):
             DesignMatrix(("a",), np.ones((0, 1)))
 
+    def test_ids_and_values_are_judged(self):
+        x = np.ones((3, 1))
+        for ids, match in (
+            (object(), "variable ids must be a tuple"),
+            (["a"], "variable ids must be a tuple"),
+            (("a\nb",), "variable id must be a one-line string"),
+            ((None,), "variable id must be a one-line string"),
+            (("",), "variable id must be non-empty"),
+        ):
+            with pytest.raises(DomainError, match=match):
+                DesignMatrix(ids, x)
+        for name, match in (
+            (None, "variable id must be a one-line string"),
+            ("y\n", "variable id must be a one-line string"),
+            ("", "response id must be non-empty"),
+        ):
+            with pytest.raises(DomainError, match=match):
+                ResponseVector(name, [1.0, 2.0])
+        for bad in (object(), "x", [[1.0], [2.0, 3.0]], 10**5000):
+            with pytest.raises(DomainError, match="design matrix cannot become a float array"):
+                DesignMatrix(("a",), bad)
+            with pytest.raises(DomainError, match="response y cannot become a float array"):
+                ResponseVector("y", bad)
+            with pytest.raises(DomainError, match="column a cannot become a float array"):
+                DesignMatrix.from_columns([("a", bad)])
+        # None becomes a 0-d NaN array, a scalar a 0-d array: neither is n x k.
+        for bad in (None, 5.0):
+            with pytest.raises(DimensionMismatch):
+                DesignMatrix(("a",), bad)
+            with pytest.raises(DimensionMismatch):
+                DesignMatrix.from_columns([("a", bad)])
+        # Numbers of any kind become floats.
+        design = DesignMatrix(("a",), np.array([[1], [2]], dtype=np.int32))
+        assert design.array.dtype == np.float64
+        assert DesignMatrix(("a",), x).array is x
+
     def test_one_tail_call_per_fit(self, monkeypatch):
         # All k p-values of a fit come from one call at the fit's dof;
         # a fit refused before inference makes none.

@@ -1,12 +1,18 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clubval import special
 from clubval.errors import DomainError
-from clubval.special import _beta_cf, t_two_sided_p
+from clubval.special import _ARRAY_MIN, _beta_cf, _beta_cf_array, t_two_sided_p
 
 from oracles import t_two_sided_quad
 
@@ -16,6 +22,15 @@ class TestBetaContinuedFraction:
         # The t tail never reaches this (b is 1/2 there), but the raise stays.
         with pytest.raises(DomainError, match=r"a=1000000\.0, b=1000000\.0, x=0\.5"):
             _beta_cf(1e6, 1e6, 0.5)
+
+    def test_array_non_convergence_names_the_first_value_as_the_scalar_loop(self):
+        # The first and the last value stop; the two in between never do,
+        # and the first of them is named.
+        with pytest.raises(DomainError) as scalar:
+            _beta_cf(1e6, 1e6, 0.5)
+        with pytest.raises(DomainError) as array:
+            _beta_cf_array([0.5, 1e6, 2e6, 27.5], [0.5, 1e6, 2e6, 0.5], [0.1, 0.5, 0.5, 0.9])
+        assert str(array.value) == str(scalar.value)
 
 
 class TestTTwoSidedP:
@@ -102,6 +117,61 @@ class TestTTwoSidedP:
         batch = t_two_sided_p(ts, dof)
         assert isinstance(batch, list)
         assert [p.hex() for p in batch] == [t_two_sided_p(t, dof).hex() for t in ts]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=False),
+                # 0, tiny, either side of the branch point (t^2 near 3 for a
+                # large dof), huge and +-inf.
+                st.sampled_from(
+                    [0.0, -0.0, 5e-324, -1e-200, 1e-8, 0.9, -1.3, 1.7, -2.6, 1e154, -1e300,
+                     math.inf, -math.inf]
+                ),
+            ),
+            max_size=40,
+        ),
+        st.one_of(st.integers(min_value=1, max_value=10**12), st.sampled_from([1, 2, 55, 10**12])),
+        st.floats(min_value=-4.0, max_value=4.0),
+    )
+    def test_wide_call_matches_scalar_calls(self, ts, dof, shift):
+        # A ramp of _ARRAY_MIN values over six decades about sqrt(dof), where
+        # x is neither 0 nor 1, puts the call on the array form.
+        root = math.sqrt(dof)
+        ramp = [root * 10.0 ** (shift + 6.0 * i / _ARRAY_MIN - 3.0) for i in range(_ARRAY_MIN)]
+        ts = ramp[::2] + ts + [-t for t in ramp[1::2]]
+        with mock.patch.object(special, "_beta_cf_array", wraps=_beta_cf_array) as array:
+            wide = t_two_sided_p(ts, dof)
+        assert array.call_count == 1
+        assert [p.hex() for p in wide] == [t_two_sided_p(t, dof).hex() for t in ts]
+
+    def test_wide_call_of_few_fractions_keeps_the_scalar_loop(self):
+        ts = [0.0, math.inf] * _ARRAY_MIN + [2.0, -3.5, 1e-3]
+        with mock.patch.object(special, "_beta_cf_array") as array:
+            wide = t_two_sided_p(ts, 35)
+        assert not array.called
+        assert [p.hex() for p in wide] == [t_two_sided_p(t, 35).hex() for t in ts]
+
+    def test_numpy_loads_only_for_the_array_form(self):
+        # A fresh interpreter, since this test process has loaded numpy already.
+        script = (
+            "import sys\n"
+            "from clubval.special import _ARRAY_MIN, t_two_sided_p\n"
+            "t_two_sided_p(2.0, 5)\n"
+            "t_two_sided_p([2.0] * (_ARRAY_MIN - 1) + [0.0] * 9, 5)\n"
+            "print('numpy' in sys.modules)\n"
+            "t_two_sided_p([2.0] * _ARRAY_MIN, 5)\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        src = str(Path(special.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["False", "True"]
 
     @settings(max_examples=60)
     @given(

@@ -384,3 +384,12 @@ class TestPremiums:
         # Refused before the loop, so also when no case matches.
         with pytest.raises(DomainError):
             premiums_by_case([], [], FxRate(150.0), stake=1.5)
+
+    def test_model_name_is_one_line(self):
+        # The name becomes a table cell: a line break would split its row
+        # in md and text output. An empty name stays allowed.
+        case = next(c for c in bundled_transactions() if c.club == "FC Tokyo")
+        assert transaction_premium(case, 10.0, FxRate(150.0), model_name="").model_name == ""
+        for name in ("a\nb", "a\rb", None, 1.0):
+            with pytest.raises(DomainError, match="FC Tokyo: model name must be a one-line string"):
+                transaction_premium(case, 10.0, FxRate(150.0), model_name=name)
