@@ -67,6 +67,10 @@ class DesignMatrix:
     ) -> "DesignMatrix":
         import numpy as np
 
+        try:
+            pairs = [(vid, vec) for vid, vec in pairs]
+        except (TypeError, ValueError):  # not iterable, or an item not a pair
+            refuse("design matrix", "columns", "be (id, values) pairs", pairs)
         vectors = [_float_array(vec, f"column {vid}") for vid, vec in pairs]
         shapes = {vec.shape for vec in vectors}
         if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
@@ -103,8 +107,8 @@ class RegressionFit:
     Coefficient-aligned arrays (coefficients, standard_errors, t_stats,
     p_values) share the order of variable_ids. Every reported statistic
     uses the uncentered convention. residuals and fitted are None on a
-    fit from a stacked _fit call, which is every fit in an exhaustive
-    search and every stepwise trial; fit_through_origin on the chosen
+    fit from a stacked _fit call, which is every fit a subset search
+    returns, from either strategy; fit_through_origin on the chosen
     columns gives them.
     """
 
@@ -158,17 +162,19 @@ def _fit(
     design: DesignMatrix,
     response: ResponseVector,
     gram: tuple[np.ndarray, np.ndarray, float],
-    idx: list[int] | list[list[int]] | None = None,
+    idx: list[list[int]] | None = None,
 ) -> RegressionFit | list[RegressionFit | None]:
-    """The fit on the design's columns idx (ascending), or on all of them,
-    from the Gram triple of the whole design.
+    """The fit on all of the design's columns, from the Gram triple of the
+    whole design, or a list of m fits on an (m, s) stack idx of ascending
+    column lists.
 
-    idx may also be an (m, s) stack of column lists, fitted together into
-    a list of m fits, None where a row is rank deficient: one eigh, one
-    matmul for all fitted values, turned into residuals in place, and one
-    tail call. Stacked fits carry no residuals or fitted values, so no
-    (m, n) array outlives the call. A single fit raises RankDeficient
-    instead; both raise InsufficientObservations when n <= s.
+    A stack returns None for each row it cannot fit: every row when
+    n <= s, and each rank-deficient row. It is fitted together: one eigh,
+    one matmul for all fitted values, turned into residuals in place, and
+    one tail call. Stacked fits carry no residuals or fitted values, so
+    no (m, n) array outlives the call. The fit on all columns is
+    fit_through_origin's, which has checked n > k: it raises RankDeficient
+    and carries residuals and fitted values.
 
     One eigendecomposition V diag(w) V' of a principal block of X'X
     gives the rank test, (X'X)^-1 and b. Residuals come from X, not
@@ -178,17 +184,17 @@ def _fit(
 
     xtx, xty, tss_uncentered = gram
     x, ids = design.array, design.variable_ids
-    # Every array below gains a leading axis for a stack. A single fit keeps
-    # the plain shapes, and so its cost and its bits: it is the row () below.
-    if idx is not None:
+    n = len(x)
+    # Every array below gains a leading axis for a stack. The fit on all
+    # columns keeps the plain shapes, and so its cost and its bits: it is
+    # the row () below.
+    stacked = idx is not None
+    if stacked:
         rows = np.asarray(idx)
-        xtx, xty = xtx[rows[..., :, None], rows[..., None, :]], xty[rows]
-    stacked = xty.ndim == 2
-    n, k = len(x), xty.shape[-1]
-    if n <= k:
-        raise InsufficientObservations(
-            f"need more observations than predictors, got n={n}, k={k}"
-        )
+        if n <= rows.shape[1]:
+            return [None] * len(rows)
+        xtx, xty = xtx[rows[:, :, None], rows[:, None, :]], xty[rows]
+    k = xty.shape[-1]
     w, v = np.linalg.eigh(xtx)
     lo, hi = w.T[0], w.T[-1]
     ok = (lo > 0.0) & (lo >= RANK_RTOL * hi)
@@ -255,9 +261,15 @@ def fit_through_origin(design: DesignMatrix, response: ResponseVector) -> Regres
     products), n > k >= 1, and X'X is numerically full rank (smallest to
     largest eigenvalue ratio at least 1e-12).
     """
-    n = design.n_rows
+    n, k = design.n_rows, len(design.variable_ids)
     if response.values.shape != (n,):
         raise DimensionMismatch(
             f"response has length {len(response.values)}, design has {n} rows"
         )
-    return _fit(design, response, _gram(design, response))
+    # After _gram, so a non-finite input is named before a short one.
+    gram = _gram(design, response)
+    if n <= k:
+        raise InsufficientObservations(
+            f"need more observations than predictors, got n={n}, k={k}"
+        )
+    return _fit(design, response, gram)

@@ -17,8 +17,13 @@ from pathlib import Path
 from ._record import finite, one_line, record, refuse
 from .dataset import ClubRecord
 from .errors import DomainError, EmptyInput, IoError, NonPositiveLogInput
-from .regression import RegressionFit
 from .valuation import AggregateRow, PremiumResult, ValuationResult, _require_paired
+
+# RegressionFit is only an annotation: this module loads neither regression
+# nor special. The constant stands in for typing.TYPE_CHECKING, as there.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .regression import RegressionFit
 
 FORMATS = ("text", "csv", "md", "svg")
 SCALES = ("linear", "log10")

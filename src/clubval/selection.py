@@ -11,22 +11,10 @@ from __future__ import annotations
 import itertools
 
 from ._record import count, finite, record
-from .errors import (
-    DimensionMismatch,
-    DomainError,
-    InsufficientObservations,
-    MissingPredictor,
-    RankDeficient,
-    TooManyCandidates,
-)
-from .regression import (
-    DesignMatrix,
-    RegressionFit,
-    ResponseVector,
-    _fit,
-    _gram,
-    fit_through_origin,
-)
+from .errors import DimensionMismatch, DomainError, MissingPredictor, TooManyCandidates
+from .regression import DesignMatrix, RegressionFit, ResponseVector, _fit, _gram
+# Not called here: bench/tracer.py wraps this name to time a search's fits.
+from .regression import fit_through_origin  # noqa: F401
 
 # As in regression: numpy only at call time.
 TYPE_CHECKING = False
@@ -34,9 +22,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 MAX_CANDIDATES = 12
-
-# What makes a subset unfittable: too few rows, or X'X not of full rank.
-_UNFITTABLE = (RankDeficient, InsufficientObservations)
 
 
 @record
@@ -69,10 +54,10 @@ class CandidateSet:
         # take copies the chosen columns into one C-ordered array; x[:, idx]
         # would be F-ordered, which changes the rounding of X'X.
         ids = self.design.variable_ids
-        try:
-            idx = [ids.index(vid) for vid in subset]
-        except ValueError:
-            raise MissingPredictor(next(v for v in subset if v not in ids)) from None
+        for vid in subset:
+            if vid not in ids:
+                raise MissingPredictor(vid)
+        idx = [ids.index(vid) for vid in subset]
         return DesignMatrix(tuple(subset), self.design.array.take(idx, axis=1))
 
 
@@ -140,11 +125,7 @@ def exhaustive_subsets(
     skipped: list[tuple[str, ...]] = []
     for size in range(1, max_size + 1):
         combos = list(itertools.combinations(range(len(ids)), size))
-        try:
-            fits = _fit(design, response, gram, combos)
-        except InsufficientObservations:
-            fits = [None] * len(combos)
-        for cols, fit in zip(combos, fits):
+        for cols, fit in zip(combos, _fit(design, response, gram, combos)):
             if fit is None:
                 skipped.append(tuple(ids[j] for j in cols))
             else:
@@ -167,10 +148,12 @@ def stepwise(
     candidates, formed once per search. A forward step fits all of its
     trials as one stack in the routine behind fit_through_origin (one
     eigh, one matmul against X for the residuals, one tail call) and
-    skips a trial it cannot fit. The winning trial's p-values are the
-    first backward check; each drop costs one fit, and a forward step
-    that adds nothing ends the search. Only the chosen model is a
-    fit_through_origin call of its own, on a copy of its columns.
+    skips a trial it cannot fit. The winning trial's fit is the first
+    backward check; each drop costs one fit, a one-row stack, and a
+    forward step that adds nothing ends the search. The model reported
+    is the last fit of the chosen columns, so, as in an exhaustive
+    search, it carries no residuals or fitted values; refit it with
+    fit_through_origin(cands.design_for(ids), cands.response).
     Candidates that tie in exact arithmetic (c0, c1 and c0 + c1, say)
     are ordered by rounding. There is no cap on the number of
     candidates: a forward step holds one n-vector per trial.
@@ -184,6 +167,7 @@ def stepwise(
     design, response = cands.design, cands.response
     gram = _gram(design, response)
     current: list[int] = []  # positions in ids, ascending
+    fit = None  # the fit of current, None while it is empty or unfittable
     seen: set[frozenset[int]] = {frozenset()}
     converged = True
 
@@ -192,33 +176,27 @@ def stepwise(
         # stack; the best addition by p-value, ties by candidate order.
         others = [j for j in range(len(ids)) if j not in current]
         trials = [sorted(current + [j]) for j in others]
-        try:
-            fits = _fit(design, response, gram, trials) if trials else []
-        except InsufficientObservations:
-            fits = []
+        fits = _fit(design, response, gram, trials) if trials else []
         best_add = None
-        for j, trial, fit in zip(others, trials, fits):
-            if fit is None:
+        for j, trial, trial_fit in zip(others, trials, fits):
+            if trial_fit is None:
                 continue
-            p = float(fit.p_values[trial.index(j)])
+            p = float(trial_fit.p_values[trial.index(j)])
             if p < alpha_in and (best_add is None or (p, j) < best_add[:2]):
-                best_add = (p, j, trial, fit.p_values)
+                best_add = (p, j, trial, trial_fit)
         # With nothing added, a backward pass would refit the state the
         # last one accepted.
         if best_add is None:
             break
-        _, _, current, p_values = best_add
+        _, _, current, fit = best_add
 
         # Backward steps: drop the worst insignificant variable until
         # everything retained clears alpha_out, starting from the winning
-        # trial's p-values.
-        while float(p_values.max()) > alpha_out:
-            del current[int(p_values.argmax())]
-            if not current:
-                break
-            try:
-                p_values = _fit(design, response, gram, current).p_values
-            except _UNFITTABLE:
+        # trial's fit.
+        while float(fit.p_values.max()) > alpha_out:
+            del current[int(fit.p_values.argmax())]
+            fit = _fit(design, response, gram, [current])[0] if current else None
+            if fit is None:
                 break
 
         state = frozenset(current)
@@ -227,10 +205,5 @@ def stepwise(
             break
         seen.add(state)
 
-    if not current:
-        return SelectionReport(ranked_models=(), converged=converged)
-    try:
-        final = fit_through_origin(cands.design_for(tuple(ids[j] for j in current)), response)
-    except _UNFITTABLE:
-        return SelectionReport(ranked_models=(), converged=converged)
-    return SelectionReport(ranked_models=(_ranked(final, alpha_in),), converged=converged)
+    ranked = () if fit is None else (_ranked(fit, alpha_in),)
+    return SelectionReport(ranked_models=ranked, converged=converged)

@@ -152,10 +152,8 @@ def t_two_sided_p(t: float | Sequence[float], dof: int) -> float | list[float]:
     # The branch point (a + 1) / (a + b + 2) at b = 1/2, summed in that order:
     # a + 2.5 can round differently and flip the branch for an x beside it.
     split = (a + 1.0) / (a + 0.5 + 2.0)
-    # A narrow call runs the scalar loop value by value as it goes. A wide
-    # one keeps (index, front, x, y) for each value that needs the fraction
-    # and runs them all after the loop.
-    wide = len(ts) >= _ARRAY_MIN
+    # Each value that needs the fraction keeps (index, front, x, y); the
+    # fractions run after the loop, in one form or the other.
     p, live = [], []
     for v in ts:
         if math.isnan(v):
@@ -168,19 +166,13 @@ def t_two_sided_p(t: float | Sequence[float], dof: int) -> float | list[float]:
         if x > 0.0 and y > 0.0:
             ln_x = math.log1p(-y) if y < 0.5 else math.log(x)
             front = math.exp(a * ln_x + 0.5 * math.log(y) - ln_beta)
-            if wide:
-                live.append((len(p), front, x, y))
-            elif x < split:
-                x = front * _beta_cf(a, 0.5, x) / a
-            else:
-                x = 1.0 - front * _beta_cf(0.5, a, y) / 0.5
+            live.append((len(p), front, x, y))
         p.append(x)
-    if live:
-        sides = [(a, 0.5, x) if x < split else (0.5, a, y) for _, _, x, y in live]
-        if len(sides) >= _ARRAY_MIN:
-            cfs = _beta_cf_array(*zip(*sides))
-        else:  # a wide call of mostly t = 0 or +-inf
-            cfs = [_beta_cf(*side) for side in sides]
-        for (i, front, x, _), cf in zip(live, cfs):
-            p[i] = front * cf / a if x < split else 1.0 - front * cf / 0.5
+    sides = [(a, 0.5, x) if x < split else (0.5, a, y) for _, _, x, y in live]
+    if len(sides) >= _ARRAY_MIN:
+        cfs = _beta_cf_array(*zip(*sides))
+    else:
+        cfs = [_beta_cf(*side) for side in sides]
+    for (i, front, x, _), cf in zip(live, cfs):
+        p[i] = front * cf / a if x < split else 1.0 - front * cf / 0.5
     return p

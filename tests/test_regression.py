@@ -183,6 +183,11 @@ class TestFitThroughOrigin:
         assert design.array.dtype == np.float64
         assert DesignMatrix(("a",), x).array is x
 
+    def test_columns_must_be_pairs(self):
+        for bad in (None, 5, [("a",)], [None], [("a", [1.0, 2.0], "b")]):
+            with pytest.raises(DomainError, match=r"columns must be \(id, values\) pairs"):
+                DesignMatrix.from_columns(bad)
+
     def test_one_tail_call_per_fit(self, monkeypatch):
         # All k p-values of a fit come from one call at the fit's dof;
         # a fit refused before inference makes none.

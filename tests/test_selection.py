@@ -9,14 +9,18 @@ from hypothesis import strategies as st
 from clubval.errors import (
     DimensionMismatch,
     DomainError,
-    InsufficientObservations,
     MissingPredictor,
-    RankDeficient,
     TooManyCandidates,
 )
 from clubval.dataset import bundled_jleague_dataset, predictor_reader
 from clubval.regression import DesignMatrix, ResponseVector, _fit, _gram, fit_through_origin
-from clubval.selection import CandidateSet, exhaustive_subsets, stepwise
+from clubval.selection import (
+    CandidateSet,
+    RankedModel,
+    SelectionReport,
+    exhaustive_subsets,
+    stepwise,
+)
 
 from oracles import exhaustive_per_fit, stepwise_per_fit
 
@@ -254,10 +258,9 @@ class TestStepwiseAgainstPerFitReference:
         gram = _gram(cands.design, cands.response)
         subset = tuple(cands.variable_ids[j] for j in idx)
         if n <= len(idx):
-            with pytest.raises(InsufficientObservations):
-                _fit(cands.design, cands.response, gram, idx)
+            assert _fit(cands.design, cands.response, gram, [idx]) == [None]
             return
-        got = _fit(cands.design, cands.response, gram, idx)
+        got = _fit(cands.design, cands.response, gram, [idx])[0]
         want = fit_through_origin(cands.design_for(subset), cands.response)
         assert got.variable_ids == subset
         np.testing.assert_allclose(got.p_values, want.p_values, rtol=0.0, atol=1e-10)
@@ -274,9 +277,9 @@ class TestStepwiseAgainstPerFitReference:
         data=st.data(),
     )
     def test_stacked_rows_match_single_fits(self, seed, n, k, collinear, data):
-        # One stacked kernel call against the single call on each row's
+        # One stacked kernel call against the one-row stack of each row's
         # columns. With c2 = c0 + c1 a row holding all three is rank
-        # deficient: None in the stack, RankDeficient alone.
+        # deficient: None in both.
         cands = _independent_candidates(seed, n, k, nulls=k // 2)
         x = cands.design.array.copy()
         if collinear:
@@ -288,16 +291,14 @@ class TestStepwiseAgainstPerFitReference:
         if collinear:
             rows.append(sorted({0, 1, 2} | set(range(3, size))))
         gram = _gram(design, response)
-        if n <= size:
-            with pytest.raises(InsufficientObservations):
-                _fit(design, response, gram, rows)
-            return
         stacked = _fit(design, response, gram, rows)
+        if n <= size:
+            assert stacked == [None] * len(rows)
+            return
         assert len(stacked) == len(rows)
         for row, got in zip(rows, stacked):
-            try:
-                want = _fit(design, response, gram, row)
-            except RankDeficient:
+            want = _fit(design, response, gram, [row])[0]
+            if want is None:
                 assert got is None
                 continue
             assert got is not None
@@ -328,14 +329,14 @@ class TestStepwiseAgainstPerFitReference:
                 assert report.best is None
                 continue
             assert report.best.variable_ids == want_ids
+            # The fit the search decided with, held to a fresh fit of its
+            # columns as the exhaustive search's fits are.
+            assert report.best.fit.residuals is None and report.best.fit.fitted is None
             want = fit_through_origin(cands.design_for(want_ids), cands.response)
-            got = report.best.fit
-            for name in (
-                "coefficients", "standard_errors", "t_stats", "p_values",
-                "residuals", "fitted",
-            ):
-                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-            assert repr(got) == repr(want)
+            ranked = RankedModel(want_ids, want, bool((want.p_values <= 0.05).all()))
+            TestExhaustiveAgainstPerFitReference._assert_same_report(
+                report, SelectionReport((ranked,))
+            )
 
 
 class TestExhaustiveAgainstPerFitReference:
@@ -433,6 +434,10 @@ class TestCandidateSet:
                     assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
                 assert got.adjusted_r_squared.hex() == want.adjusted_r_squared.hex()
                 assert got.standard_error_of_regression == want.standard_error_of_regression
+
+    def test_columns_must_be_pairs(self):
+        with pytest.raises(DomainError, match=r"columns must be \(id, values\) pairs"):
+            CandidateSet.from_columns([("a",)], ResponseVector("y", np.array([1.0])))
 
     def test_needs_candidates(self):
         with pytest.raises(DimensionMismatch):
