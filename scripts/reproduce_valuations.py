@@ -2,33 +2,30 @@
 """Reproduce the reference valuation outputs end to end.
 
 Writes the J.League valuation table (text and CSV), the acquisition
-premium summary, and the two scatter figures, then prints a short
-comparison of computed aggregates against the reported reference row.
+premium summary, and the two scatter figures, each rendered by the
+clubval command that prints it, then prints a short comparison of
+computed aggregates against the reported reference row.
 
 Usage: python3 scripts/reproduce_valuations.py [--out-dir OUT]
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 from clubval import (
     FORMULA_1,
     FORMULA_2,
     FxRate,
-    RenderSpec,
-    ScatterSeries,
     aggregate,
-    bundled_european_reference,
     bundled_jleague_dataset,
     bundled_jleague_reported_values,
     bundled_transactions,
-    emit_scatter,
     premium_ranges,
     premiums_by_case,
-    render_premium_table,
-    render_valuation_table,
     valuate_all,
 )
+from clubval.cli import run_cli
 
 
 def main() -> None:
@@ -38,43 +35,24 @@ def main() -> None:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
+    # The rate is passed, not resolved, so VALUATE_FX_RATE cannot change
+    # premiums.txt away from the ranges printed below.
+    fx = FxRate()
+    documents = (
+        ("jleague_valuations.txt", ["apply", "--bundled", "jleague"]),
+        ("jleague_valuations.csv", ["apply", "--bundled", "jleague", "--format", "csv"]),
+        ("premiums.txt", ["premiums", "--fx-rate", repr(fx.yen_per_euro)]),
+        ("scatter_combined.svg", ["plot", "--bundled", "combined"]),
+        ("scatter_jleague.svg", ["plot", "--bundled", "jleague"]),
+    )
+    for name, argv in documents:
+        if run_cli([*argv, "--out", str(out / name)]) != 0:
+            sys.exit(f"clubval {' '.join(argv)} failed")
+
     records = bundled_jleague_dataset()
     results = valuate_all(records, FORMULA_1, FORMULA_2)
     aggregates = aggregate(results, records)
-
-    for fmt, suffix in (("text", "txt"), ("csv", "csv")):
-        doc = render_valuation_table(
-            results, records, aggregates, RenderSpec(format=fmt)
-        )
-        (out / f"jleague_valuations.{suffix}").write_text(doc, encoding="utf-8")
-
-    fx = FxRate()
-    cases = bundled_transactions()
-    premiums = premiums_by_case(cases, results, fx)
-    ranges = premium_ranges(premiums)
-    premium_doc = render_premium_table(premiums, ranges, RenderSpec(format="text"))
-    (out / "premiums.txt").write_text(premium_doc, encoding="utf-8")
-
-    jleague_series = ScatterSeries(
-        label="J.League",
-        points=tuple((r.fv1, r.fv2, r.club) for r in results),
-    )
-    european_series = ScatterSeries(
-        label="European reference",
-        points=tuple(
-            (ref.fv1, ref.fv2, ref.club) for ref in bundled_european_reference()
-        ),
-    )
-    svg_spec = RenderSpec(format="svg", scale="log10")
-    (out / "scatter_combined.svg").write_text(
-        emit_scatter([jleague_series, european_series], svg_spec, guide_line=True),
-        encoding="utf-8",
-    )
-    (out / "scatter_jleague.svg").write_text(
-        emit_scatter([jleague_series], svg_spec, guide_line=True),
-        encoding="utf-8",
-    )
-
+    ranges = premium_ranges(premiums_by_case(bundled_transactions(), results, fx))
     reported = bundled_jleague_reported_values()
     worst_fv1 = max(abs(r.fv1 - reported[r.club][0]) for r in results)
     worst_fv2 = max(abs(r.fv2 - reported[r.club][1]) for r in results)

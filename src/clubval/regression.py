@@ -106,10 +106,11 @@ class RegressionFit:
 
     Coefficient-aligned arrays (coefficients, standard_errors, t_stats,
     p_values) share the order of variable_ids. Every reported statistic
-    uses the uncentered convention. residuals and fitted are None on a
-    fit from a stacked _fit call, which is every fit a subset search
-    returns, from either strategy; fit_through_origin on the chosen
-    columns gives them.
+    uses the uncentered convention. Every fit comes from one kernel,
+    _fit. fit_through_origin, its one-row case, adds residuals and
+    fitted; they are None on every other fit, which is every fit a
+    subset search returns, from either strategy. fit_through_origin on
+    the chosen columns gives them.
     """
 
     variable_ids: tuple[str, ...]
@@ -123,8 +124,8 @@ class RegressionFit:
     standard_error_of_regression: float
     n_observations: int
     dof: int
-    residuals: np.ndarray | None
-    fitted: np.ndarray | None
+    residuals: np.ndarray | None = None
+    fitted: np.ndarray | None = None
     _unprinted = ("residuals", "fitted")
 
 
@@ -162,19 +163,18 @@ def _fit(
     design: DesignMatrix,
     response: ResponseVector,
     gram: tuple[np.ndarray, np.ndarray, float],
-    idx: list[list[int]] | None = None,
-) -> RegressionFit | list[RegressionFit | None]:
-    """The fit on all of the design's columns, from the Gram triple of the
-    whole design, or a list of m fits on an (m, s) stack idx of ascending
-    column lists.
+    idx: list[list[int]],
+) -> list[RegressionFit | None]:
+    """The m fits on an (m, s) stack idx of ascending column lists, from
+    the Gram triple of the whole design.
 
-    A stack returns None for each row it cannot fit: every row when
-    n <= s, and each rank-deficient row. It is fitted together: one eigh,
-    one matmul for all fitted values, turned into residuals in place, and
-    one tail call. Stacked fits carry no residuals or fitted values, so
-    no (m, n) array outlives the call. The fit on all columns is
-    fit_through_origin's, which has checked n > k: it raises RankDeficient
-    and carries residuals and fitted values.
+    This is the one fitting kernel: fit_through_origin is its one-row
+    case, and each size of an exhaustive search and each stepwise step is
+    one call. It returns None for each row it cannot fit: every row when
+    n <= s, and each rank-deficient row. The rows are fitted together:
+    one eigh, one matmul for all fitted values, turned into residuals in
+    place, and one tail call. The fits carry no residuals or fitted
+    values, so no (m, n) array outlives the call.
 
     One eigendecomposition V diag(w) V' of a principal block of X'X
     gives the rank test, (X'X)^-1 and b. Residuals come from X, not
@@ -185,40 +185,28 @@ def _fit(
     xtx, xty, tss_uncentered = gram
     x, ids = design.array, design.variable_ids
     n = len(x)
-    # Every array below gains a leading axis for a stack. The fit on all
-    # columns keeps the plain shapes, and so its cost and its bits: it is
-    # the row () below.
-    stacked = idx is not None
-    if stacked:
-        rows = np.asarray(idx)
-        if n <= rows.shape[1]:
-            return [None] * len(rows)
-        xtx, xty = xtx[rows[:, :, None], rows[:, None, :]], xty[rows]
-    k = xty.shape[-1]
+    rows = np.asarray(idx)
+    m, k = rows.shape
+    if n <= k:
+        return [None] * m
+    xtx, xty = xtx[rows[:, :, None], rows[:, None, :]], xty[rows]
     w, v = np.linalg.eigh(xtx)
-    lo, hi = w.T[0], w.T[-1]
+    lo, hi = w[:, 0], w[:, -1]
     ok = (lo > 0.0) & (lo >= RANK_RTOL * hi)
-    if stacked:
-        # A row that cannot be fitted solves to b = 0, and so t = 0, with
-        # 1 / w = 0; it is dropped at the end.
-        w[~ok] = np.inf
-    elif not ok:
-        raise RankDeficient(
-            f"X'X eigenvalue ratio {lo:.3e} / {hi:.3e} below tolerance {RANK_RTOL:g}"
-        )
-    inv_xtx = (v / w[..., None, :]) @ v.swapaxes(-1, -2)
-    beta = (inv_xtx @ xty[..., None])[..., 0]
-    if idx is None:
-        b_full = beta
-    else:
-        b_full = np.zeros(beta.shape[:-1] + x.shape[1:])
-        np.put_along_axis(b_full, rows, beta, axis=-1)
+    if not ok.any():
+        return [None] * m
+    # A row that cannot be fitted solves to b = 0, and so t = 0, with
+    # 1 / w = 0; it is dropped at the end.
+    w[~ok] = np.inf
+    inv_xtx = (v / w[:, None, :]) @ v.swapaxes(-1, -2)
+    beta = (inv_xtx @ xty[:, :, None])[:, :, 0]
+    b_full = np.zeros((m, x.shape[1]))
+    np.put_along_axis(b_full, rows, beta, axis=-1)
     fitted = b_full @ x.T
-    y = response.values
-    residuals = np.subtract(y, fitted, out=fitted) if stacked else y - fitted
-    ssr = (residuals[..., None, :] @ residuals[..., None])[..., 0, 0]
+    residuals = np.subtract(response.values, fitted, out=fitted)
+    ssr = (residuals[:, None, :] @ residuals[:, :, None])[:, 0, 0]
     dof = n - k
-    std_errors = np.sqrt(np.maximum(inv_xtx.diagonal(0, -2, -1).T * (ssr / dof), 0.0)).T
+    std_errors = np.sqrt(np.maximum(inv_xtx.diagonal(0, -2, -1) * (ssr / dof)[:, None], 0.0))
     # A zero standard error makes t +-inf by the sign of b (p = 0), or 0
     # when b is 0 too (p = 1).
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -226,16 +214,13 @@ def _fit(
     t_stats[(std_errors == 0.0) & (beta == 0.0)] = 0.0
     p_values = np.array(t_two_sided_p(t_stats.ravel().tolist(), dof)).reshape(t_stats.shape)
 
-    fits = []
-    for i, good in enumerate(ok.tolist()) if stacked else [((), True)]:
-        if not good:
-            fits.append(None)
-            continue
+    fits: list[RegressionFit | None] = [None] * m
+    for i in np.flatnonzero(ok).tolist():
         row_ssr = float(ssr[i])
         r2 = 1.0 if tss_uncentered == 0.0 else 1.0 - row_ssr / tss_uncentered
         r2 = min(1.0, max(0.0, r2))
-        fits.append(RegressionFit(
-            variable_ids=ids if idx is None else tuple([ids[j] for j in rows[i].tolist()]),
+        fits[i] = RegressionFit(
+            variable_ids=tuple([ids[j] for j in rows[i].tolist()]),
             coefficients=beta[i],
             standard_errors=std_errors[i],
             t_stats=t_stats[i],
@@ -246,15 +231,13 @@ def _fit(
             standard_error_of_regression=math.sqrt(row_ssr / dof),
             n_observations=n,
             dof=dof,
-            residuals=None if stacked else residuals,
-            fitted=None if stacked else fitted,
-        ))
-    return fits if stacked else fits[0]
+        )
+    return fits
 
 
 def fit_through_origin(design: DesignMatrix, response: ResponseVector) -> RegressionFit:
     """Fit response = design @ b with no intercept and return the full
-    inference block.
+    inference block, with residuals and fitted values.
 
     Requirements: response length matches the design rows, X'X, X'y and
     y'y are finite (no NaN or inf in the data and no overflow in the
@@ -272,4 +255,13 @@ def fit_through_origin(design: DesignMatrix, response: ResponseVector) -> Regres
         raise InsufficientObservations(
             f"need more observations than predictors, got n={n}, k={k}"
         )
-    return _fit(design, response, gram)
+    fit = _fit(design, response, gram, [list(range(k))])[0]
+    if fit is None:
+        import numpy as np
+        w = np.linalg.eigh(gram[0])[0]
+        raise RankDeficient(
+            f"X'X eigenvalue ratio {w[0]:.3e} / {w[-1]:.3e} below tolerance {RANK_RTOL:g}"
+        )
+    fitted = design.array @ fit.coefficients
+    residuals = response.values - fitted
+    return RegressionFit(**{**vars(fit), "residuals": residuals, "fitted": fitted})

@@ -409,6 +409,8 @@ def emit_scatter(
     """
     if spec.format != "svg":
         raise DomainError(f"emit_scatter requires svg format, got {spec.format!r}")
+    if not isinstance(series, list) or not all(isinstance(s, ScatterSeries) for s in series):
+        refuse(None, "series", "be a list of scatter series", series)
     if len(series) > len(_MARKER_SHAPES):
         raise DomainError(f"at most {len(_MARKER_SHAPES)} series can be drawn, got {len(series)}")
     if not series or all(not s.points for s in series):

@@ -104,13 +104,13 @@ def exhaustive_subsets(
     are recorded as skipped rather than fitted. At most MAX_CANDIDATES
     candidates are searched.
 
-    X'X of all the candidates is formed once, and each size is one
-    stacked call of the routine behind fit_through_origin: one eigh, one
-    matmul against X for the residuals, one tail call. Subsets of equal
-    span (c0 + c1 and c0 + c2 with c2 = c0 + c1, say) are ordered by
-    rounding. Search fits carry no residuals or fitted values; refit a
-    model for them with
-    fit_through_origin(cands.design_for(ids), cands.response).
+    X'X of all the candidates is formed once, and each size is one call
+    of the kernel whose one-row case is fit_through_origin: one eigh, one
+    matmul against X, one tail call. Subsets of equal span (c0 + c1 and
+    c0 + c2 with c2 = c0 + c1, say) are ordered by rounding. Search fits
+    carry no residuals or fitted values; refit a model for them with
+    fit_through_origin(cands.design_for(ids), cands.response), which on
+    all the candidates has the search's bits.
     """
     ids = cands.variable_ids
     if len(ids) > MAX_CANDIDATES:
@@ -146,14 +146,14 @@ def stepwise(
 
     Every add and drop is decided from one Gram matrix X'X of all the
     candidates, formed once per search. A forward step fits all of its
-    trials as one stack in the routine behind fit_through_origin (one
-    eigh, one matmul against X for the residuals, one tail call) and
-    skips a trial it cannot fit. The winning trial's fit is the first
-    backward check; each drop costs one fit, a one-row stack, and a
-    forward step that adds nothing ends the search. The model reported
-    is the last fit of the chosen columns, so, as in an exhaustive
-    search, it carries no residuals or fitted values; refit it with
-    fit_through_origin(cands.design_for(ids), cands.response).
+    trials as one call of the kernel whose one-row case is
+    fit_through_origin, and skips a trial it cannot fit. The winning
+    trial's fit is the first backward check; each drop costs one fit, a
+    one-row stack, and a forward step that adds nothing ends the search.
+    The model reported is the last fit of the chosen columns, so, as in
+    an exhaustive search, it carries no residuals or fitted values;
+    refit it with fit_through_origin(cands.design_for(ids),
+    cands.response), which on all the candidates has the search's bits.
     Candidates that tie in exact arithmetic (c0, c1 and c0 + c1, say)
     are ordered by rounding. There is no cap on the number of
     candidates: a forward step holds one n-vector per trial.

@@ -133,9 +133,13 @@ def valuate_all(
     f2: ValuationModel = FORMULA_2,
 ) -> list[ValuationResult]:
     """Each club's firm values and ratio, both models' terms resolved once."""
+    if not isinstance(records, list):
+        refuse(None, "records", "be a list of club records", records)
     fv1_of, fv2_of = _evaluator(f1), _evaluator(f2)
     results = []
     for record in records:
+        if not isinstance(record, ClubRecord):
+            refuse(None, "records", "hold only club records", record)
         fv1, fv2 = fv1_of(record), fv2_of(record)
         if fv2 == 0.0:
             raise DegenerateRatio(f"{record.name}: fv2 is zero, ratio undefined")

@@ -477,6 +477,12 @@ class TestScatter:
         with pytest.raises(EmptyInput):
             emit_scatter([], RenderSpec(format="svg"))
 
+    @pytest.mark.parametrize("series", [None, [None], ["x"]])
+    def test_non_list_or_non_series_refused(self, series):
+        with pytest.raises(DomainError) as info:
+            emit_scatter(series, RenderSpec(format="svg"))
+        assert str(info.value) == f"series must be a list of scatter series, got {series!r}"
+
     def test_three_series_styled_and_a_fourth_rejected(self):
         series = [ScatterSeries(f"s{i}", ((1.0 + i, 2.0, f"c{i}"),)) for i in range(4)]
         doc = emit_scatter(series[:3], RenderSpec(format="svg", scale="linear"))

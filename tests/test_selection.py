@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from clubval.errors import (
     DimensionMismatch,
     DomainError,
+    InsufficientObservations,
     MissingPredictor,
+    RankDeficient,
     TooManyCandidates,
 )
 from clubval.dataset import bundled_jleague_dataset, predictor_reader
@@ -408,6 +410,74 @@ class TestExhaustiveAgainstPerFitReference:
         got = exhaustive_subsets(cands, 10)
         assert len(got.ranked_models) == 895 and len(got.skipped) == 128
         self._assert_same_report(got, exhaustive_per_fit(cands, 10))
+
+
+def _seeded_candidates(seed, n_low=3):
+    """1 to 8 candidates over six decades of scale, each with a clear effect
+    on y, at n from n_low to 3,000; about one design in four has c2 = c0 + c1."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 9))
+    n = int(math.exp(rng.uniform(math.log(n_low), math.log(3_000))))
+    scale = 10.0 ** rng.integers(-3, 4, k)
+    x = rng.standard_normal((n, k)) * scale
+    if k >= 3 and rng.random() < 0.25:
+        x[:, 2] = x[:, 0] + x[:, 1]
+    y = x @ (rng.uniform(0.5, 3.0, k) / scale) + 0.1 * rng.standard_normal(n)
+    return CandidateSet.from_columns(
+        [(f"v{j}", x[:, j]) for j in range(k)], ResponseVector("y", y)
+    )
+
+
+class TestOneKernel:
+    """fit_through_origin is the one-row stack of the kernel both searches
+    run. Where a search fits every candidate, it fits them from the same
+    Gram matrix as fit_through_origin does, so it gets the same bits. A
+    fit of fewer columns does not: a search takes a block of the Gram
+    matrix of all candidates, which rounds differently from a fresh one."""
+
+    @staticmethod
+    def _assert_same_bits(got, want):
+        assert got.variable_ids == want.variable_ids
+        for name in ("coefficients", "standard_errors", "t_stats", "p_values"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        for name in ("r_squared", "adjusted_r_squared", "multiple_r",
+                     "standard_error_of_regression", "n_observations", "dof"):
+            assert float(getattr(got, name)).hex() == float(getattr(want, name)).hex(), name
+
+    @staticmethod
+    def _fit_of_all(cands):
+        fit = fit_through_origin(cands.design, cands.response)
+        x, y = cands.design.array, cands.response.values
+        fitted = x @ fit.coefficients
+        assert fit.fitted.tobytes() == fitted.tobytes()
+        assert fit.residuals.tobytes() == (y - fitted).tobytes()
+        return fit
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_exhaustive_row_of_every_candidate(self, seed):
+        cands = _seeded_candidates(seed)
+        ids = cands.variable_ids
+        report = exhaustive_subsets(cands, len(ids))
+        rows = [m.fit for m in report.ranked_models if m.variable_ids == ids]
+        try:
+            want = self._fit_of_all(cands)
+        except (InsufficientObservations, RankDeficient):
+            assert rows == [] and ids in report.skipped
+            return
+        assert len(rows) == 1
+        self._assert_same_bits(rows[0], want)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_stepwise_fit_of_every_candidate(self, seed):
+        cands = _seeded_candidates(seed, n_low=20)
+        report = stepwise(cands)
+        try:
+            want = self._fit_of_all(cands)
+        except RankDeficient:
+            assert report.best is not None and report.best.variable_ids != cands.variable_ids
+            return
+        assert report.best.variable_ids == cands.variable_ids
+        self._assert_same_bits(report.best.fit, want)
 
 
 class TestCandidateSet:

@@ -173,6 +173,16 @@ class TestValuate:
         with pytest.raises(DegenerateRatio):
             valuate_all([_record(sns=0, rev=10.0, pmv=0.0)])
 
+    @pytest.mark.parametrize("records, message", [
+        (None, "records must be a list of club records, got None"),
+        ([None], "records must hold only club records, got None"),
+        (["x"], "records must hold only club records, got 'x'"),
+    ])
+    def test_non_list_or_non_record_refused(self, records, message):
+        with pytest.raises(DomainError) as info:
+            valuate_all(records)
+        assert str(info.value) == message
+
 
 class TestFullTableReproduction:
     def test_all_clubs_match_reported_values(self):
