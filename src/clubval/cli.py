@@ -2,9 +2,16 @@
 
 Subcommands: fit (regression report from a club CSV), select (variable
 subset search), apply (valuation table), premiums (acquisition premium
-summary), plot (scatter SVG). Settings resolve in the order flags, then
-the VALUATE_FX_RATE environment variable (exchange rate only), then a
-key=value config file given with --config, then built-in defaults.
+summary), plot (scatter SVG).
+
+Settings: format (the tables' output), fx_rate and stake (premiums only).
+A command resolves only the settings it has a flag for, each by one rule:
+the flag, else the VALUATE_FX_RATE environment variable (fx_rate only; an
+empty one is unset), else a key = value file given with --config, else the
+library's default. A value is judged where it is found, and a refusal
+names that source: "--fx-rate must be positive and finite, got -1.0",
+"need 0 < config stake <= 1, got 1.5", "config format must be one of
+('text', 'csv', 'md'), got 'svg'".
 
 Exit codes: 0 on success, 1 on data errors, 2 on usage errors.
 """
@@ -16,7 +23,7 @@ import os
 import sys
 from pathlib import Path
 
-from ._record import finite
+from ._record import finite, refuse
 from .dataset import (
     ClubRecord,
     FxRate,
@@ -38,8 +45,15 @@ from .report import (
     render_valuation_table,
     write_document,
 )
-from .selection import CandidateSet, exhaustive_subsets, stepwise
+from .selection import (
+    DEFAULT_ALPHA_IN,
+    DEFAULT_ALPHA_OUT,
+    CandidateSet,
+    exhaustive_subsets,
+    stepwise,
+)
 from .valuation import (
+    DEFAULT_STAKE,
     FORMULA_1,
     FORMULA_2,
     aggregate,
@@ -48,13 +62,19 @@ from .valuation import (
     valuate_all,
 )
 
-DEFAULT_FX = 150.0
-DEFAULT_STAKE = 0.51
-DEFAULT_ALPHA_OUT = 0.10
 ENV_FX = "VALUATE_FX_RATE"
 
 CORE_PREDICTORS = ("sns_followers_m", "revenue_meur", "player_market_value_meur")
-CONFIG_KEYS = ("fx_rate", "stake", "format")
+TABLE_FORMATS = ("text", "csv", "md")
+
+# Each setting: its name, the environment variable that may give it, and the
+# library's default for it.
+_SETTINGS = (
+    ("fx_rate", ENV_FX, FxRate.yen_per_euro),
+    ("stake", None, DEFAULT_STAKE),
+    ("format", None, RenderSpec.format),
+)
+CONFIG_KEYS = tuple(name for name, _, _ in _SETTINGS)
 
 
 def _load_config(path: str | None) -> dict[str, str]:
@@ -74,37 +94,44 @@ def _load_config(path: str | None) -> dict[str, str]:
         key, _, value = (part.strip() for part in line.partition("="))
         if key not in CONFIG_KEYS:
             raise DomainError(f"{path}:{line_no}: unknown key {key!r}, not one of {CONFIG_KEYS}")
+        if key in config:
+            raise DomainError(f"{path}:{line_no}: key {key!r} is given twice")
         config[key] = value
     return config
 
 
-def _positive_float(text: str, origin: str) -> float:
+def _judged(name: str, value, source: str):
+    """A setting's value, judged where it was found: a refusal names the source."""
+    if name == "format":
+        if value not in TABLE_FORMATS:
+            refuse(None, source, f"be one of {TABLE_FORMATS}", value)
+        return value
     try:
-        value = float(text)
+        number = float(value)
     except ValueError:
-        raise DomainError(f"{origin} must be a number, got {text!r}") from None
-    finite(value, None, origin, 0, True)
-    return value
+        refuse(None, source, "be a number", value)
+    finite(number, None, source, 0, True, 1 if name == "stake" else None)
+    return number
 
 
-def _resolve_settings(
-    args: argparse.Namespace, config: dict[str, str]
-) -> tuple[FxRate, float]:
-    fx_value = args.fx_rate
-    if fx_value is None and os.environ.get(ENV_FX):
-        fx_value = _positive_float(os.environ[ENV_FX], ENV_FX)
-    if fx_value is None and "fx_rate" in config:
-        fx_value = _positive_float(config["fx_rate"], "config fx_rate")
-    if fx_value is None:
-        fx_value = DEFAULT_FX
-
-    stake = args.stake
-    if stake is None and "stake" in config:
-        stake = _positive_float(config["stake"], "config stake")
-    if stake is None:
-        stake = DEFAULT_STAKE
-
-    return FxRate(fx_value), stake
+def _resolve_settings(args: argparse.Namespace) -> RenderSpec:
+    """Resolve each setting whose flag the command has, from the flag, else the
+    environment, else the config file, else the default. Its judged value
+    replaces the flag's on args; the format also goes into the render spec."""
+    config = _load_config(getattr(args, "config", None))
+    for name, env, default in _SETTINGS:
+        if not hasattr(args, name):
+            continue
+        for value, source in (
+            (getattr(args, name), "--" + name.replace("_", "-")),
+            (env and os.environ.get(env) or None, env),  # an empty variable is unset
+            (config.get(name), f"config {name}"),
+            (default, "default"),
+        ):
+            if value is not None:
+                setattr(args, name, _judged(name, value, source))
+                break
+    return RenderSpec(getattr(args, "format", "svg"), args.scale)
 
 
 def _load_records(args: argparse.Namespace) -> list[ClubRecord]:
@@ -137,9 +164,9 @@ def _split_ids(text: str) -> tuple[str, ...]:
     return ids
 
 
-# Each handler takes the parsed arguments, the config file's settings and
-# the render spec, and returns the document that run_cli writes.
-def _cmd_fit(args: argparse.Namespace, config: dict[str, str], spec: RenderSpec) -> str:
+# Each handler takes the parsed arguments, their settings resolved, and the
+# render spec, and returns the document that run_cli writes.
+def _cmd_fit(args: argparse.Namespace, spec: RenderSpec) -> str:
     records = _load_records(args)
     columns = _predictor_columns(records, _split_ids(args.predictors))
     response = _response(records, args.response)
@@ -147,7 +174,7 @@ def _cmd_fit(args: argparse.Namespace, config: dict[str, str], spec: RenderSpec)
     return render_regression_table(fit, spec)
 
 
-def _cmd_select(args: argparse.Namespace, config: dict[str, str], spec: RenderSpec) -> str:
+def _cmd_select(args: argparse.Namespace, spec: RenderSpec) -> str:
     records = _load_records(args)
     if args.candidates:
         candidate_ids = _split_ids(args.candidates)
@@ -173,24 +200,23 @@ def _cmd_select(args: argparse.Namespace, config: dict[str, str], spec: RenderSp
     return render_selection_table(report, spec)
 
 
-def _cmd_apply(args: argparse.Namespace, config: dict[str, str], spec: RenderSpec) -> str:
+def _cmd_apply(args: argparse.Namespace, spec: RenderSpec) -> str:
     records = _load_records(args)
     results = valuate_all(records, FORMULA_1, FORMULA_2)
     aggregates = aggregate(results, records)
     return render_valuation_table(results, records, aggregates, spec)
 
 
-def _cmd_premiums(args: argparse.Namespace, config: dict[str, str], spec: RenderSpec) -> str:
-    fx, stake = _resolve_settings(args, config)
+def _cmd_premiums(args: argparse.Namespace, spec: RenderSpec) -> str:
     records = _load_records(args)
     results = valuate_all(records, FORMULA_1, FORMULA_2)
     cases = bundled_transactions()
-    premiums = premiums_by_case(cases, results, fx, stake=stake)
+    premiums = premiums_by_case(cases, results, FxRate(args.fx_rate), stake=args.stake)
     ranges = premium_ranges(premiums)
     return render_premium_table(premiums, ranges, spec)
 
 
-def _cmd_plot(args: argparse.Namespace, config: dict[str, str], spec: RenderSpec) -> str:
+def _cmd_plot(args: argparse.Namespace, spec: RenderSpec) -> str:
     series: list[ScatterSeries] = []
     bundled = args.bundled or "combined"
     if bundled in ("jleague", "combined") or args.input:
@@ -229,8 +255,6 @@ def _add_common(parser: argparse.ArgumentParser, formats: tuple[str, ...]):
             "--format", choices=formats, help="output format (default: text)"
         )
         parser.set_defaults(scale="linear")  # tables ignore the scale
-    else:
-        parser.set_defaults(config=None, format="svg")
     return source
 
 
@@ -240,10 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Football club firm-value estimation toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    tabular = ("text", "csv", "md")
 
     p_fit = sub.add_parser("fit", help="through-origin regression report")
-    _add_common(p_fit, tabular)
+    _add_common(p_fit, TABLE_FORMATS)
     p_fit.add_argument("--response", required=True, help="response variable id")
     p_fit.add_argument(
         "--predictors", required=True, help="comma-separated predictor ids"
@@ -251,25 +274,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.set_defaults(handler=_cmd_fit)
 
     p_sel = sub.add_parser("select", help="explanatory-variable subset search")
-    _add_common(p_sel, tabular)
+    _add_common(p_sel, TABLE_FORMATS)
     p_sel.add_argument("--response", required=True)
     p_sel.add_argument("--candidates", help="comma-separated candidate ids")
     p_sel.add_argument(
         "--method", choices=("exhaustive", "stepwise"), default="exhaustive"
     )
     p_sel.add_argument("--max-size", type=int, default=None)
-    p_sel.add_argument("--alpha-in", type=float, default=0.05)
+    p_sel.add_argument("--alpha-in", type=float, default=DEFAULT_ALPHA_IN)
     p_sel.add_argument("--alpha-out", type=float, default=None)
     p_sel.set_defaults(handler=_cmd_select)
 
     p_apply = sub.add_parser("apply", help="valuation table for club records")
-    _add_common(p_apply, tabular).add_argument(
+    _add_common(p_apply, TABLE_FORMATS).add_argument(
         "--bundled", choices=("jleague",), help="use a bundled dataset"
     )
     p_apply.set_defaults(handler=_cmd_apply)
 
     p_prem = sub.add_parser("premiums", help="acquisition premium summary")
-    _add_common(p_prem, tabular)
+    _add_common(p_prem, TABLE_FORMATS)
     p_prem.add_argument("--fx-rate", type=float, default=None, help="yen per euro")
     p_prem.add_argument("--stake", type=float, default=None, help="stake fraction")
     p_prem.set_defaults(handler=_cmd_premiums)
@@ -298,11 +321,7 @@ def run_cli(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        config = _load_config(args.config)
-        spec = RenderSpec(
-            format=args.format or config.get("format", "text"), scale=args.scale
-        )
-        write_document(args.handler(args, config, spec), args.out)
+        write_document(args.handler(args, _resolve_settings(args)), args.out)
     except ClubValError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

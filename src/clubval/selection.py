@@ -22,6 +22,9 @@ if TYPE_CHECKING:
     import numpy as np
 
 MAX_CANDIDATES = 12
+# Significance thresholds when none is given: to enter a model, and to stay in it.
+DEFAULT_ALPHA_IN = 0.05
+DEFAULT_ALPHA_OUT = 0.10
 
 
 @record
@@ -96,7 +99,7 @@ def _ranked(fit: RegressionFit, alpha: float) -> RankedModel:
 
 
 def exhaustive_subsets(
-    cands: CandidateSet, max_size: int, alpha: float = 0.05
+    cands: CandidateSet, max_size: int, alpha: float = DEFAULT_ALPHA_IN
 ) -> SelectionReport:
     """Fit every non-empty candidate subset of at most max_size variables.
 
@@ -135,7 +138,9 @@ def exhaustive_subsets(
 
 
 def stepwise(
-    cands: CandidateSet, alpha_in: float = 0.05, alpha_out: float = 0.10
+    cands: CandidateSet,
+    alpha_in: float = DEFAULT_ALPHA_IN,
+    alpha_out: float = DEFAULT_ALPHA_OUT,
 ) -> SelectionReport:
     """Forward-backward selection to a fixed point.
 

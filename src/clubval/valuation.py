@@ -22,6 +22,9 @@ from .errors import (
     MissingPrice,
 )
 
+# The stake priced when none is given: the 51% that each bundled transaction price buys.
+DEFAULT_STAKE = 0.51
+
 
 @record
 class ValuationModel:
@@ -242,7 +245,7 @@ def transaction_premium(
     case: TransactionCase,
     fv_meur: float,
     fx: FxRate,
-    stake: float = 0.51,
+    stake: float = DEFAULT_STAKE,
     model_name: str = "",
 ) -> PremiumResult:
     """Premium of the model-implied stake value over the actual price.
@@ -272,7 +275,7 @@ def premiums_by_case(
     cases: list[TransactionCase],
     results: list[ValuationResult],
     fx: FxRate,
-    stake: float = 0.51,
+    stake: float = DEFAULT_STAKE,
 ) -> list[PremiumResult]:
     """Per-case premiums under both models, skipping undisclosed prices.
 

@@ -4,6 +4,7 @@ import sys
 import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -146,6 +147,14 @@ class TestApply:
         assert out == ""
         assert target.read_text(encoding="utf-8").startswith("| league |")
 
+    def test_out_dash_is_stdout(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        argv = ("apply", "--bundled", "jleague", "--format", "md")
+        _code, plain, _err = _run(capsys, *argv)
+        code, out, _err = _run(capsys, *argv, "--out", "-")
+        assert (code, out) == (0, plain)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestPremiums:
     def test_reference_ranges(self, capsys):
@@ -233,6 +242,65 @@ class TestPremiums:
         assert calls == [str(config)]
         assert out.startswith(head)
         assert marker in out
+
+    @pytest.mark.parametrize(
+        "argv, env, config_text, message",
+        [
+            (("premiums", "--fx-rate", "-1"), None, None,
+             "--fx-rate must be positive and finite, got -1.0"),
+            (("premiums",), "-1", None, "VALUATE_FX_RATE must be positive and finite, got -1.0"),
+            (("premiums",), None, "fx_rate = 0",
+             "config fx_rate must be positive and finite, got 0.0"),
+            (("premiums", "--stake", "1.5"), None, None, "need 0 < --stake <= 1, got 1.5"),
+            (("premiums",), None, "stake = 1.5", "need 0 < config stake <= 1, got 1.5"),
+            (("apply", "--bundled", "jleague"), None, "format = svg",
+             "config format must be one of ('text', 'csv', 'md'), got 'svg'"),
+            (("fit", "--response", "revenue_meur", "--predictors", "sns_followers_m"), None,
+             "format = svg", "config format must be one of ('text', 'csv', 'md'), got 'svg'"),
+            (("select", "--response", "revenue_meur"), None, "format = bogus",
+             "config format must be one of ('text', 'csv', 'md'), got 'bogus'"),
+        ],
+        ids=["flag-fx", "env-fx", "config-fx", "flag-stake", "config-stake", "config-svg-apply",
+             "config-svg-fit", "config-bogus-select"],
+    )
+    def test_refusal_names_the_source(
+        self, capsys, monkeypatch, tmp_path, argv, env, config_text, message
+    ):
+        monkeypatch.delenv("VALUATE_FX_RATE", raising=False)
+        if env is not None:
+            monkeypatch.setenv("VALUATE_FX_RATE", env)
+        if config_text is not None:
+            config = tmp_path / "settings.conf"
+            config.write_text(config_text + "\n", encoding="utf-8")
+            argv = (*argv, "--config", str(config))
+        code, out, err = _run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_empty_env_value_is_unset(self, capsys, monkeypatch, tmp_path):
+        config = tmp_path / "settings.conf"
+        config.write_text("fx_rate = 300\n", encoding="utf-8")
+        monkeypatch.setenv("VALUATE_FX_RATE", "")
+        code, out, _err = _run(capsys, "premiums", "--config", str(config))
+        assert code == 0
+        assert "708.7" in out
+
+    @pytest.mark.parametrize("key", ["fx_rate", "stake", "format"])
+    def test_empty_config_value_is_refused(self, capsys, monkeypatch, tmp_path, key):
+        monkeypatch.delenv("VALUATE_FX_RATE", raising=False)
+        config = tmp_path / "settings.conf"
+        config.write_text(f"{key} =\n", encoding="utf-8")
+        code, out, err = _run(capsys, "premiums", "--config", str(config))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: config {key} must be ")
+        assert err.endswith(", got ''\n")
+
+    def test_config_key_given_twice_is_data_error(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.delenv("VALUATE_FX_RATE", raising=False)
+        config = tmp_path / "settings.conf"
+        config.write_text("fx_rate = 75\n# again\nfx_rate = 300\n", encoding="utf-8")
+        code, out, err = _run(capsys, "premiums", "--config", str(config))
+        assert (code, out) == (1, "")
+        assert err == f"error: {config}:3: key 'fx_rate' is given twice\n"
 
     def test_unknown_config_key_is_data_error(self, capsys, monkeypatch, tmp_path):
         monkeypatch.delenv("VALUATE_FX_RATE", raising=False)
@@ -484,8 +552,9 @@ _FUZZED_COMMANDS = (
     ("plot", "--scale", "log10"),
     ("plot", "--scale", "linear"),
 )
-# Setting values, in and out of range and of every kind, as argv or config
-# text; each command is given the flags it takes.
+# Setting values, in and out of range and of every kind, as argv, environment
+# or config text; each command is given the flags it takes, and every command
+# sees the environment.
 _NUMBER_TEXTS = ["0.05", "0.51", "1", "150", "0", "-1", "1.5", "nan", "inf", "1e400", "x", ""]
 _FLAG_VALUES = {
     "--fx-rate": _NUMBER_TEXTS,
@@ -502,7 +571,10 @@ _FLAGS_TAKEN = {
     "plot": set(),
 }
 _SETTINGS = st.fixed_dictionaries(
-    {}, optional={flag: st.sampled_from(values) for flag, values in _FLAG_VALUES.items()}
+    {}, optional={
+        **{flag: st.sampled_from(values) for flag, values in _FLAG_VALUES.items()},
+        cli.ENV_FX: st.sampled_from(_NUMBER_TEXTS),
+    }
 )
 _CONFIG_LINES = st.lists(
     st.one_of(
@@ -524,6 +596,7 @@ class TestFuzz:
     @example([("Club A", 0, 3e306, 1.0), ("Club B", 0, 1.0, 1.0)], {}, [])
     @example([("FC Tokyo", 1, 1.0, 1.0)], {"--stake": "inf", "--fx-rate": "1e400"}, [])
     @example([("Club A", 1, 1.0, 1.0)], {"--max-size": str(10**400)}, ["stake = nan"])
+    @example([("FC Tokyo", 1, 1.0, 1.0)], {cli.ENV_FX: "1e400"}, ["fx_rate = x"])
     def test_every_command_exits_0_or_1(self, rows, flags, config_lines):
         # Every generated CSV, whether parse_club_csv accepts it or not,
         # ends in exit 0 or a ClubValError (exit 1), never an exception;
@@ -531,7 +604,8 @@ class TestFuzz:
         text = CSV_HEADER + "\n" + "".join(
             f"{name},J1,{sns},{rev!r},{pmv!r}\n" for name, sns, rev, pmv in rows
         )
-        with tempfile.TemporaryDirectory() as tmp:
+        env = {cli.ENV_FX: flags.get(cli.ENV_FX, "")}  # an empty variable is unset
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, env):
             club_file = Path(tmp) / "clubs.csv"
             club_file.write_text(text, encoding="utf-8")
             config = Path(tmp) / "settings.conf"
