@@ -36,6 +36,7 @@ from .dataset import (
 from .errors import ClubValError, DomainError, IoError
 from .regression import DesignMatrix, ResponseVector, fit_through_origin
 from .report import (
+    TABLE_FORMATS,
     RenderSpec,
     ScatterSeries,
     emit_scatter,
@@ -65,7 +66,6 @@ from .valuation import (
 ENV_FX = "VALUATE_FX_RATE"
 
 CORE_PREDICTORS = ("sns_followers_m", "revenue_meur", "player_market_value_meur")
-TABLE_FORMATS = ("text", "csv", "md")
 
 # Each setting: its name, the environment variable that may give it, and the
 # library's default for it.
@@ -77,13 +77,19 @@ _SETTINGS = (
 CONFIG_KEYS = tuple(name for name, _, _ in _SETTINGS)
 
 
+def _read_text(path: str, what: str) -> str:
+    """The file's UTF-8 text; a file that cannot be read or decoded is an
+    IoError, "cannot read WHAT: reason"."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoError(f"cannot read {what}: {exc}") from exc
+
+
 def _load_config(path: str | None) -> dict[str, str]:
     if not path:
         return {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot read config {path}: {exc}") from exc
+    text = _read_text(path, f"config {path}")
     config: dict[str, str] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -136,11 +142,7 @@ def _resolve_settings(args: argparse.Namespace) -> RenderSpec:
 
 def _load_records(args: argparse.Namespace) -> list[ClubRecord]:
     if args.input:
-        try:
-            text = Path(args.input).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise IoError(f"cannot read {args.input}: {exc}") from exc
-        records = parse_club_csv(text)
+        records = parse_club_csv(_read_text(args.input, args.input))
         if not records:
             raise DomainError(f"{args.input} contains no club rows")
         return records

@@ -212,10 +212,13 @@ def parse_club_csv(text: str) -> list[ClubRecord]:
     return records
 
 
-def _number_cell(value: float | None) -> str:
+def _cell(value: str | int | float | bool | None) -> str:
+    """A record field as club CSV text, the form parse_club_csv reads back."""
     if value is None:
         return ""
-    return repr(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return value if isinstance(value, str) else repr(value)
 
 
 def club_csv(records: list[ClubRecord]) -> str:
@@ -223,21 +226,8 @@ def club_csv(records: list[ClubRecord]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(_CSV_FIELDS)
-    for r in records:
-        stadium = "" if r.stadium_owned is None else ("true" if r.stadium_owned else "false")
-        writer.writerow(
-            [
-                r.name,
-                r.league,
-                str(r.sns_followers),
-                _number_cell(r.revenue_meur),
-                _number_cell(r.player_market_value_meur),
-                _number_cell(r.broadcasting_meur),
-                _number_cell(r.wage_cost_ratio),
-                _number_cell(r.player_wages_meur),
-                stadium,
-            ]
-        )
+    fields = attrgetter(*_CSV_FIELDS)
+    writer.writerows([_cell(value) for value in fields(r)] for r in records)
     return out.getvalue()
 
 
@@ -291,14 +281,6 @@ def bundled_european_reference() -> list[EuropeanReference]:
 
 def published_fit_statistics() -> dict:
     """Published inference blocks for the two formulae: summary stats
-    plus per-variable (coefficient, standard error, t, p) rows."""
-    return {
-        name: {
-            "multiple_r": block["multiple_r"],
-            "r_squared": block["r_squared"],
-            "adjusted_r_squared": block["adjusted_r_squared"],
-            "standard_error": block["standard_error"],
-            "rows": tuple(block["rows"]),
-        }
-        for name, block in reference_data.PUBLISHED_FIT_STATISTICS.items()
-    }
+    plus per-variable (coefficient, standard error, t, p) rows. Each call
+    returns new dicts; their values are numbers and tuples."""
+    return {name: dict(block) for name, block in reference_data.PUBLISHED_FIT_STATISTICS.items()}

@@ -80,7 +80,8 @@ class TooManyCandidates(ClubValError):
 # --- rendering ---
 
 class IoError(ClubValError):
-    """Writing a rendered document to its output path failed."""
+    """Reading an input or config file, or writing a rendered document to
+    its output path, failed."""
 
 
 class NonPositiveLogInput(ClubValError):

@@ -25,7 +25,8 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .regression import RegressionFit
 
-FORMATS = ("text", "csv", "md", "svg")
+TABLE_FORMATS = ("text", "csv", "md")
+FORMATS = (*TABLE_FORMATS, "svg")
 SCALES = ("linear", "log10")
 
 # Decimal places of each kind of rendered number.
@@ -236,30 +237,17 @@ def render_valuation_table(
                 fmt_fixed(res.ratio_pct, rp) + "%",
             ]
         )
-    rows.append(
-        [
-            "",
-            "Average",
-            fmt_fixed(aggregates.mean_sns, 0),
-            fmt_fixed(aggregates.mean_revenue, ap),
-            fmt_fixed(aggregates.mean_pmv, ap),
-            fmt_fixed(aggregates.mean_fv1, ap),
-            fmt_fixed(aggregates.mean_fv2, ap),
-            fmt_fixed(aggregates.mean_of_ratios_pct, rp) + "%",
-        ]
-    )
-    rows.append(
-        [
-            "",
-            "Median",
-            fmt_fixed(aggregates.median_sns, 0),
-            fmt_fixed(aggregates.median_revenue, ap),
-            fmt_fixed(aggregates.median_pmv, ap),
-            fmt_fixed(aggregates.median_fv1, ap),
-            fmt_fixed(aggregates.median_fv2, ap),
-            fmt_fixed(aggregates.median_of_ratios_pct, rp) + "%",
-        ]
-    )
+    a = aggregates
+    for label, sns, *amounts, ratio in (
+        ("Average", a.mean_sns, a.mean_revenue, a.mean_pmv, a.mean_fv1, a.mean_fv2,
+         a.mean_of_ratios_pct),
+        ("Median", a.median_sns, a.median_revenue, a.median_pmv, a.median_fv1, a.median_fv2,
+         a.median_of_ratios_pct),
+    ):
+        rows.append(
+            ["", label, fmt_fixed(sns, 0), *[fmt_fixed(v, ap) for v in amounts],
+             fmt_fixed(ratio, rp) + "%"]
+        )
 
     note = (
         "Ratio aggregates are the mean and median of the per-club "

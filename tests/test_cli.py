@@ -71,6 +71,23 @@ class TestApply:
         assert code == 0
         assert "161.39" in out
 
+    @pytest.mark.parametrize(
+        "argv, what, data",
+        [
+            (("apply", "--input"), "",
+             (CSV_HEADER + "\nMünchen,J1,1,1.0,1.0\n").encode("latin-1")),
+            (("premiums", "--config"), "config ", b"stake = 0.5\n\xff\n"),
+        ],
+        ids=["input-latin-1", "config-0xff"],
+    )
+    def test_undecodable_file_is_data_error(self, capsys, tmp_path, argv, what, data):
+        path = tmp_path / "file"
+        path.write_bytes(data)
+        code, out, err = _run(capsys, *argv, str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read {what}{path}: ")
+        assert "Traceback" not in err
+
     def test_values_beyond_default_decimal_precision(self, capsys, tmp_path):
         club_file = tmp_path / "clubs.csv"
         club_file.write_text(
@@ -537,7 +554,7 @@ _FOLLOWERS = st.one_of(
 )
 # Three names carry disclosed transaction prices, so premiums has work.
 _NAMES = st.sampled_from(
-    ["FC Tokyo", "FC Machida Zelvia", "Kashima Antlers", "Club A", "Club B"]
+    ["FC Tokyo", "FC Machida Zelvia", "Kashima Antlers", "Club A", "Club B", "München"]
 )
 _ROWS = st.lists(
     st.tuples(_NAMES, _FOLLOWERS, _AMOUNTS, _AMOUNTS), min_size=1, max_size=6
@@ -576,6 +593,9 @@ _SETTINGS = st.fixed_dictionaries(
         cli.ENV_FX: st.sampled_from(_NUMBER_TEXTS),
     }
 )
+# Files are read as UTF-8: a latin-1 file holding München, or any utf-16
+# file, must exit 1.
+_ENCODINGS = st.sampled_from(["utf-8", "utf-8-sig", "latin-1", "utf-16"])
 _CONFIG_LINES = st.lists(
     st.one_of(
         st.builds("fx_rate = {}".format, st.sampled_from(_NUMBER_TEXTS)),
@@ -589,15 +609,21 @@ _CONFIG_LINES = st.lists(
 
 class TestFuzz:
     @settings(max_examples=50, deadline=None)
-    @given(_ROWS, _SETTINGS, _CONFIG_LINES)
-    @example([("Club A", 10**400, 1.0, 1.0)], {}, [])
-    @example([("Club A", 0, 1.7e308, 1.0), ("Club B", 0, 1.7e308, 1.0)], {}, [])
-    @example([("Club A", 0, 2.05e16, 5e16)], {}, [])
-    @example([("Club A", 0, 3e306, 1.0), ("Club B", 0, 1.0, 1.0)], {}, [])
-    @example([("FC Tokyo", 1, 1.0, 1.0)], {"--stake": "inf", "--fx-rate": "1e400"}, [])
-    @example([("Club A", 1, 1.0, 1.0)], {"--max-size": str(10**400)}, ["stake = nan"])
-    @example([("FC Tokyo", 1, 1.0, 1.0)], {cli.ENV_FX: "1e400"}, ["fx_rate = x"])
-    def test_every_command_exits_0_or_1(self, rows, flags, config_lines):
+    @given(_ROWS, _SETTINGS, _CONFIG_LINES, _ENCODINGS, _ENCODINGS)
+    @example([("Club A", 10**400, 1.0, 1.0)], {}, [], "utf-8", "utf-8")
+    @example([("Club A", 0, 1.7e308, 1.0), ("Club B", 0, 1.7e308, 1.0)], {}, [], "utf-8", "utf-8")
+    @example([("Club A", 0, 2.05e16, 5e16)], {}, [], "utf-8", "utf-8")
+    @example([("Club A", 0, 3e306, 1.0), ("Club B", 0, 1.0, 1.0)], {}, [], "utf-8", "utf-8")
+    @example([("FC Tokyo", 1, 1.0, 1.0)], {"--stake": "inf", "--fx-rate": "1e400"}, [],
+             "utf-8", "utf-8")
+    @example([("Club A", 1, 1.0, 1.0)], {"--max-size": str(10**400)}, ["stake = nan"],
+             "utf-8", "utf-8")
+    @example([("FC Tokyo", 1, 1.0, 1.0)], {cli.ENV_FX: "1e400"}, ["fx_rate = x"],
+             "utf-8", "utf-8")
+    @example([("München", 1, 1.0, 1.0)], {}, ["stake = 0.5"], "utf-16", "utf-16")
+    def test_every_command_exits_0_or_1(
+        self, rows, flags, config_lines, club_encoding, config_encoding
+    ):
         # Every generated CSV, whether parse_club_csv accepts it or not,
         # ends in exit 0 or a ClubValError (exit 1), never an exception;
         # a fuzzed setting may also end in a usage error (exit 2).
@@ -607,9 +633,9 @@ class TestFuzz:
         env = {cli.ENV_FX: flags.get(cli.ENV_FX, "")}  # an empty variable is unset
         with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, env):
             club_file = Path(tmp) / "clubs.csv"
-            club_file.write_text(text, encoding="utf-8")
+            club_file.write_text(text, encoding=club_encoding)
             config = Path(tmp) / "settings.conf"
-            config.write_text("\n".join(config_lines), encoding="utf-8")
+            config.write_text("\n".join(config_lines), encoding=config_encoding)
             out = str(Path(tmp) / "out")
             for command in _FUZZED_COMMANDS:
                 fuzzed = [

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from clubval import reference_data
 from clubval.dataset import (
     CSV_HEADER,
     ClubRecord,
@@ -119,9 +120,18 @@ class TestRoundTrip:
                 wage_cost_ratio=1.25,
                 player_wages_meur=3.125,
                 stadium_owned=False,
-            )
+            ),
+            ClubRecord("Owner", "J1", 10**30, 1e-300, 1.7e308, 1e16, 2.0, 0.1, True),
+            ClubRecord("Bare", "", 0, 0.0, 0.0),
+            ClubRecord("Whole", "J2", 7, 5, 3),
         ]
-        assert parse_club_csv(club_csv(records)) == records
+        text = club_csv(records)
+        assert text.splitlines()[2:] == [
+            "Owner,J1,1000000000000000000000000000000,1e-300,1.7e+308,1e+16,2.0,0.1,true",
+            "Bare,,0,0.0,0.0,,,,",
+            "Whole,J2,7,5,3,,,,",
+        ]
+        assert parse_club_csv(text) == records
 
 
 class TestBundles:
@@ -172,6 +182,16 @@ class TestBundles:
         f2 = stats["Formula 2"]
         assert f2["rows"][0][:2] == ("sns_followers_m", 5.7754)
         assert f2["rows"][1][:2] == ("player_market_value_meur", 1.2599)
+
+    def test_published_fit_statistics_are_copies(self):
+        published = repr(reference_data.PUBLISHED_FIT_STATISTICS)
+        first = published_fit_statistics()
+        expected = repr(first)
+        first["Formula 1"]["r_squared"] = 0.0
+        first["Formula 2"].clear()
+        del first["Formula 1"]["rows"]
+        assert repr(published_fit_statistics()) == expected
+        assert repr(reference_data.PUBLISHED_FIT_STATISTICS) == published
 
 
 _PRICED_CASE = TransactionCase("X", TransactionPattern.SHARE_TRANSFER, None, None, 1.0, "")
