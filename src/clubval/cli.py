@@ -89,7 +89,8 @@ def _read_text(path: str, what: str) -> str:
 def _load_config(path: str | None) -> dict[str, str]:
     if not path:
         return {}
-    text = _read_text(path, f"config {path}")
+    # One leading byte order mark is dropped, as parse_club_csv drops it.
+    text = _read_text(path, f"config {path}").removeprefix("\ufeff")
     config: dict[str, str] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

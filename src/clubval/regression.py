@@ -165,16 +165,17 @@ def _fit(
     gram: tuple[np.ndarray, np.ndarray, float],
     idx: list[list[int]],
 ) -> list[RegressionFit | None]:
-    """The m fits on an (m, s) stack idx of ascending column lists, from
-    the Gram triple of the whole design.
+    """The fits on a stack idx of ascending column lists of any sizes,
+    from the Gram triple of the whole design, in idx's order.
 
     This is the one fitting kernel: fit_through_origin is its one-row
-    case, and each size of an exhaustive search and each stepwise step is
-    one call. It returns None for each row it cannot fit: every row when
-    n <= s, and each rank-deficient row. The rows are fitted together:
-    one eigh, one matmul for all fitted values, turned into residuals in
-    place, and one tail call. The fits carry no residuals or fitted
-    values, so no (m, n) array outlives the call.
+    case, each stepwise step is one call, and so is a whole exhaustive
+    search. It returns None for each row it cannot fit: every row of a
+    size s with n <= s, and each rank-deficient row. The rows of one size
+    are fitted together: one eigh, and one matmul for all their fitted
+    values, turned into residuals in place. The t values of all sizes
+    then take one tail call. The fits carry no residuals or fitted
+    values, so no (m, n) array outlives its size.
 
     One eigendecomposition V diag(w) V' of a principal block of X'X
     gives the rank test, (X'X)^-1 and b. Residuals come from X, not
@@ -185,53 +186,77 @@ def _fit(
     xtx, xty, tss_uncentered = gram
     x, ids = design.array, design.variable_ids
     n = len(x)
-    rows = np.asarray(idx)
-    m, k = rows.shape
-    if n <= k:
-        return [None] * m
-    xtx, xty = xtx[rows[:, :, None], rows[:, None, :]], xty[rows]
-    w, v = np.linalg.eigh(xtx)
-    lo, hi = w[:, 0], w[:, -1]
-    ok = (lo > 0.0) & (lo >= RANK_RTOL * hi)
-    if not ok.any():
-        return [None] * m
-    # A row that cannot be fitted solves to b = 0, and so t = 0, with
-    # 1 / w = 0; it is dropped at the end.
-    w[~ok] = np.inf
-    inv_xtx = (v / w[:, None, :]) @ v.swapaxes(-1, -2)
-    beta = (inv_xtx @ xty[:, :, None])[:, :, 0]
-    b_full = np.zeros((m, x.shape[1]))
-    np.put_along_axis(b_full, rows, beta, axis=-1)
-    fitted = b_full @ x.T
-    residuals = np.subtract(response.values, fitted, out=fitted)
-    ssr = (residuals[:, None, :] @ residuals[:, :, None])[:, 0, 0]
-    dof = n - k
-    std_errors = np.sqrt(np.maximum(inv_xtx.diagonal(0, -2, -1) * (ssr / dof)[:, None], 0.0))
-    # A zero standard error makes t +-inf by the sign of b (p = 0), or 0
-    # when b is 0 too (p = 1).
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_stats = beta / std_errors
-    t_stats[(std_errors == 0.0) & (beta == 0.0)] = 0.0
-    p_values = np.array(t_two_sided_p(t_stats.ravel().tolist(), dof)).reshape(t_stats.shape)
+    by_size: dict[int, list[int]] = {}
+    for i, cols in enumerate(idx):
+        by_size.setdefault(len(cols), []).append(i)
+    # Per size with a fitted row: (t, dof, positions in idx, rows, the
+    # fitted rows' indices, beta, standard errors, SSR).
+    blocks = []
+    for k, at in by_size.items():
+        if n <= k:
+            continue
+        rows = np.asarray([idx[i] for i in at])
+        w, v = np.linalg.eigh(xtx[rows[:, :, None], rows[:, None, :]])
+        lo, hi = w[:, 0], w[:, -1]
+        ok = (lo > 0.0) & (lo >= RANK_RTOL * hi)
+        if not ok.any():
+            continue
+        # A row that cannot be fitted solves to b = 0, and so t = 0, with
+        # 1 / w = 0; it is dropped at the end.
+        w[~ok] = np.inf
+        inv_xtx = (v / w[:, None, :]) @ v.swapaxes(-1, -2)
+        beta = (inv_xtx @ xty[rows][:, :, None])[:, :, 0]
+        b_full = np.zeros((len(at), x.shape[1]))
+        np.put_along_axis(b_full, rows, beta, axis=-1)
+        fitted = b_full @ x.T
+        residuals = np.subtract(response.values, fitted, out=fitted)
+        ssr = (residuals[:, None, :] @ residuals[:, :, None])[:, 0, 0]
+        # Freed before the next size forms its block: at most one (m, n)
+        # array at a time.
+        del fitted, residuals
+        dof = n - k
+        std_errors = np.sqrt(np.maximum(inv_xtx.diagonal(0, -2, -1) * (ssr / dof)[:, None], 0.0))
+        # A zero standard error makes t +-inf by the sign of b (p = 0), or 0
+        # when b is 0 too (p = 1).
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_stats = beta / std_errors
+        t_stats[(std_errors == 0.0) & (beta == 0.0)] = 0.0
+        kept = np.flatnonzero(ok).tolist()
+        blocks.append((t_stats, dof, at, rows, kept, beta, std_errors, ssr))
 
-    fits: list[RegressionFit | None] = [None] * m
-    for i in np.flatnonzero(ok).tolist():
-        row_ssr = float(ssr[i])
-        r2 = 1.0 if tss_uncentered == 0.0 else 1.0 - row_ssr / tss_uncentered
-        r2 = min(1.0, max(0.0, r2))
-        fits[i] = RegressionFit(
-            variable_ids=tuple([ids[j] for j in rows[i].tolist()]),
-            coefficients=beta[i],
-            standard_errors=std_errors[i],
-            t_stats=t_stats[i],
-            p_values=p_values[i],
-            r_squared=r2,
-            adjusted_r_squared=1.0 - (1.0 - r2) * n / dof,
-            multiple_r=math.sqrt(r2),
-            standard_error_of_regression=math.sqrt(row_ssr / dof),
-            n_observations=n,
-            dof=dof,
-        )
+    fits: list[RegressionFit | None] = [None] * len(idx)
+    if not blocks:
+        return fits
+    # One tail call for the t values of every size: a lone size passes its
+    # t array and dof, mixed sizes their t arrays joined and one dof per t.
+    # A row that was not fitted has t = 0, and so the cheapest tail, p = 1.
+    if len(blocks) == 1:
+        t_all, dof_all = blocks[0][0].ravel(), blocks[0][1]
+    else:
+        t_all = np.concatenate([t.ravel() for t, *_ in blocks])
+        dof_all = np.repeat([dof for _, dof, *_ in blocks], [t.size for t, *_ in blocks]).tolist()
+    p_all = np.array(t_two_sided_p(t_all, dof_all))
+    start = 0
+    for t_stats, dof, at, rows, kept, beta, std_errors, ssr in blocks:
+        p_values = p_all[start:start + t_stats.size].reshape(t_stats.shape)
+        start += t_stats.size
+        for i in kept:
+            row_ssr = float(ssr[i])
+            r2 = 1.0 if tss_uncentered == 0.0 else 1.0 - row_ssr / tss_uncentered
+            r2 = min(1.0, max(0.0, r2))
+            fits[at[i]] = RegressionFit(
+                variable_ids=tuple([ids[j] for j in rows[i].tolist()]),
+                coefficients=beta[i],
+                standard_errors=std_errors[i],
+                t_stats=t_stats[i],
+                p_values=p_values[i],
+                r_squared=r2,
+                adjusted_r_squared=1.0 - (1.0 - r2) * n / dof,
+                multiple_r=math.sqrt(r2),
+                standard_error_of_regression=math.sqrt(row_ssr / dof),
+                n_observations=n,
+                dof=dof,
+            )
     return fits
 
 

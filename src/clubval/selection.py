@@ -95,7 +95,7 @@ def _rank_key(model: RankedModel) -> tuple:
 
 
 def _ranked(fit: RegressionFit, alpha: float) -> RankedModel:
-    return RankedModel(fit.variable_ids, fit, all(p <= alpha for p in fit.p_values))
+    return RankedModel(fit.variable_ids, fit, float(fit.p_values.max()) <= alpha)
 
 
 def exhaustive_subsets(
@@ -107,11 +107,12 @@ def exhaustive_subsets(
     are recorded as skipped rather than fitted. At most MAX_CANDIDATES
     candidates are searched.
 
-    X'X of all the candidates is formed once, and each size is one call
-    of the kernel whose one-row case is fit_through_origin: one eigh, one
-    matmul against X, one tail call. Subsets of equal span (c0 + c1 and
-    c0 + c2 with c2 = c0 + c1, say) are ordered by rounding. Search fits
-    carry no residuals or fitted values; refit a model for them with
+    X'X of all the candidates is formed once, and the whole search, every
+    size, is one call of the kernel whose one-row case is
+    fit_through_origin: one eigh and one matmul against X per size, and
+    one tail call. Subsets of equal span (c0 + c1 and c0 + c2 with
+    c2 = c0 + c1, say) are ordered by rounding. Search fits carry no
+    residuals or fitted values; refit a model for them with
     fit_through_origin(cands.design_for(ids), cands.response), which on
     all the candidates has the search's bits.
     """
@@ -126,13 +127,16 @@ def exhaustive_subsets(
     gram = _gram(design, response)
     models: list[RankedModel] = []
     skipped: list[tuple[str, ...]] = []
-    for size in range(1, max_size + 1):
-        combos = list(itertools.combinations(range(len(ids)), size))
-        for cols, fit in zip(combos, _fit(design, response, gram, combos)):
-            if fit is None:
-                skipped.append(tuple(ids[j] for j in cols))
-            else:
-                models.append(_ranked(fit, alpha))
+    combos = [
+        cols
+        for size in range(1, max_size + 1)
+        for cols in itertools.combinations(range(len(ids)), size)
+    ]
+    for cols, fit in zip(combos, _fit(design, response, gram, combos)):
+        if fit is None:
+            skipped.append(tuple(ids[j] for j in cols))
+        else:
+            models.append(_ranked(fit, alpha))
     models.sort(key=_rank_key)
     return SelectionReport(ranked_models=tuple(models), skipped=tuple(skipped))
 

@@ -204,6 +204,18 @@ class TestPremiums:
         # Doubling the exchange rate doubles implied values: 304.3% becomes 708.7%.
         assert "708.7" in out_config
 
+    def test_config_byte_order_mark_is_dropped(self, capsys, monkeypatch, tmp_path):
+        # As in the club file: an editor that saves "UTF-8 with BOM" writes
+        # U+FEFF before the first key.
+        monkeypatch.delenv("VALUATE_FX_RATE", raising=False)
+        marked, plain = tmp_path / "marked.conf", tmp_path / "plain.conf"
+        marked.write_bytes(b"\xef\xbb\xbfstake = 0.5\n")
+        plain.write_bytes(b"stake = 0.5\n")
+        code, out, err = _run(capsys, "premiums", "--config", str(marked))
+        assert (code, err) == (0, "")
+        assert out == _run(capsys, "premiums", "--config", str(plain))[1]
+        assert out != _run(capsys, "premiums")[1]
+
     def test_bad_env_value_is_data_error(self, capsys, monkeypatch):
         # inf and nan parse as floats, and the error still names their source.
         for value in ("not-a-number", "inf", "nan", "-1"):

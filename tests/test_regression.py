@@ -208,6 +208,70 @@ class TestFitThroughOrigin:
         assert len(calls) == 1
 
 
+class TestMixedSizeStack:
+    """The kernel on a stack of column lists of several sizes at once."""
+
+    FIELDS = ("coefficients", "standard_errors", "t_stats", "p_values")
+
+    @pytest.mark.parametrize("n", [9, 60])
+    def test_one_tail_call_and_each_size_as_its_own_stack(self, monkeypatch, n):
+        # 10 columns with c2 = c0 + c1, rows of sizes 1 to 10 in a shuffled
+        # order. At n = 9 sizes 9 and 10 have n <= s.
+        rng = np.random.default_rng(n)
+        x, y = _random_dataset(rng, n, 10)
+        x[:, 2] = x[:, 0] + x[:, 1]
+        design = DesignMatrix(tuple(f"c{j}" for j in range(10)), x)
+        response = ResponseVector("y", y)
+        gram = regression._gram(design, response)
+        rows = [sorted(rng.choice(10, size, replace=False).tolist())
+                for size in range(1, 11) for _ in range(3)]
+        rows += [[0, 1, 2], [0, 1, 2, 5]]
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+        calls = []
+        tail = regression.t_two_sided_p
+        monkeypatch.setattr(
+            regression, "t_two_sided_p", lambda t, dof: calls.append(dof) or tail(t, dof)
+        )
+        got = regression._fit(design, response, gram, rows)
+        assert len(calls) == 1 and len(got) == len(rows)
+        alone = {}
+        for size in range(1, 11):
+            stack = [row for row in rows if len(row) == size]
+            alone.update(zip(map(tuple, stack), regression._fit(design, response, gram, stack)))
+        for row, fit in zip(rows, got):
+            if len(row) >= n or {0, 1, 2} <= set(row):
+                assert fit is None
+                continue
+            # Bit for bit the row of its size's stack: the same numpy work.
+            want = alone[tuple(row)]
+            assert fit.variable_ids == tuple(f"c{j}" for j in row)
+            assert fit.dof == n - len(row)
+            for name in self.FIELDS:
+                assert getattr(fit, name).tobytes() == getattr(want, name).tobytes(), name
+            assert (fit.adjusted_r_squared, fit.standard_error_of_regression) == (
+                want.adjusted_r_squared, want.standard_error_of_regression)
+            # And the one-row stack within the kernel's tolerances: a stack
+            # of other rows may round the matmul differently.
+            one = regression._fit(design, response, gram, [row])[0]
+            np.testing.assert_allclose(fit.p_values, one.p_values, rtol=0.0, atol=1e-10)
+            scale = np.abs(one.coefficients).max()
+            np.testing.assert_allclose(
+                fit.coefficients, one.coefficients, rtol=0.0, atol=1e-9 * scale
+            )
+            np.testing.assert_allclose(fit.standard_errors, one.standard_errors, rtol=1e-9)
+
+    def test_unfittable_stack_makes_no_tail_call(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        x, y = _random_dataset(rng, 3, 4)
+        x[:, 1] = x[:, 0]
+        design = DesignMatrix(("a", "b", "c", "d"), x)
+        response = ResponseVector("y", y)
+        monkeypatch.setattr(regression, "t_two_sided_p", None)
+        rows = [[0, 1], [0, 1, 2], [0, 1, 2, 3], [0, 1]]
+        gram = regression._gram(design, response)
+        assert regression._fit(design, response, gram, rows) == [None] * 4
+
+
 class TestOracleSweep:
     def test_small_datasets_match_textbook_oracle(self):
         rng = np.random.default_rng(2024)

@@ -153,6 +153,84 @@ class TestTTwoSidedP:
         assert not array.called
         assert [p.hex() for p in wide] == [t_two_sided_p(t, 35).hex() for t in ts]
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    st.floats(allow_nan=False),
+                    st.sampled_from(
+                        [0.0, -0.0, 5e-324, 1e-8, 0.9, -1.7, 1e154, -1e300, math.inf, -math.inf]
+                    ),
+                ),
+                st.one_of(st.integers(1, 10**12), st.sampled_from([1, 2, 55, 56, 10**12])),
+            ),
+            max_size=40,
+        ),
+        st.lists(st.integers(1, 10**12) | st.sampled_from([1, 51, 59]), min_size=1, max_size=4),
+        st.sampled_from(["narrow", "padded", "ramp"]),
+    )
+    def test_per_value_dof_matches_scalar_calls(self, pairs, ramp_dofs, width):
+        # One dof per t, as a list and as an ndarray. "padded" makes a wide
+        # call whose few fractions take the scalar loop; "ramp" adds
+        # _ARRAY_MIN values about sqrt(dof) over six decades, which take the
+        # array form.
+        ts, dofs = [t for t, _ in pairs], [dof for _, dof in pairs]
+        if width == "padded":
+            ts, dofs = ts + [0.0, math.inf] * (_ARRAY_MIN // 2), dofs + [7, 8] * (_ARRAY_MIN // 2)
+        elif width == "ramp":
+            for i in range(_ARRAY_MIN):
+                dof = ramp_dofs[i % len(ramp_dofs)]
+                ts.append((-1) ** i * math.sqrt(dof) * 10.0 ** (6.0 * i / _ARRAY_MIN - 3.0))
+                dofs.append(dof)
+        want = [t_two_sided_p(t, dof).hex() for t, dof in zip(ts, dofs)]
+        with (
+            mock.patch.object(special, "_beta_cf_array", wraps=_beta_cf_array) as array,
+            mock.patch.object(special, "_p_columns", wraps=special._p_columns) as columns,
+        ):
+            for form in (list, np.array):
+                got = t_two_sided_p(form(ts), dofs)
+                assert isinstance(got, list)
+                assert [p.hex() for p in got] == want
+        assert columns.call_count == (width != "narrow")
+        assert array.call_count == 2 * (width == "ramp")
+
+    def test_dof_sequence_forms(self):
+        # One repeated dof gives that dof's bits in either form, and any
+        # iterable of dofs is taken, an iterator too.
+        ts = np.linspace(-6.0, 6.0, 2 * _ARRAY_MIN + 1)
+        want = t_two_sided_p(ts.tolist(), 55)
+        for t in (ts, ts.tolist()):
+            assert t_two_sided_p(t, [55] * len(ts)) == want
+            assert t_two_sided_p(t, 55) == want
+        ts = [1.0, 2.0, 3.0]
+        want = [t_two_sided_p(t, dof) for t, dof in zip(ts, (5, 6, 5))]
+        assert t_two_sided_p(ts, iter([5, 6, 5])) == want
+
+    def test_rejects_malformed_dof_sequence(self):
+        for ts, dofs in (
+            ([1.0, 2.0], [5]),
+            ([1.0], [5, 5]),
+            ([], [5]),
+            (np.ones(_ARRAY_MIN), [5] * (_ARRAY_MIN + 1)),
+        ):
+            with pytest.raises(DomainError, match="degrees of freedom given for"):
+                t_two_sided_p(ts, dofs)
+        # Text is one dof, not a sequence of characters or bytes.
+        for dof in ("5", b"5", bytearray(b"5")):
+            with pytest.raises(DomainError, match="degrees of freedom must be an integer"):
+                t_two_sided_p([1.0], dof)
+
+    @pytest.mark.parametrize("bad", [True, False, 0, -3, 10**12 + 1, 2.5, math.nan, None])
+    def test_rejects_bad_dof_in_sequence(self, bad):
+        # Beside equal plain ints too: True must not pass as the 1 beside it.
+        for ts in ([1.0, 2.0, 3.0], np.linspace(0.1, 5.0, _ARRAY_MIN)):
+            for fill in (1, 5):
+                dofs = [fill] * len(ts)
+                dofs[1] = bad
+                with pytest.raises(DomainError, match="degrees of freedom"):
+                    t_two_sided_p(ts, dofs)
+
     def test_numpy_loads_only_for_the_array_form(self):
         # A fresh interpreter, since this test process has loaded numpy already.
         script = (
