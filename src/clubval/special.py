@@ -7,15 +7,10 @@ continued fraction on whichever side of the branch point converges fast.
 call may give one dof for all its t values or one dof per t; each
 distinct dof is judged, and its constants formed, once.
 
-The fraction has two forms with the same bits. A call with fewer than
-_ARRAY_MIN (128) values that need it runs the scalar loop once per value;
-a larger one, such as a stacked fit's, runs them all at once as numpy
-columns, each stopping at the step where the scalar loop would. Both do
-the same IEEE operations in the same order, and numpy's +, -, * and / round
-as Python's floats do. So, likewise, do the two forms of the work around
-the fraction: an ndarray of t values as wide as _ARRAY_MIN forms t^2, x,
-y, the branch and the front's argument a ln x + ln(y) / 2 - ln B as
-columns; any other call forms them per value. Every log1p, log and exp
+A call of fewer than _ARRAY_MIN (128) t values runs value by value
+without numpy, and a wider one runs as numpy columns. Both do the same
+IEEE operations in the same order, and numpy's +, -, * and / round as
+Python's floats do, so both give the same bits. Every log1p, log and exp
 is libm's, through math, in both: numpy's vectorized exp and log matched
 libm's in only 4,606 of 5,000 fronts at dof 55.
 """
@@ -23,7 +18,7 @@ libm's in only 4,606 of 5,000 fronts at dof 55.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from ._record import count
 from .errors import DomainError
@@ -89,18 +84,19 @@ def _beta_cf(a: float, b: float, x: float) -> float:
 
 def _beta_cf_array(a: Sequence[float], b: Sequence[float], x: Sequence[float]) -> np.ndarray:
     """_beta_cf of each (a, b, x), run as numpy columns: the scalar loop's
-    IEEE operations in its order, so the same bits. An element that meets
-    the scalar loop's stopping test writes its h out and is dropped from
-    the columns; one that never does is named as the scalar loop names it.
-    Each step writes into columns made once, as numpy's temporaries would
-    take and free a dozen arrays per step.
+    IEEE operations in its order, so the same bits. Every column runs to
+    the last step; a pending mask holds the values that have not yet met
+    the scalar loop's stopping test, and each writes its h out at the step
+    where it first does. One that never does is named as the scalar loop
+    names it. Each step writes into columns made once, as numpy's
+    temporaries would take and free a dozen arrays per step.
     """
     import numpy as np
 
     tiny, eps = _CF_TINY, _CF_EPS
     a, b, x = (np.asarray(v, dtype=float) for v in (a, b, x))
     out = np.empty_like(x)
-    at = np.arange(len(x))
+    pending = np.ones(len(x), dtype=bool)
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
@@ -131,42 +127,34 @@ def _beta_cf_array(a: Sequence[float], b: Sequence[float], x: Sequence[float]) -
             np.copyto(c, tiny, where=np.less(np.abs(c, out=num), tiny, out=small))
             np.divide(1.0, d, out=d)
             h *= np.multiply(d, c, out=delta)
+        # The pending values that meet the stopping test at this step.
         done = np.less(np.abs(np.subtract(delta, 1.0, out=num), out=num), eps, out=small)
-        if done.any():
-            out[at[done]] = h[done]
-            live = ~done
-            if not live.any():
-                return out
-            a, b, x, qab, qap, qam, c, d, h, at = (
-                v[live] for v in (a, b, x, qab, qap, qam, c, d, h, at)
-            )
-            am2, even, odd, num, den, delta, small = (
-                v[: len(at)] for v in (am2, even, odd, num, den, delta, small)
-            )
-    # at stays ascending, so its head is the first value that never stopped.
-    raise _not_converged(float(a[0]), float(b[0]), float(x[0]))
+        np.copyto(out, h, where=np.logical_and(done, pending, out=done))
+        pending ^= done
+        if not pending.any():
+            return out
+    i = int(pending.argmax())  # the first value that never stopped
+    raise _not_converged(float(a[i]), float(b[i]), float(x[i]))
 
 
 def _judged_dofs(
-    dof: int | Sequence[int], width: int
+    dof: int | Iterable[int], width: int
 ) -> tuple[list[int], dict[int, tuple[float, float, float]]]:
     """The dof of each t of a call of width values, from one dof for all or
     one per t, and (a, ln B(a, 1/2), branch point) of each distinct dof, at
     a = dof / 2. Each distinct dof is judged once."""
-    if isinstance(dof, (int, str, bytes, bytearray)):
-        # One dof for every t; count refuses a bool or text.
+    # One dof per t comes as an iterable; text, a number or a 0-d array is
+    # one dof for every t, which count refuses unless it is an int.
+    if isinstance(dof, (str, bytes, bytearray)) or not isinstance(dof, Iterable) or (
+            getattr(dof, "ndim", 1) == 0):
         distinct, dofs = (dof,), [dof] * width
     else:
-        try:
-            dofs = list(dof)
-        except TypeError:  # one dof, which count refuses
-            distinct, dofs = (dof,), [dof] * width
-        else:
-            if len(dofs) != width:
-                raise DomainError(f"{len(dofs)} degrees of freedom given for {width} t statistics")
-            # Plain ints are judged once per distinct value; anything else
-            # one by one, so that True does not pass as 1.
-            distinct = set(dofs) if set(map(type, dofs)) <= {int} else dofs
+        dofs = list(dof)
+        if len(dofs) != width:
+            raise DomainError(f"{len(dofs)} degrees of freedom given for {width} t statistics")
+        # Plain ints are judged once per distinct value; anything else
+        # one by one, so that True does not pass as 1.
+        distinct = set(dofs) if set(map(type, dofs)) <= {int} else dofs
     for d in distinct:
         count(d, None, "degrees of freedom", 1, 10**12)
     constants = {}
@@ -180,14 +168,12 @@ def _judged_dofs(
     return dofs, constants
 
 
-def _p_columns(t: np.ndarray, dofs: list[int], constants: dict) -> list[float]:
-    """t_two_sided_p of an ndarray t, with its per-value work as numpy
-    columns; each log1p, log and exp is math's, mapped over a list."""
+def _p_columns(t: list[float], dofs: list[int], constants: dict) -> list[float]:
+    """t_two_sided_p's per-value loop over the values |t| as numpy columns;
+    each log1p, log and exp is math's, mapped over a list."""
     import numpy as np
 
-    t = np.asarray(t, dtype=float)
-    if np.isnan(t).any():
-        raise DomainError("t statistic is NaN")
+    t = np.fromiter(t, float, len(t))
     # One row per distinct dof, spread out to one column per t.
     distinct, at = np.unique(np.asarray(dofs), return_inverse=True)
     d, a, ln_beta, split = np.array([(k, *constants[k]) for k in distinct.tolist()]).T[:, at]
@@ -201,6 +187,8 @@ def _p_columns(t: np.ndarray, dofs: list[int], constants: dict) -> list[float]:
     huge = tt == math.inf
     x[huge], y[huge] = 0.0, 1.0
     live = np.flatnonzero((x > 0.0) & (y > 0.0))
+    if not len(live):
+        return x.tolist()
     x_live, y_live = x[live], y[live]
     a, ln_beta, split = a[live], ln_beta[live], split[live]
     near = y_live < 0.5
@@ -211,53 +199,49 @@ def _p_columns(t: np.ndarray, dofs: list[int], constants: dict) -> list[float]:
     argument = a * ln_x + 0.5 * ln_y - ln_beta
     front = np.fromiter(map(math.exp, argument.tolist()), float, len(live))
     lower = x_live < split
-    sides = np.where(lower, a, 0.5), np.where(lower, 0.5, a), np.where(lower, x_live, y_live)
-    if len(live) >= _ARRAY_MIN:
-        cf = _beta_cf_array(*sides)
-    else:
-        cf = np.array(list(map(_beta_cf, *(side.tolist() for side in sides))))
-    front *= cf
+    front *= _beta_cf_array(
+        np.where(lower, a, 0.5), np.where(lower, 0.5, a), np.where(lower, x_live, y_live)
+    )
     x[live] = np.where(lower, front / a, 1.0 - front / 0.5)
     return x.tolist()
 
 
 def t_two_sided_p(
-    t: float | Sequence[float], dof: int | Sequence[int]
+    t: float | Sequence[float], dof: int | Iterable[int]
 ) -> float | list[float]:
     """Two-sided tail probability P(|T| >= |t|) of Student's t with dof degrees of freedom.
 
     Computed as I_x(dof/2, 1/2) at x = dof / (dof + t^2). Degenerate fits
-    produce t = +-inf, for which the tail is exactly 0; a NaN t is rejected.
-    t may also be a sequence of floats, which gives a list of p-values in
-    the same order. dof is then one int for all of them or a sequence of
-    one int per t; the per-dof work is done once per distinct dof.
-    When 128 (_ARRAY_MIN) or more values need the continued fraction, it
-    runs as numpy columns, with the same bits as the per-value calls; only
-    then is numpy imported. Fewer run the scalar loop, which is faster
-    below that. An ndarray t of 128 or more values also forms x, y and the
-    front factor's argument as numpy columns, with the same bits; any other
-    t forms them per value, without numpy. The front's log and exp are
-    math's in every form, since numpy's do not always round as libm's do.
+    produce t = +-inf, for which the tail is exactly 0; a NaN t is rejected,
+    as is a t that is not a real number in the float range.
+    t may also be a list or a 1-D ndarray of numbers, which gives a list of
+    p-values in the same order. dof is then one int for all of them or an
+    iterable of one int per t; the per-dof work is done once per distinct dof.
+    A call of 128 (_ARRAY_MIN) or more t values runs as numpy columns, and
+    a narrower one value by value without numpy, with the same bits.
     The relative error grows with dof as the lgamma terms of ln B(dof/2, 1/2)
     cancel and the fraction converges slowly beside the branch point: about
     1e-13 at dof 1e3, 7e-10 at 1e6, 7e-7 at 1e9 and 5e-5 at 1e12.
     dof may be at most 1e12, more than any fit reaches: past it the tail
     drifts further.
     """
-    if getattr(t, "ndim", None) == 1 and len(t) >= _ARRAY_MIN:
-        return _p_columns(t, *_judged_dofs(dof, len(t)))
-    try:
-        # An ndarray gives Python floats, whose overflow raises no warning.
-        ts = list(t.tolist() if hasattr(t, "tolist") else t)
-    except TypeError:  # a float, or a 0-d array
-        return t_two_sided_p([t], dof)[0]
+    # An ndarray gives Python numbers, nested lists past one dimension.
+    ts = t.tolist() if hasattr(t, "tolist") else t
+    if not isinstance(ts, list):  # one number, or a 0-d array
+        return t_two_sided_p([ts], dof)[0]
     dofs, constants = _judged_dofs(dof, len(ts))
-    # Each value that needs the fraction keeps (index, front, branch, a) and
-    # its fraction's (a, b, x); the fractions run after the loop.
-    p, live, sides = [], [], []
+    try:
+        # p depends on |t| alone; fabs takes only a real number in the float range.
+        ts = list(map(math.fabs, ts))
+    except (TypeError, OverflowError) as e:
+        raise DomainError(f"t statistic is not a real number in the float range: {e}") from None
+    # No |t| is below 0, so the sum is NaN only if some t is NaN.
+    if math.isnan(sum(ts)):
+        raise DomainError("t statistic is NaN")
+    if len(ts) >= _ARRAY_MIN:
+        return _p_columns(ts, dofs, constants)
+    p = []
     for v, d in zip(ts, dofs):
-        if math.isnan(v):
-            raise DomainError("t statistic is NaN")
         a, ln_beta, split = constants[d]
         tt = v * v
         # y is 1 - x without the subtraction, which would lose a tiny t.
@@ -267,14 +251,9 @@ def t_two_sided_p(
         if x > 0.0 and y > 0.0:
             ln_x = math.log1p(-y) if y < 0.5 else math.log(x)
             front = math.exp(a * ln_x + 0.5 * math.log(y) - ln_beta)
-            lower = x < split
-            live.append((len(p), front, lower, a))
-            sides.append((a, 0.5, x) if lower else (0.5, a, y))
+            if x < split:
+                x = front * _beta_cf(a, 0.5, x) / a
+            else:
+                x = 1.0 - front * _beta_cf(0.5, a, y) / 0.5
         p.append(x)
-    if len(sides) >= _ARRAY_MIN:
-        cfs = _beta_cf_array(*zip(*sides)).tolist()
-    else:
-        cfs = [_beta_cf(*side) for side in sides]
-    for (i, front, lower, a), cf in zip(live, cfs):
-        p[i] = front * cf / a if lower else 1.0 - front * cf / 0.5
     return p

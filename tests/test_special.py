@@ -97,6 +97,16 @@ class TestTTwoSidedP:
             with pytest.raises(DomainError, match="NaN"):
                 t_two_sided_p(t, 5)
 
+    @pytest.mark.parametrize("width", [1, 3, _ARRAY_MIN + 2])
+    def test_rejects_malformed_t(self, width):
+        # Text, None, rows of a 2-D array, an int past the float range and
+        # complex values: alone, in a narrow call and in a wide one.
+        bad = [["2"] * width, [1.0] * (width - 1) + [None], np.ones((width, 2)),
+               [10**400] * width, np.ones(width, dtype=complex)]
+        for t in bad + (["2", None, 10**400, 1j, np.complex128(2.0)] if width == 1 else []):
+            with pytest.raises(DomainError, match="not a real number in the float range"):
+                t_two_sided_p(t, 5)
+
     def test_zero_d_array_is_a_scalar(self):
         for t in (0.0, 2.0, math.inf):
             p = t_two_sided_p(np.array(t), 5)
@@ -146,12 +156,20 @@ class TestTTwoSidedP:
         assert array.call_count == 1
         assert [p.hex() for p in wide] == [t_two_sided_p(t, dof).hex() for t in ts]
 
-    def test_wide_call_of_few_fractions_keeps_the_scalar_loop(self):
+    def test_wide_call_of_few_fractions_runs_the_array_form(self):
         ts = [0.0, math.inf] * _ARRAY_MIN + [2.0, -3.5, 1e-3]
+        with mock.patch.object(special, "_beta_cf_array", wraps=_beta_cf_array) as array:
+            wide = t_two_sided_p(ts, 35)
+        assert array.call_count == 1
+        assert [p.hex() for p in wide] == [t_two_sided_p(t, 35).hex() for t in ts]
+
+    def test_wide_call_without_fractions_never_runs_the_array_fraction(self):
+        # p is 1 at t = 0 and 0 at t = +-inf, with no fraction to run.
+        ts = [0.0, math.inf, -math.inf] * _ARRAY_MIN
         with mock.patch.object(special, "_beta_cf_array") as array:
             wide = t_two_sided_p(ts, 35)
         assert not array.called
-        assert [p.hex() for p in wide] == [t_two_sided_p(t, 35).hex() for t in ts]
+        assert wide == [1.0, 0.0, 0.0] * _ARRAY_MIN
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -168,18 +186,18 @@ class TestTTwoSidedP:
             max_size=40,
         ),
         st.lists(st.integers(1, 10**12) | st.sampled_from([1, 51, 59]), min_size=1, max_size=4),
-        st.sampled_from(["narrow", "padded", "ramp"]),
+        st.sampled_from(["narrow", "padded", "ramp", _ARRAY_MIN - 1, _ARRAY_MIN]),
     )
     def test_per_value_dof_matches_scalar_calls(self, pairs, ramp_dofs, width):
         # One dof per t, as a list and as an ndarray. "padded" makes a wide
-        # call whose few fractions take the scalar loop; "ramp" adds
-        # _ARRAY_MIN values about sqrt(dof) over six decades, which take the
-        # array form.
+        # call with few fractions; "ramp" adds _ARRAY_MIN values about
+        # sqrt(dof) over six decades, which all need the fraction, and a
+        # number fills the call up to that many values with them.
         ts, dofs = [t for t, _ in pairs], [dof for _, dof in pairs]
         if width == "padded":
             ts, dofs = ts + [0.0, math.inf] * (_ARRAY_MIN // 2), dofs + [7, 8] * (_ARRAY_MIN // 2)
-        elif width == "ramp":
-            for i in range(_ARRAY_MIN):
+        elif width != "narrow":
+            for i in range(_ARRAY_MIN if width == "ramp" else width - len(ts)):
                 dof = ramp_dofs[i % len(ramp_dofs)]
                 ts.append((-1) ** i * math.sqrt(dof) * 10.0 ** (6.0 * i / _ARRAY_MIN - 3.0))
                 dofs.append(dof)
@@ -192,8 +210,11 @@ class TestTTwoSidedP:
                 got = t_two_sided_p(form(ts), dofs)
                 assert isinstance(got, list)
                 assert [p.hex() for p in got] == want
-        assert columns.call_count == (width != "narrow")
-        assert array.call_count == 2 * (width == "ramp")
+        assert columns.call_count == 2 * (len(ts) >= _ARRAY_MIN)
+        # The array fraction runs only within the column form.
+        assert array.call_count <= columns.call_count
+        if width == "ramp":
+            assert array.call_count == 2
 
     def test_dof_sequence_forms(self):
         # One repeated dof gives that dof's bits in either form, and any
@@ -237,9 +258,9 @@ class TestTTwoSidedP:
             "import sys\n"
             "from clubval.special import _ARRAY_MIN, t_two_sided_p\n"
             "t_two_sided_p(2.0, 5)\n"
-            "t_two_sided_p([2.0] * (_ARRAY_MIN - 1) + [0.0] * 9, 5)\n"
+            "t_two_sided_p([2.0] * (_ARRAY_MIN - 1), 5)\n"
             "print('numpy' in sys.modules)\n"
-            "t_two_sided_p([2.0] * _ARRAY_MIN, 5)\n"
+            "t_two_sided_p([0.0] * _ARRAY_MIN, 5)\n"
             "print('numpy' in sys.modules)\n"
         )
         src = str(Path(special.__file__).resolve().parents[1])
