@@ -9,6 +9,7 @@ without the usual n - 1 numerator.
 from __future__ import annotations
 
 import math
+import sys
 
 from ._record import one_line, record, refuse
 from .errors import (
@@ -26,6 +27,7 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 
+# Rank test: the least smallest over largest eigenvalue of a column-scaled X'X block.
 RANK_RTOL = 1e-12
 
 
@@ -107,7 +109,7 @@ class RegressionFit:
     Coefficient-aligned arrays (coefficients, standard_errors, t_stats,
     p_values) share the order of variable_ids. Every reported statistic
     uses the uncentered convention. Every fit comes from one kernel,
-    _fit. fit_through_origin, its one-row case, adds residuals and
+    _fitter's. fit_through_origin, its one-row case, adds residuals and
     fitted; they are None on every other fit, which is every fit a
     subset search returns, from either strategy. fit_through_origin on
     the chosen columns gives them.
@@ -129,163 +131,162 @@ class RegressionFit:
     _unprinted = ("residuals", "fitted")
 
 
-def _gram(
-    design: DesignMatrix, response: ResponseVector
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """X'X, X'y and y'y, or DomainError naming the input that is not finite."""
+def _fitter(design: DesignMatrix, response: ResponseVector):
+    """The function that fits stacks of this design's column lists.
+
+    The data is judged once, here: X'X, X'y and y'y must be finite, and
+    each column's and y's sum of squares zero or at least the smallest
+    normal float, or a DomainError names the input. Each column, and y,
+    is then scaled by a power of two, exactly, to a norm in [0.5, 1), so
+    the rank test is the same in any units (van der Sluis 1969) and no
+    residual sum underflows or overflows.
+
+    The function takes a stack idx of ascending column lists of any
+    sizes and returns their fits in idx's order, None for each row it
+    cannot fit: every row of a size s with n <= s, and each
+    rank-deficient row. It is the one fitting kernel: fit_through_origin
+    is its one-row case, each stepwise step is one call, and so is a
+    whole exhaustive search. Per size, one eigh of the principal blocks
+    G of the scaled X'X gives the rank test, G^-1 and b, and one matmul
+    against X the fitted values, turned into residuals in place (not
+    y'y - b'X'y, which cancels when R^2 is near 1). The t values of all
+    sizes then take one tail call. The fits carry no residuals or fitted
+    values, so no (m, n) array outlives its size.
+    """
     import numpy as np
 
-    x = design.array
-    y = response.values
-    ids = design.variable_ids
+    x, y, ids = design.array, response.values, design.variable_ids
     # Overflow and NaN are reported below as a DomainError naming the
     # input, so numpy's RuntimeWarnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         xtx = x.T @ x
         xty = x.T @ y
-        tss_uncentered = float(y @ y)
-    if not (
-        np.isfinite(xtx).all()
-        and np.isfinite(xty).all()
-        and math.isfinite(tss_uncentered)
+        tss = float(y @ y)
+    sq = np.diag(xtx)
+    columns = list(zip(ids, sq.tolist(), x.T))
+    for words, bad, bad_y in (
+        ("non-finite value or overflow", [vid for vid, v, _ in columns if not math.isfinite(v)],
+         not (np.isfinite(xtx).all() and np.isfinite(xty).all() and math.isfinite(tss))),
+        # A zero column is left to the rank test.
+        ("sum of squares below the smallest normal float",
+         [vid for vid, v, col in columns if v < sys.float_info.min and col.any()],
+         tss < sys.float_info.min and y.any()),
     ):
-        bad = [vid for vid, d in zip(ids, np.diag(xtx)) if not math.isfinite(d)]
-        what = (
-            f"predictor(s) {', '.join(bad)}"
-            if bad
-            else f"response {response.variable_id}"
-        )
-        raise DomainError(f"non-finite value or overflow in {what}")
-    return xtx, xty, tss_uncentered
-
-
-def _fit(
-    design: DesignMatrix,
-    response: ResponseVector,
-    gram: tuple[np.ndarray, np.ndarray, float],
-    idx: list[list[int]],
-) -> list[RegressionFit | None]:
-    """The fits on a stack idx of ascending column lists of any sizes,
-    from the Gram triple of the whole design, in idx's order.
-
-    This is the one fitting kernel: fit_through_origin is its one-row
-    case, each stepwise step is one call, and so is a whole exhaustive
-    search. It returns None for each row it cannot fit: every row of a
-    size s with n <= s, and each rank-deficient row. The rows of one size
-    are fitted together: one eigh, and one matmul for all their fitted
-    values, turned into residuals in place. The t values of all sizes
-    then take one tail call. The fits carry no residuals or fitted
-    values, so no (m, n) array outlives its size.
-
-    One eigendecomposition V diag(w) V' of a principal block of X'X
-    gives the rank test, (X'X)^-1 and b. Residuals come from X, not
-    y'y - b'X'y, which cancels when R^2 is near 1.
-    """
-    import numpy as np
-
-    xtx, xty, tss_uncentered = gram
-    x, ids = design.array, design.variable_ids
+        if bad or bad_y:
+            what = f"predictor(s) {', '.join(bad)}" if bad else f"response {response.variable_id}"
+            raise DomainError(f"{words} in {what}")
     n = len(x)
-    by_size: dict[int, list[int]] = {}
-    for i, cols in enumerate(idx):
-        by_size.setdefault(len(cols), []).append(i)
-    # Per size with a fitted row: (t, dof, positions in idx, rows, the
-    # fitted rows' indices, beta, standard errors, SSR).
-    blocks = []
-    for k, at in by_size.items():
-        if n <= k:
-            continue
-        rows = np.asarray([idx[i] for i in at])
-        w, v = np.linalg.eigh(xtx[rows[:, :, None], rows[:, None, :]])
-        lo, hi = w[:, 0], w[:, -1]
-        ok = (lo > 0.0) & (lo >= RANK_RTOL * hi)
-        if not ok.any():
-            continue
-        # A row that cannot be fitted solves to b = 0, and so t = 0, with
-        # 1 / w = 0; it is dropped at the end.
-        w[~ok] = np.inf
-        inv_xtx = (v / w[:, None, :]) @ v.swapaxes(-1, -2)
-        beta = (inv_xtx @ xty[rows][:, :, None])[:, :, 0]
-        b_full = np.zeros((len(at), x.shape[1]))
-        np.put_along_axis(b_full, rows, beta, axis=-1)
-        fitted = b_full @ x.T
-        residuals = np.subtract(response.values, fitted, out=fitted)
-        ssr = (residuals[:, None, :] @ residuals[:, :, None])[:, 0, 0]
-        # Freed before the next size forms its block: at most one (m, n)
-        # array at a time.
-        del fitted, residuals
-        dof = n - k
-        std_errors = np.sqrt(np.maximum(inv_xtx.diagonal(0, -2, -1) * (ssr / dof)[:, None], 0.0))
-        # A zero standard error makes t +-inf by the sign of b (p = 0), or 0
-        # when b is 0 too (p = 1).
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_stats = beta / std_errors
-        t_stats[(std_errors == 0.0) & (beta == 0.0)] = 0.0
-        kept = np.flatnonzero(ok).tolist()
-        blocks.append((t_stats, dof, at, rows, kept, beta, std_errors, ssr))
+    # d_i x_i'x_j d_j, never d_i d_j, which overflows for tiny data.
+    d = np.ldexp(1.0, -np.frexp(np.sqrt(sq))[1])
+    s = math.ldexp(1.0, -math.frexp(math.sqrt(tss))[1])
+    gram, gram_y = xtx * d[:, None] * d, xty * d * s
+    ys, tss = y * s, tss * s * s
 
-    fits: list[RegressionFit | None] = [None] * len(idx)
-    if not blocks:
+    def fit(idx: list[list[int]]) -> list[RegressionFit | None]:
+        by_size: dict[int, list[int]] = {}
+        for i, cols in enumerate(idx):
+            by_size.setdefault(len(cols), []).append(i)
+        # Per size with a fitted row: (t, dof, positions in idx, rows, the
+        # fitted rows' indices, beta, standard errors, SSR).
+        blocks = []
+        for k, at in by_size.items():
+            if n <= k:
+                continue
+            rows = np.asarray([idx[i] for i in at])
+            w, v = np.linalg.eigh(gram[rows[:, :, None], rows[:, None, :]])
+            lo, hi = w[:, 0], w[:, -1]
+            ok = (lo > 0.0) & (lo >= RANK_RTOL * hi)
+            if not ok.any():
+                continue
+            # A row that cannot be fitted solves to b = 0, and so t = 0, with
+            # 1 / w = 0; it is dropped at the end.
+            w[~ok] = np.inf
+            inv = (v / w[:, None, :]) @ v.swapaxes(-1, -2)
+            # b and its standard errors in the columns' units, with y still scaled.
+            d_rows = d[rows]
+            beta = d_rows * (inv @ gram_y[rows][:, :, None])[:, :, 0]
+            b_full = np.zeros((len(at), x.shape[1]))
+            np.put_along_axis(b_full, rows, beta, axis=-1)
+            fitted = b_full @ x.T
+            residuals = np.subtract(ys, fitted, out=fitted)
+            ssr = (residuals[:, None, :] @ residuals[:, :, None])[:, 0, 0]
+            # Freed before the next size forms its block: at most one (m, n)
+            # array at a time.
+            del fitted, residuals
+            dof = n - k
+            std_errors = d_rows * np.sqrt(np.maximum(inv.diagonal(0, -2, -1) * (ssr / dof)[:, None], 0.0))
+            # A zero standard error makes t +-inf by the sign of b (p = 0), or 0
+            # when b is 0 too (p = 1).
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t_stats = beta / std_errors
+            t_stats[(std_errors == 0.0) & (beta == 0.0)] = 0.0
+            kept = np.flatnonzero(ok).tolist()
+            blocks.append((t_stats, dof, at, rows, kept, beta / s, std_errors / s, ssr))
+
+        fits: list[RegressionFit | None] = [None] * len(idx)
+        if not blocks:
+            return fits
+        # One tail call for the t values of every size: a lone size passes its
+        # t array and dof, mixed sizes their t arrays joined and one dof per t.
+        # A row that was not fitted has t = 0, and so the cheapest tail, p = 1.
+        if len(blocks) == 1:
+            t_all, dof_all = blocks[0][0].ravel(), blocks[0][1]
+        else:
+            t_all = np.concatenate([t.ravel() for t, *_ in blocks])
+            dof_all = np.repeat([dof for _, dof, *_ in blocks], [t.size for t, *_ in blocks]).tolist()
+        p_all = np.array(t_two_sided_p(t_all, dof_all))
+        start = 0
+        for t_stats, dof, at, rows, kept, beta, std_errors, ssr in blocks:
+            p_values = p_all[start:start + t_stats.size].reshape(t_stats.shape)
+            start += t_stats.size
+            for i in kept:
+                row_ssr = float(ssr[i])
+                r2 = 1.0 if tss == 0.0 else 1.0 - row_ssr / tss
+                r2 = min(1.0, max(0.0, r2))
+                fits[at[i]] = RegressionFit(
+                    variable_ids=tuple([ids[j] for j in rows[i].tolist()]),
+                    coefficients=beta[i],
+                    standard_errors=std_errors[i],
+                    t_stats=t_stats[i],
+                    p_values=p_values[i],
+                    r_squared=r2,
+                    adjusted_r_squared=1.0 - (1.0 - r2) * n / dof,
+                    multiple_r=math.sqrt(r2),
+                    standard_error_of_regression=math.sqrt(row_ssr / dof) / s,
+                    n_observations=n,
+                    dof=dof,
+                )
         return fits
-    # One tail call for the t values of every size: a lone size passes its
-    # t array and dof, mixed sizes their t arrays joined and one dof per t.
-    # A row that was not fitted has t = 0, and so the cheapest tail, p = 1.
-    if len(blocks) == 1:
-        t_all, dof_all = blocks[0][0].ravel(), blocks[0][1]
-    else:
-        t_all = np.concatenate([t.ravel() for t, *_ in blocks])
-        dof_all = np.repeat([dof for _, dof, *_ in blocks], [t.size for t, *_ in blocks]).tolist()
-    p_all = np.array(t_two_sided_p(t_all, dof_all))
-    start = 0
-    for t_stats, dof, at, rows, kept, beta, std_errors, ssr in blocks:
-        p_values = p_all[start:start + t_stats.size].reshape(t_stats.shape)
-        start += t_stats.size
-        for i in kept:
-            row_ssr = float(ssr[i])
-            r2 = 1.0 if tss_uncentered == 0.0 else 1.0 - row_ssr / tss_uncentered
-            r2 = min(1.0, max(0.0, r2))
-            fits[at[i]] = RegressionFit(
-                variable_ids=tuple([ids[j] for j in rows[i].tolist()]),
-                coefficients=beta[i],
-                standard_errors=std_errors[i],
-                t_stats=t_stats[i],
-                p_values=p_values[i],
-                r_squared=r2,
-                adjusted_r_squared=1.0 - (1.0 - r2) * n / dof,
-                multiple_r=math.sqrt(r2),
-                standard_error_of_regression=math.sqrt(row_ssr / dof),
-                n_observations=n,
-                dof=dof,
-            )
-    return fits
+
+    return fit
 
 
 def fit_through_origin(design: DesignMatrix, response: ResponseVector) -> RegressionFit:
     """Fit response = design @ b with no intercept and return the full
     inference block, with residuals and fitted values.
 
-    Requirements: response length matches the design rows, X'X, X'y and
-    y'y are finite (no NaN or inf in the data and no overflow in the
-    products), n > k >= 1, and X'X is numerically full rank (smallest to
-    largest eigenvalue ratio at least 1e-12).
+    Requirements: response length matches the design rows, the data is
+    in _fitter's domain (judged before n > k >= 1), and X'X with each
+    column scaled to a norm in [0.5, 1) has a smallest to largest
+    eigenvalue ratio of at least RANK_RTOL.
     """
     n, k = design.n_rows, len(design.variable_ids)
     if response.values.shape != (n,):
         raise DimensionMismatch(
             f"response has length {len(response.values)}, design has {n} rows"
         )
-    # After _gram, so a non-finite input is named before a short one.
-    gram = _gram(design, response)
+    # The fitter first, so data out of its domain is named before a short one.
+    fit_stack = _fitter(design, response)
     if n <= k:
         raise InsufficientObservations(
             f"need more observations than predictors, got n={n}, k={k}"
         )
-    fit = _fit(design, response, gram, [list(range(k))])[0]
+    fit = fit_stack([list(range(k))])[0]
     if fit is None:
-        import numpy as np
-        w = np.linalg.eigh(gram[0])[0]
         raise RankDeficient(
-            f"X'X eigenvalue ratio {w[0]:.3e} / {w[-1]:.3e} below tolerance {RANK_RTOL:g}"
+            f"predictor(s) {', '.join(design.variable_ids)} are rank deficient: with each"
+            " column scaled by a power of two to a norm in [0.5, 1), the smallest to"
+            f" largest eigenvalue ratio of X'X is below {RANK_RTOL:g}"
         )
     fitted = design.array @ fit.coefficients
     residuals = response.values - fitted

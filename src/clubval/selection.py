@@ -12,7 +12,7 @@ import itertools
 
 from ._record import count, finite, record
 from .errors import DimensionMismatch, DomainError, MissingPredictor, TooManyCandidates
-from .regression import DesignMatrix, RegressionFit, ResponseVector, _fit, _gram
+from .regression import DesignMatrix, RegressionFit, ResponseVector, _fitter
 # Not called here: bench/tracer.py wraps this name to time a search's fits.
 from .regression import fit_through_origin  # noqa: F401
 
@@ -55,7 +55,7 @@ class CandidateSet:
 
     def design_for(self, subset: tuple[str, ...]) -> DesignMatrix:
         # take copies the chosen columns into one C-ordered array; x[:, idx]
-        # would be F-ordered, which changes the rounding of X'X.
+        # would be F-ordered, which changes the rounding of the fit.
         ids = self.design.variable_ids
         for vid in subset:
             if vid not in ids:
@@ -107,12 +107,11 @@ def exhaustive_subsets(
     are recorded as skipped rather than fitted. At most MAX_CANDIDATES
     candidates are searched.
 
-    X'X of all the candidates is formed once, and the whole search, every
-    size, is one call of the kernel whose one-row case is
-    fit_through_origin: one eigh and one matmul against X per size, and
-    one tail call. Subsets of equal span (c0 + c1 and c0 + c2 with
-    c2 = c0 + c1, say) are ordered by rounding. Search fits carry no
-    residuals or fitted values; refit a model for them with
+    The whole search, every size, is one call of the fitter whose
+    one-row case is fit_through_origin (see regression._fitter). Subsets
+    of equal span (c0 + c1 and c0 + c2 with c2 = c0 + c1, say) are
+    ordered by rounding. Search fits carry no residuals or fitted
+    values; refit a model for them with
     fit_through_origin(cands.design_for(ids), cands.response), which on
     all the candidates has the search's bits.
     """
@@ -123,8 +122,7 @@ def exhaustive_subsets(
         )
     count(max_size, None, "max_size", 1, len(ids))
     finite(alpha, None, "alpha", 0, True, 1)
-    design, response = cands.design, cands.response
-    gram = _gram(design, response)
+    fit_stack = _fitter(cands.design, cands.response)
     models: list[RankedModel] = []
     skipped: list[tuple[str, ...]] = []
     combos = [
@@ -132,7 +130,7 @@ def exhaustive_subsets(
         for size in range(1, max_size + 1)
         for cols in itertools.combinations(range(len(ids)), size)
     ]
-    for cols, fit in zip(combos, _fit(design, response, gram, combos)):
+    for cols, fit in zip(combos, fit_stack(combos)):
         if fit is None:
             skipped.append(tuple(ids[j] for j in cols))
         else:
@@ -153,12 +151,12 @@ def stepwise(
     drops the worst variable whose p-value exceeds alpha_out. Stops at
     a fixed point, or with converged False if the state cycles.
 
-    Every add and drop is decided from one Gram matrix X'X of all the
-    candidates, formed once per search. A forward step fits all of its
-    trials as one call of the kernel whose one-row case is
-    fit_through_origin, and skips a trial it cannot fit. The winning
-    trial's fit is the first backward check; each drop costs one fit, a
-    one-row stack, and a forward step that adds nothing ends the search.
+    One fitter of all the candidates, whose one-row case is
+    fit_through_origin, decides every add and drop. A forward step fits
+    all of its trials as one stack, and skips a trial it cannot fit.
+    The winning trial's fit is the first backward check; each drop
+    costs one fit, a one-row stack, and a forward step that adds
+    nothing ends the search.
     The model reported is the last fit of the chosen columns, so, as in
     an exhaustive search, it carries no residuals or fitted values;
     refit it with fit_through_origin(cands.design_for(ids),
@@ -173,8 +171,7 @@ def stepwise(
     if not (0.0 < alpha_in <= alpha_out <= 1.0):
         raise DomainError(f"{need}, got {alpha_in}, {alpha_out}")
     ids = cands.variable_ids
-    design, response = cands.design, cands.response
-    gram = _gram(design, response)
+    fit_stack = _fitter(cands.design, cands.response)
     current: list[int] = []  # positions in ids, ascending
     fit = None  # the fit of current, None while it is empty or unfittable
     seen: set[frozenset[int]] = {frozenset()}
@@ -185,7 +182,7 @@ def stepwise(
         # stack; the best addition by p-value, ties by candidate order.
         others = [j for j in range(len(ids)) if j not in current]
         trials = [sorted(current + [j]) for j in others]
-        fits = _fit(design, response, gram, trials) if trials else []
+        fits = fit_stack(trials) if trials else []
         best_add = None
         for j, trial, trial_fit in zip(others, trials, fits):
             if trial_fit is None:
@@ -204,7 +201,7 @@ def stepwise(
         # trial's fit.
         while float(fit.p_values.max()) > alpha_out:
             del current[int(fit.p_values.argmax())]
-            fit = _fit(design, response, gram, [current])[0] if current else None
+            fit = fit_stack([current])[0] if current else None
             if fit is None:
                 break
 

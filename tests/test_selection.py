@@ -15,7 +15,7 @@ from clubval.errors import (
     TooManyCandidates,
 )
 from clubval.dataset import bundled_jleague_dataset, predictor_reader
-from clubval.regression import DesignMatrix, ResponseVector, _fit, _gram, fit_through_origin
+from clubval.regression import DesignMatrix, ResponseVector, _fitter, fit_through_origin
 from clubval.selection import (
     CandidateSet,
     RankedModel,
@@ -257,12 +257,12 @@ class TestStepwiseAgainstPerFitReference:
         # matrix of all candidates, against a fresh fit of the columns.
         cands = _independent_candidates(seed, n, k, nulls=k // 2)
         idx = sorted(data.draw(st.sets(st.integers(0, k - 1), min_size=1, max_size=min(k, 4))))
-        gram = _gram(cands.design, cands.response)
+        fit_stack = _fitter(cands.design, cands.response)
         subset = tuple(cands.variable_ids[j] for j in idx)
         if n <= len(idx):
-            assert _fit(cands.design, cands.response, gram, [idx]) == [None]
+            assert fit_stack([idx]) == [None]
             return
-        got = _fit(cands.design, cands.response, gram, [idx])[0]
+        got = fit_stack([idx])[0]
         want = fit_through_origin(cands.design_for(subset), cands.response)
         assert got.variable_ids == subset
         np.testing.assert_allclose(got.p_values, want.p_values, rtol=0.0, atol=1e-10)
@@ -292,14 +292,14 @@ class TestStepwiseAgainstPerFitReference:
         rows = [sorted(row) for row in data.draw(st.lists(subsets, min_size=1, max_size=6))]
         if collinear:
             rows.append(sorted({0, 1, 2} | set(range(3, size))))
-        gram = _gram(design, response)
-        stacked = _fit(design, response, gram, rows)
+        fit_stack = _fitter(design, response)
+        stacked = fit_stack(rows)
         if n <= size:
             assert stacked == [None] * len(rows)
             return
         assert len(stacked) == len(rows)
         for row, got in zip(rows, stacked):
-            want = _fit(design, response, gram, [row])[0]
+            want = fit_stack([row])[0]
             if want is None:
                 assert got is None
                 continue
