@@ -29,21 +29,29 @@ if TYPE_CHECKING:
 
 # Rank test: the least smallest over largest eigenvalue of a column-scaled X'X block.
 RANK_RTOL = 1e-12
+# The most floats of fitted values a fit holds at once: 2**20, 8 MB.
+_BLOCK_FLOATS = 2**20
 
 
-def _float_array(values, what: str) -> np.ndarray:
+def _float_array(values, what: str, order: str | None = None) -> np.ndarray:
     """values as a float ndarray, or a DomainError naming what they are for."""
     import numpy as np
 
     try:
-        return np.asarray(values, dtype=float)
+        return np.asarray(values, dtype=float, order=order)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"{what} cannot become a float array: {exc}") from None
 
 
 @record
 class DesignMatrix:
-    """Predictor columns without intercept: array is n x k, column j is variable_ids[j]."""
+    """Predictor columns without intercept: array is n x k, column j is variable_ids[j].
+
+    The array is held column-major (Fortran order), so each pass over
+    the n rows reads a contiguous column, and a design has the same bits
+    of every fit however it was built. A float array already in that
+    order is held as given; any other is copied once.
+    """
 
     variable_ids: tuple[str, ...]
     array: np.ndarray
@@ -59,7 +67,7 @@ class DesignMatrix:
             one_line(vid, "design matrix", "variable id", "variable id")
         if len(set(ids)) != len(ids):
             raise DimensionMismatch(f"duplicate variable ids in {list(ids)}")
-        object.__setattr__(self, "array", _float_array(self.array, "design matrix"))
+        object.__setattr__(self, "array", _float_array(self.array, "design matrix", "F"))
         if self.array.shape[1:] != (len(ids),) or self.n_rows == 0:
             raise DimensionMismatch(f"array {self.array.shape} is not n x {len(ids)}, n > 0")
 
@@ -79,7 +87,8 @@ class DesignMatrix:
             raise DimensionMismatch(
                 f"columns must be vectors of one length, got shapes {sorted(shapes)}"
             )
-        array = np.column_stack(vectors) if vectors else np.empty((0, 0))
+        # The transpose of one (k, n) copy is the n x k array in Fortran order.
+        array = np.array(vectors).T if vectors else np.empty((0, 0))
         return cls(tuple(vid for vid, _ in pairs), array)
 
     @property
@@ -147,11 +156,16 @@ def _fitter(design: DesignMatrix, response: ResponseVector):
     rank-deficient row. It is the one fitting kernel: fit_through_origin
     is its one-row case, each stepwise step is one call, and so is a
     whole exhaustive search. Per size, one eigh of the principal blocks
-    G of the scaled X'X gives the rank test, G^-1 and b, and one matmul
+    G of the scaled X'X gives the rank test, G^-1 and b, and matmuls
     against X the fitted values, turned into residuals in place (not
-    y'y - b'X'y, which cancels when R^2 is near 1). The t values of all
-    sizes then take one tail call. The fits carry no residuals or fitted
-    values, so no (m, n) array outlives its size.
+    y'y - b'X'y, which cancels when R^2 is near 1). They are formed in
+    blocks of whole rows of at most _BLOCK_FLOATS floats, one block when
+    the size's (m, n) array fits, so a search over a tall design holds
+    8 MB of them, not m n floats. A fitted row whose b or standard
+    error, unscaled, passes the float range raises a DomainError naming
+    its predictors. The t values of all sizes then take one tail call.
+    The fits carry no residuals or fitted values, so no fitted block
+    outlives its step.
     """
     import numpy as np
 
@@ -181,6 +195,8 @@ def _fitter(design: DesignMatrix, response: ResponseVector):
     s = math.ldexp(1.0, -math.frexp(math.sqrt(tss))[1])
     gram, gram_y = xtx * d[:, None] * d, xty * d * s
     ys, tss = y * s, tss * s * s
+    largest = sys.float_info.max * s  # inf when s > 1
+    step = max(1, _BLOCK_FLOATS // n)  # rows of fitted values per block
 
     def fit(idx: list[list[int]]) -> list[RegressionFit | None]:
         by_size: dict[int, list[int]] = {}
@@ -207,12 +223,15 @@ def _fitter(design: DesignMatrix, response: ResponseVector):
             beta = d_rows * (inv @ gram_y[rows][:, :, None])[:, :, 0]
             b_full = np.zeros((len(at), x.shape[1]))
             np.put_along_axis(b_full, rows, beta, axis=-1)
-            fitted = b_full @ x.T
-            residuals = np.subtract(ys, fitted, out=fitted)
-            ssr = (residuals[:, None, :] @ residuals[:, :, None])[:, 0, 0]
-            # Freed before the next size forms its block: at most one (m, n)
-            # array at a time.
-            del fitted, residuals
+            # The (m, n) fitted block, step whole rows at a time (all of them
+            # in one matmul when it fits), turned into residuals in place.
+            ssr = np.empty(len(at))
+            for first in range(0, len(at), step):
+                residuals = b_full[first:first + step] @ x.T
+                np.subtract(ys, residuals, out=residuals)
+                ssr[first:first + step] = (residuals[:, None, :] @ residuals[:, :, None])[:, 0, 0]
+                # Freed before the next block is formed: one block at a time.
+                del residuals
             dof = n - k
             std_errors = d_rows * np.sqrt(np.maximum(inv.diagonal(0, -2, -1) * (ssr / dof)[:, None], 0.0))
             # A zero standard error makes t +-inf by the sign of b (p = 0), or 0
@@ -220,6 +239,15 @@ def _fitter(design: DesignMatrix, response: ResponseVector):
             with np.errstate(divide="ignore", invalid="ignore"):
                 t_stats = beta / std_errors
             t_stats[(std_errors == 0.0) & (beta == 0.0)] = 0.0
+            # Unscaled by y's power of two, a b or standard error above
+            # largest passes the float range: its row is refused, by name.
+            # A row not fitted has b = 0 and standard errors 0.
+            bound = np.maximum(np.abs(beta), std_errors)
+            if bound.max() > largest:
+                names = ", ".join(ids[j] for j in rows[bound.max(1).argmax()].tolist())
+                raise DomainError(
+                    f"coefficient or standard error beyond the float range for predictor(s) {names}"
+                )
             kept = np.flatnonzero(ok).tolist()
             blocks.append((t_stats, dof, at, rows, kept, beta / s, std_errors / s, ssr))
 

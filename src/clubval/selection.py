@@ -54,14 +54,19 @@ class CandidateSet:
         return self.design.variable_ids
 
     def design_for(self, subset: tuple[str, ...]) -> DesignMatrix:
-        # take copies the chosen columns into one C-ordered array; x[:, idx]
-        # would be F-ordered, which changes the rounding of the fit.
+        """The design of subset's columns, in subset's order.
+
+        Picking columns of a column-major array copies each one
+        contiguously into a new column-major array, which DesignMatrix
+        holds as it is; fit_through_origin on it has the bits of a
+        design built from those columns alone.
+        """
         ids = self.design.variable_ids
         for vid in subset:
             if vid not in ids:
                 raise MissingPredictor(vid)
         idx = [ids.index(vid) for vid in subset]
-        return DesignMatrix(tuple(subset), self.design.array.take(idx, axis=1))
+        return DesignMatrix(tuple(subset), self.design.array[:, idx])
 
 
 @record
@@ -163,7 +168,8 @@ def stepwise(
     cands.response), which on all the candidates has the search's bits.
     Candidates that tie in exact arithmetic (c0, c1 and c0 + c1, say)
     are ordered by rounding. There is no cap on the number of
-    candidates: a forward step holds one n-vector per trial.
+    candidates: a forward step's fitted values are formed in the
+    fitter's bounded blocks.
     """
     need = "need 0 < alpha_in <= alpha_out <= 1"
     finite(alpha_in, need, "alpha_in")

@@ -14,6 +14,7 @@ from clubval.errors import (
 )
 from clubval import regression
 from clubval.regression import DesignMatrix, ResponseVector, fit_through_origin
+from clubval.selection import CandidateSet
 
 from oracles import solve_exact, textbook_fit
 
@@ -162,6 +163,17 @@ class TestFitThroughOrigin:
         with pytest.raises(DomainError, match="smallest normal float in response y$"):
             _fit([("a", xs)], 1e-170 * xs)
 
+    def test_overflowing_coefficient_is_named(self):
+        # In the domain, yet b = 7.2e3 in these units becomes 7.2e310 with
+        # X x 1e-154 and y x 1e153: refused by name, with no RuntimeWarning
+        # (the coefficients were +-inf with a finite t).
+        x1 = np.arange(1.0, 5.0)
+        x2 = x1 + 1e-4 * np.array([1.0, -1.0, 1.0, -1.0])
+        y = np.array([1.0, 3.0, 2.0, 5.0])
+        assert np.abs(_fit([("a", x1), ("b", x2)], y).coefficients).max() > 7e3
+        with pytest.raises(DomainError, match=r"beyond the float range for predictor\(s\) a, b$"):
+            _fit([("a", 1e-154 * x1), ("b", 1e-154 * x2)], 1e153 * y)
+
     def test_rank_deficiency_names_predictors_and_scaled_criterion(self):
         col = np.arange(1.0, 5.0)
         with pytest.raises(RankDeficient, match=r"predictor\(s\) a, b are rank deficient.*scaled"):
@@ -216,6 +228,38 @@ class TestFitThroughOrigin:
         design = DesignMatrix(("a",), np.array([[1], [2]], dtype=np.int32))
         assert design.array.dtype == np.float64
         assert DesignMatrix(("a",), x).array is x
+
+    def test_array_is_column_major(self):
+        # However a design is built, it holds one Fortran-ordered float
+        # array, so its fits have the same bits.
+        rng = np.random.default_rng(4)
+        x = rng.uniform(1.0, 9.0, (12, 3))
+        ids = ("a", "b", "c")
+        cands = CandidateSet.from_columns(list(zip(ids, x.T)), ResponseVector("y", x[:, 0]))
+        for array in (
+            DesignMatrix(ids, x).array,
+            DesignMatrix(ids, np.asfortranarray(x)).array,
+            DesignMatrix(ids, x.astype(np.int64)).array,
+            DesignMatrix(ids, x.tolist()).array,
+            DesignMatrix.from_columns(list(zip(ids, x.T.tolist()))).array,
+            DesignMatrix.from_columns(list(zip(ids, x.T.copy()))).array,
+            DesignMatrix.from_columns(list(zip(ids, x.T))).array,
+            cands.design_for(("c", "a")).array,
+        ):
+            assert array.flags.f_contiguous and array.dtype == np.float64
+        f_array = np.asfortranarray(x)
+        assert DesignMatrix(ids, f_array).array is f_array
+        assert not np.shares_memory(DesignMatrix(ids, x).array, x)
+
+    def test_layouts_fit_with_the_same_bits(self):
+        rng = np.random.default_rng(5)
+        x, y = _random_dataset(rng, 30, 4)
+        ids = ("a", "b", "c", "d")
+        response = ResponseVector("y", y)
+        got = fit_through_origin(DesignMatrix(ids, x), response)
+        want = fit_through_origin(DesignMatrix.from_columns(list(zip(ids, x.T))), response)
+        for name in ("coefficients", "standard_errors", "t_stats", "p_values", "residuals", "fitted"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
     def test_columns_must_be_pairs(self):
         for bad in (None, 5, [("a",)], [None], [("a", [1.0, 2.0], "b")]):

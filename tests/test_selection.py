@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from clubval.errors import (
     RankDeficient,
     TooManyCandidates,
 )
+from clubval import regression
 from clubval.dataset import bundled_jleague_dataset, predictor_reader
 from clubval.regression import DesignMatrix, ResponseVector, _fitter, fit_through_origin
 from clubval.selection import (
@@ -121,6 +123,20 @@ class TestExhaustive:
         report = exhaustive_subsets(_two_signal_candidates(), max_size=3)
         values = [m.fit.adjusted_r_squared for m in report.ranked_models]
         assert values == sorted(values, reverse=True)
+
+    def test_overflowing_coefficient_is_named(self):
+        # One rule for every fit: b of a and b together passes the float
+        # range (see test_regression), so both searches refuse by name.
+        x1 = np.arange(1.0, 5.0)
+        x2 = x1 + 1e-4 * np.array([1.0, -1.0, 1.0, -1.0])
+        cands = CandidateSet.from_columns(
+            [("a", 1e-154 * x1), ("b", 1e-154 * x2)],
+            ResponseVector("y", 1e153 * np.array([1.0, 3.0, 2.0, 5.0])),
+        )
+        assert exhaustive_subsets(cands, 1).best.variable_ids == ("a",)
+        for search in (lambda: exhaustive_subsets(cands, 2), lambda: stepwise(cands, 0.5, 0.5)):
+            with pytest.raises(DomainError, match=r"beyond the float range for predictor\(s\) a, b$"):
+                search()
 
     def test_non_finite_candidate_is_named(self):
         cands = _two_signal_candidates(noise_cols=2)
@@ -410,6 +426,40 @@ class TestExhaustiveAgainstPerFitReference:
         got = exhaustive_subsets(cands, 10)
         assert len(got.ranked_models) == 895 and len(got.skipped) == 128
         self._assert_same_report(got, exhaustive_per_fit(cands, 10))
+
+
+class TestBoundedBlock:
+    """A size's fitted values are formed in blocks of whole rows of at
+    most regression._BLOCK_FLOATS floats; the largest size here, 252
+    subsets at n = 20,000, is 5.0e6 floats."""
+
+    @staticmethod
+    def _tall_candidates():
+        cands = _independent_candidates(3, 20_000, 10, nulls=5)
+        x = cands.design.array.copy()
+        x[:, 2] = x[:, 0] + x[:, 1]
+        return CandidateSet(DesignMatrix(cands.variable_ids, x), cands.response)
+
+    def test_tall_search_peak_is_bounded(self):
+        cands = self._tall_candidates()
+        tracemalloc.start()
+        try:
+            exhaustive_subsets(cands, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Two blocks of 8-byte floats: the one block alive at a time, and
+        # room for the rest of the search. One (252, n) block is 40 MB.
+        assert peak < 2 * 8 * regression._BLOCK_FLOATS
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_smaller_blocks_give_the_same_report(self, monkeypatch, rows):
+        cands = self._tall_candidates()
+        want = exhaustive_subsets(cands, 10)
+        monkeypatch.setattr(regression, "_BLOCK_FLOATS", rows * 20_000 + 1)
+        got = exhaustive_subsets(cands, 10)
+        assert len(got.ranked_models) == 895 and len(got.skipped) == 128
+        TestExhaustiveAgainstPerFitReference._assert_same_report(got, want)
 
 
 def _seeded_candidates(seed, n_low=3):
