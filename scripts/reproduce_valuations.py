@@ -14,8 +14,6 @@ import sys
 from pathlib import Path
 
 from clubval import (
-    FORMULA_1,
-    FORMULA_2,
     FxRate,
     aggregate,
     bundled_jleague_dataset,
@@ -50,7 +48,7 @@ def main() -> None:
             sys.exit(f"clubval {' '.join(argv)} failed")
 
     records = bundled_jleague_dataset()
-    results = valuate_all(records, FORMULA_1, FORMULA_2)
+    results = valuate_all(records)
     aggregates = aggregate(results, records)
     ranges = premium_ranges(premiums_by_case(bundled_transactions(), results, fx))
     reported = bundled_jleague_reported_values()

@@ -36,6 +36,7 @@ from .dataset import (
 from .errors import ClubValError, DomainError, IoError
 from .regression import DesignMatrix, ResponseVector, fit_through_origin
 from .report import (
+    SCALES,
     TABLE_FORMATS,
     RenderSpec,
     ScatterSeries,
@@ -55,8 +56,6 @@ from .selection import (
 )
 from .valuation import (
     DEFAULT_STAKE,
-    FORMULA_1,
-    FORMULA_2,
     aggregate,
     premium_ranges,
     premiums_by_case,
@@ -205,14 +204,14 @@ def _cmd_select(args: argparse.Namespace, spec: RenderSpec) -> str:
 
 def _cmd_apply(args: argparse.Namespace, spec: RenderSpec) -> str:
     records = _load_records(args)
-    results = valuate_all(records, FORMULA_1, FORMULA_2)
+    results = valuate_all(records)
     aggregates = aggregate(results, records)
     return render_valuation_table(results, records, aggregates, spec)
 
 
 def _cmd_premiums(args: argparse.Namespace, spec: RenderSpec) -> str:
     records = _load_records(args)
-    results = valuate_all(records, FORMULA_1, FORMULA_2)
+    results = valuate_all(records)
     cases = bundled_transactions()
     premiums = premiums_by_case(cases, results, FxRate(args.fx_rate), stake=args.stake)
     ranges = premium_ranges(premiums)
@@ -224,7 +223,7 @@ def _cmd_plot(args: argparse.Namespace, spec: RenderSpec) -> str:
     bundled = args.bundled or "combined"
     if bundled in ("jleague", "combined") or args.input:
         records = _load_records(args)
-        results = valuate_all(records, FORMULA_1, FORMULA_2)
+        results = valuate_all(records)
         label = "J.League" if not args.input else "Clubs"
         series.append(
             ScatterSeries(
@@ -257,7 +256,7 @@ def _add_common(parser: argparse.ArgumentParser, formats: tuple[str, ...]):
         parser.add_argument(
             "--format", choices=formats, help="output format (default: text)"
         )
-        parser.set_defaults(scale="linear")  # tables ignore the scale
+        parser.set_defaults(scale=RenderSpec.scale)  # tables ignore the scale
     return source
 
 
@@ -306,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("jleague", "european", "combined"),
         help="bundled data to draw (default: combined)",
     )
-    p_plot.add_argument("--scale", choices=("linear", "log10"), default="log10")
+    p_plot.add_argument("--scale", choices=SCALES, default="log10")
     p_plot.add_argument(
         "--no-guide", action="store_true", help="omit the y = x guide line"
     )

@@ -221,14 +221,17 @@ def _cell(value: str | int | float | bool | None) -> str:
     return value if isinstance(value, str) else repr(value)
 
 
+def _csv_doc(rows: list[list[str]]) -> str:
+    """Rows of cells as CSV text with "\n" line ends; report's tables use it too."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
 def club_csv(records: list[ClubRecord]) -> str:
     """Serialize records to the club CSV schema; parse_club_csv inverts it."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_CSV_FIELDS)
     fields = attrgetter(*_CSV_FIELDS)
-    writer.writerows([_cell(value) for value in fields(r)] for r in records)
-    return out.getvalue()
+    return _csv_doc([_CSV_FIELDS, *([_cell(value) for value in fields(r)] for r in records)])
 
 
 def bundled_jleague_dataset() -> list[ClubRecord]:

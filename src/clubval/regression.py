@@ -87,9 +87,9 @@ class DesignMatrix:
             raise DimensionMismatch(
                 f"columns must be vectors of one length, got shapes {sorted(shapes)}"
             )
-        # The transpose of one (k, n) copy is the n x k array in Fortran order.
-        array = np.array(vectors).T if vectors else np.empty((0, 0))
-        return cls(tuple(vid for vid, _ in pairs), array)
+        # The transpose of one (k, n) copy is the n x k array in Fortran order;
+        # with no columns the ids are refused before the array is read.
+        return cls(tuple(vid for vid, _ in pairs), np.array(vectors).T)
 
     @property
     def n_rows(self) -> int:
@@ -233,7 +233,8 @@ def _fitter(design: DesignMatrix, response: ResponseVector):
                 # Freed before the next block is formed: one block at a time.
                 del residuals
             dof = n - k
-            std_errors = d_rows * np.sqrt(np.maximum(inv.diagonal(0, -2, -1) * (ssr / dof)[:, None], 0.0))
+            # Never negative: inv's diagonal sums v**2 / w over w > 0, and SSR / dof >= 0.
+            std_errors = d_rows * np.sqrt(inv.diagonal(0, -2, -1) * (ssr / dof)[:, None])
             # A zero standard error makes t +-inf by the sign of b (p = 0), or 0
             # when b is 0 too (p = 1).
             with np.errstate(divide="ignore", invalid="ignore"):

@@ -8,14 +8,12 @@ time only; internal values are never rounded.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import sys
 from pathlib import Path
 
 from ._record import finite, one_line, record, refuse
-from .dataset import ClubRecord
+from .dataset import ClubRecord, _csv_doc
 from .errors import DomainError, EmptyInput, IoError, NonPositiveLogInput
 from .valuation import AggregateRow, PremiumResult, ValuationResult, _require_paired
 
@@ -130,13 +128,6 @@ def _md_table(rows: list[list[str]], right_align: set[int]) -> str:
     lines = ["| " + " | ".join(header) + " |", "| " + " | ".join(sep) + " |"]
     lines += ["| " + " | ".join(row) + " |" for row in body]
     return "\n".join(lines) + "\n"
-
-
-def _csv_doc(rows: list[list[str]]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerows(rows)
-    return out.getvalue()
 
 
 def _emit_tables(

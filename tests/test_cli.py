@@ -55,6 +55,13 @@ class TestApply:
         assert code == 2
         assert "apply needs" in err
 
+    def test_header_only_input_is_data_error(self, capsys, tmp_path):
+        club_file = tmp_path / "clubs.csv"
+        club_file.write_text(CSV_HEADER + "\n", encoding="utf-8")
+        code, out, err = _run(capsys, "apply", "--input", str(club_file))
+        assert (code, out) == (1, "")
+        assert err == f"error: {club_file} contains no club rows\n"
+
     def test_bad_csv_is_data_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text(CSV_HEADER + "\nClub,J1,x,1,2\n", encoding="utf-8")
@@ -331,6 +338,14 @@ class TestPremiums:
         assert (code, out) == (1, "")
         assert err == f"error: {config}:3: key 'fx_rate' is given twice\n"
 
+    def test_config_line_without_equals_is_data_error(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.delenv("VALUATE_FX_RATE", raising=False)
+        config = tmp_path / "settings.conf"
+        config.write_text("stake = 0.51\n  fx_rate 300\n", encoding="utf-8")
+        code, out, err = _run(capsys, "premiums", "--config", str(config))
+        assert (code, out) == (1, "")
+        assert err == f"error: {config}:2: expected key=value, got '  fx_rate 300'\n"
+
     def test_unknown_config_key_is_data_error(self, capsys, monkeypatch, tmp_path):
         monkeypatch.delenv("VALUATE_FX_RATE", raising=False)
         config = tmp_path / "settings.conf"
@@ -353,6 +368,30 @@ class TestFitAndSelect:
         assert code == 0
         assert "Adjusted R Square" in out
         assert "Observations" in out
+
+    @pytest.mark.parametrize("flag", ["--predictors", "--candidates"])
+    def test_no_variable_ids_is_data_error(self, capsys, flag):
+        command = "fit" if flag == "--predictors" else "select"
+        code, out, err = _run(capsys, command, "--response", "revenue_meur", flag, " , ")
+        assert (code, out) == (1, "")
+        assert err == "error: no variable ids in ' , '\n"
+
+    def test_select_candidates(self, capsys):
+        # The default candidates given by name give the default's document;
+        # one candidate gives a one-model search.
+        _code, default, _err = _run(capsys, "select", "--response", "revenue_meur")
+        code, out, _err = _run(
+            capsys, "select", "--response", "revenue_meur",
+            "--candidates", " sns_followers_m , player_market_value_meur",
+        )
+        assert (code, out) == (0, default)
+        code, out, _err = _run(
+            capsys, "select", "--response", "revenue_meur", "--format", "csv",
+            "--candidates", "player_market_value_meur",
+        )
+        assert code == 0
+        assert [line.split(",")[1] for line in out.splitlines()] == [
+            "variables", "player_market_value_meur"]
 
     def test_fit_unknown_predictor_is_data_error(self, capsys):
         code, _out, err = _run(

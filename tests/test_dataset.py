@@ -96,6 +96,14 @@ class TestParseClubCsv:
         with pytest.raises(DomainError):
             parse_club_csv(CSV_HEADER + "\nClub,J1,-100,5,2.0\n")
 
+    def test_blank_line_is_skipped(self):
+        # It still counts as a line: the bad row after it is line 4.
+        rows = "\nOk,J1,1,1,1\n\nNext,J2,2,2,2\n"
+        assert parse_club_csv(CSV_HEADER + rows) == parse_club_csv(
+            CSV_HEADER + rows.replace("\n\n", "\n"))
+        with pytest.raises(DomainError, match="^line 4: "):
+            parse_club_csv(CSV_HEADER + "\nOk,J1,1,1,1\n\nBad,J1,1,-9,1\n")
+
     def test_error_carries_line_number(self):
         text = CSV_HEADER + "\nOk,J1,1,1,1\nBad,J1,1,-9,1\n"
         with pytest.raises(DomainError) as exc_info:

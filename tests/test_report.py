@@ -175,6 +175,11 @@ def test_svg_rejected(render):
         render(RenderSpec(format="svg"))
 
 
+def test_no_premiums_rejected():
+    with pytest.raises(EmptyInput, match="no premiums to render"):
+        render_premium_table([], {}, RenderSpec())
+
+
 def test_trailer_and_thousands_separators_stay_out_of_csv():
     report = SelectionReport((), skipped=(("a", "b"),), converged=False)
     trailer = (
@@ -285,6 +290,10 @@ class TestScatter:
     def test_scale_value(self):
         assert scale_value(100.0, "log10") == pytest.approx(2.0, abs=1e-15)
         assert scale_value(7.5, "linear") == 7.5
+
+    def test_unknown_scale_rejected(self):
+        with pytest.raises(DomainError, match=r"^scale must be one of \('linear', 'log10'\), got 'cubic'$"):
+            scale_value(1.0, "cubic")
 
     def test_nonpositive_log_rejected(self):
         with pytest.raises(NonPositiveLogInput):

@@ -15,7 +15,7 @@ from clubval.errors import (
     RankDeficient,
     TooManyCandidates,
 )
-from clubval import regression
+from clubval import regression, selection
 from clubval.dataset import bundled_jleague_dataset, predictor_reader
 from clubval.regression import DesignMatrix, ResponseVector, _fitter, fit_through_origin
 from clubval.selection import (
@@ -47,6 +47,23 @@ def _pure_noise_candidates(seed=77, n=30, k=3):
     y = rng.standard_normal(n)
     columns = [(f"n{j}", rng.uniform(1.0, 5.0, size=n)) for j in range(k)]
     return CandidateSet.from_columns(columns, ResponseVector("y", y))
+
+
+def _latent_candidates(seed, n=30, k=6):
+    """k candidates and y built on two latent factors, x = z W + 0.3 noise:
+    the candidates stand in for one another, so one added early can lose
+    its significance once others join it."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, 2))
+    x = z @ rng.standard_normal((2, k)) + 0.3 * rng.standard_normal((n, k))
+    y = z @ rng.standard_normal(2) + rng.standard_normal(n)
+    return CandidateSet.from_columns(
+        [(f"c{j}", x[:, j]) for j in range(k)], ResponseVector("y", y)
+    )
+
+
+# Seeds of _latent_candidates whose stepwise search drops a variable.
+_DROPPING_SEEDS = (24, 42, 56)
 
 
 class TestExhaustive:
@@ -224,6 +241,23 @@ class TestStepwise:
         report = stepwise(twin)
         assert report.best.variable_ids == ("x1", "x2")
 
+    @pytest.mark.parametrize("seed", _DROPPING_SEEDS)
+    def test_backward_step_drops_a_variable(self, seed, monkeypatch):
+        # Every kernel call's row size: a forward step's trials are one larger
+        # than the model before it, and a drop's refit one smaller than the
+        # trial it drops from, so only a drop makes the size fall.
+        sizes = []
+        fitter = selection._fitter
+
+        def recording(design, response):
+            fit_stack = fitter(design, response)
+            return lambda rows: sizes.append(len(rows[0])) or fit_stack(rows)
+
+        monkeypatch.setattr(selection, "_fitter", recording)
+        report = stepwise(_latent_candidates(seed))
+        assert report.converged and report.best is not None
+        assert any(later < size for size, later in zip(sizes, sizes[1:]))
+
     def test_trials_with_too_few_rows_are_skipped(self):
         # n = 3: a trial of 3 or 4 variables has no residual degree of
         # freedom, so it is skipped rather than raised.
@@ -336,6 +370,7 @@ class TestStepwiseAgainstPerFitReference:
             # More candidates than the exhaustive search accepts.
             pytest.param(lambda: (_independent_candidates(s, 200, 16, 8) for s in range(5)), id="past-cap"),
             pytest.param(_bundled_candidates, id="bundled"),
+            pytest.param(lambda: map(_latent_candidates, _DROPPING_SEEDS), id="backward-drop"),
         ],
     )
     def test_same_selection_and_final_fit(self, designs):

@@ -292,6 +292,14 @@ class TestAggregate:
         with pytest.raises(EmptyInput):
             aggregate([], [])
 
+    def test_zero_mean_fv2_is_degenerate(self):
+        # fv2 is +1 and -1: each club's ratio is defined, the ratio of means not.
+        fv2 = ValuationModel("diff", (("revenue_meur", 1.0), ("player_market_value_meur", -1.0)))
+        records = [_record("A", rev=2.0, pmv=1.0), _record("B", rev=1.0, pmv=2.0)]
+        results = valuate_all(records, FORMULA_1, fv2)
+        with pytest.raises(DegenerateRatio, match="mean fv2 is zero"):
+            aggregate(results, records)
+
     def test_mismatched_pairing_rejected(self):
         records = [_record("A", sns=1000, rev=1.0, pmv=1.0)]
         results = valuate_all([_record("B", sns=1000, rev=1.0, pmv=1.0)])
