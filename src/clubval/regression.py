@@ -222,7 +222,7 @@ def _fitter(design: DesignMatrix, response: ResponseVector):
             d_rows = d[rows]
             beta = d_rows * (inv @ gram_y[rows][:, :, None])[:, :, 0]
             b_full = np.zeros((len(at), x.shape[1]))
-            np.put_along_axis(b_full, rows, beta, axis=-1)
+            b_full[np.arange(len(at))[:, None], rows] = beta
             # The (m, n) fitted block, step whole rows at a time (all of them
             # in one matmul when it fits), turned into residuals in place.
             ssr = np.empty(len(at))
@@ -270,8 +270,8 @@ def _fitter(design: DesignMatrix, response: ResponseVector):
             start += t_stats.size
             for i in kept:
                 row_ssr = float(ssr[i])
-                r2 = 1.0 if tss == 0.0 else 1.0 - row_ssr / tss
-                r2 = min(1.0, max(0.0, r2))
+                # SSR is a sum of squares, so only the floor at 0 can bind.
+                r2 = 1.0 if tss == 0.0 else max(0.0, 1.0 - row_ssr / tss)
                 fits[at[i]] = RegressionFit(
                     variable_ids=tuple([ids[j] for j in rows[i].tolist()]),
                     coefficients=beta[i],

@@ -100,7 +100,7 @@ def _rank_key(model: RankedModel) -> tuple:
 
 
 def _ranked(fit: RegressionFit, alpha: float) -> RankedModel:
-    return RankedModel(fit.variable_ids, fit, float(fit.p_values.max()) <= alpha)
+    return RankedModel(fit.variable_ids, fit, max(fit.p_values.tolist()) <= alpha)
 
 
 def exhaustive_subsets(
@@ -188,7 +188,7 @@ def stepwise(
         # stack; the best addition by p-value, ties by candidate order.
         others = [j for j in range(len(ids)) if j not in current]
         trials = [sorted(current + [j]) for j in others]
-        fits = fit_stack(trials) if trials else []
+        fits = fit_stack(trials)
         best_add = None
         for j, trial, trial_fit in zip(others, trials, fits):
             if trial_fit is None:

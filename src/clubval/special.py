@@ -32,10 +32,11 @@ _CF_MAX_ITER = 500
 _CF_EPS = 3e-16
 _CF_TINY = 1e-300
 # The array form costs a few dozen numpy calls per step whatever its width,
-# so it wins only on wide calls. Whole calls at dof 55, best of 15, scalar
-# loop against array form (2-CPU Xeon, numpy 2.4): 32 values 0.24 against
-# 0.78 ms, 96 values 0.69 against 0.99 ms, 128 values 1.02 against 0.97 ms,
-# 192 values 1.37 against 1.08 ms, 1,260 values 9.8 against 2.4 ms.
+# so it wins only on wide calls. Whole calls, best of 15, scalar loop against
+# array form (2-CPU Xeon, numpy 2.4): at dof 55, 96 values 0.52 against
+# 0.60 ms, 128 values 0.65 against 0.63 ms and 192 values 1.09 against
+# 0.68 ms; at dof 59,995, 128 values 0.79 against 0.89 ms and 192 values
+# 1.11 against 0.99 ms. 1,260 values take 6.8 against 1.4 ms at dof 55.
 _ARRAY_MIN = 128
 
 
@@ -88,8 +89,7 @@ def _beta_cf_array(a: Sequence[float], b: Sequence[float], x: Sequence[float]) -
     the last step; a pending mask holds the values that have not yet met
     the scalar loop's stopping test, and each writes its h out at the step
     where it first does. One that never does is named as the scalar loop
-    names it. Each step writes into columns made once, as numpy's
-    temporaries would take and free a dozen arrays per step.
+    names it.
     """
     import numpy as np
 
@@ -102,34 +102,25 @@ def _beta_cf_array(a: Sequence[float], b: Sequence[float], x: Sequence[float]) -
     qam = a - 1.0
     c = np.ones_like(x)
     d = 1.0 - qab * x / qap
-    d[abs(d) < tiny] = tiny
+    np.copyto(d, tiny, where=abs(d) < tiny)
     d = 1.0 / d
     h = d.copy()
-    am2, even, odd, num, den, delta = (np.empty_like(x) for _ in range(6))
-    small = np.empty(len(x), dtype=bool)
     for m in map(float, range(1, _CF_MAX_ITER + 1)):
         m2 = m + m
-        np.add(a, m2, out=am2)
-        # even = m * (b - m) * x / ((qam + m2) * am2)
-        np.multiply(np.subtract(b, m, out=num), m, out=num)
-        np.divide(np.multiply(num, x, out=num),
-                  np.multiply(np.add(qam, m2, out=den), am2, out=den), out=even)
-        # odd = -(a + m) * (qab + m) * x / (am2 * (qap + m2))
-        np.multiply(np.negative(np.add(a, m, out=num), out=num),
-                    np.add(qab, m, out=den), out=num)
-        np.divide(np.multiply(num, x, out=num),
-                  np.multiply(am2, np.add(qap, m2, out=den), out=den), out=odd)
-        for aa in (even, odd):
-            # d = 1 / (1 + aa d) and c = 1 + aa / c, each held off zero by tiny.
-            np.add(np.multiply(aa, d, out=d), 1.0, out=d)
-            np.copyto(d, tiny, where=np.less(np.abs(d, out=num), tiny, out=small))
-            np.add(np.divide(aa, c, out=c), 1.0, out=c)
-            np.copyto(c, tiny, where=np.less(np.abs(c, out=num), tiny, out=small))
-            np.divide(1.0, d, out=d)
-            h *= np.multiply(d, c, out=delta)
-        # The pending values that meet the stopping test at this step.
-        done = np.less(np.abs(np.subtract(delta, 1.0, out=num), out=num), eps, out=small)
-        np.copyto(out, h, where=np.logical_and(done, pending, out=done))
+        am2 = a + m2
+        for aa in (
+            m * (b - m) * x / ((qam + m2) * am2),
+            -(a + m) * (qab + m) * x / (am2 * (qap + m2)),
+        ):
+            d = 1.0 + aa * d
+            np.copyto(d, tiny, where=abs(d) < tiny)
+            c = 1.0 + aa / c
+            np.copyto(c, tiny, where=abs(c) < tiny)
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
+        done = pending & (abs(delta - 1.0) < eps)
+        np.copyto(out, h, where=done)
         pending ^= done
         if not pending.any():
             return out
@@ -155,10 +146,9 @@ def _judged_dofs(
         # Plain ints are judged once per distinct value; anything else
         # one by one, so that True does not pass as 1.
         distinct = set(dofs) if set(map(type, dofs)) <= {int} else dofs
-    for d in distinct:
-        count(d, None, "degrees of freedom", 1, 10**9)
     constants = {}
     for d in distinct:
+        count(d, None, "degrees of freedom", 1, 10**9)
         a = d / 2.0
         # The branch point (a + 1) / (a + b + 2) at b = 1/2, summed in that
         # order: a + 2.5 can round differently and flip the branch for an x
