@@ -393,6 +393,14 @@ class TestFitAndSelect:
         assert [line.split(",")[1] for line in out.splitlines()] == [
             "variables", "player_market_value_meur"]
 
+    @pytest.mark.parametrize("method", ["exhaustive", "stepwise"])
+    def test_select_alpha_in_default(self, capsys, method):
+        # An unset --alpha-in is the library's default, 0.05.
+        argv = ("select", "--response", "revenue_meur", "--method", method)
+        _code, unset, _err = _run(capsys, *argv)
+        code, given, _err = _run(capsys, *argv, "--alpha-in", "0.05")
+        assert (code, given) == (0, unset)
+
     def test_fit_unknown_predictor_is_data_error(self, capsys):
         code, _out, err = _run(
             capsys, "fit", "--response", "revenue_meur", "--predictors", "bogus"
@@ -559,6 +567,8 @@ class TestUsage:
 
 COLD_PATH_SCRIPT = """
 import contextlib, io, sys
+import clubval
+print(sorted(m for m in sys.modules if m.startswith("clubval.")))
 from clubval.cli import run_cli
 
 def run(*argv):
@@ -567,7 +577,7 @@ def run(*argv):
 
 COLD_UNLOADED = (
     "dataclasses", "decimal", "fractions", "inspect", "numpy", "statistics",
-    "urllib.request",
+    "urllib.request", "clubval.regression", "clubval.selection", "clubval.special",
 )
 print(sorted(m for m in COLD_UNLOADED if m in sys.modules))
 run("apply", "--bundled", "jleague")
@@ -575,7 +585,7 @@ run("premiums")
 run("plot")
 print(sorted(m for m in COLD_UNLOADED if m in sys.modules))
 run("fit", "--response", "revenue_meur", "--predictors", "sns_followers_m")
-print("numpy" in sys.modules)
+print([m in sys.modules for m in ("numpy", "clubval.regression", "clubval.selection")])
 """
 
 
@@ -590,8 +600,12 @@ class TestColdPath:
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        # The import, then apply, premiums and plot, load none of these.
-        assert proc.stdout.splitlines() == ["[]", "[]", "True"]
+        # Importing the package loads no submodule. Importing the CLI, then
+        # apply, premiums and plot, load neither these stdlib modules nor the
+        # regression stack; fit loads numpy and regression but not selection.
+        assert proc.stdout.splitlines() == [
+            "[]", "[]", "[]", "[True, True, False]"
+        ]
 
 
 # Extreme finite amounts and follower counts, up to past the float range.

@@ -13,6 +13,13 @@ def test_every_exported_name_resolves():
     namespace: dict = {}
     exec("from clubval import *", namespace)
     assert set(clubval.__all__) <= namespace.keys()
+    # Each name is loaded from its module on first use; it must be the very
+    # object the module that defines it holds.
+    assert [
+        name for name in clubval.__all__
+        if getattr(importlib.import_module(namespace[name].__module__), name)
+        is not namespace[name]
+    ] == []
 
 
 def test_public_names_are_pinned():
