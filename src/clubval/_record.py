@@ -4,9 +4,13 @@
 ``__init__`` over the annotated fields in order, with their class-level
 defaults, that calls ``__post_init__`` when the class defines one; the
 dataclass repr; equality and hashing over the field values, within one
-class only; and no assignment or deletion once built. Fields named in
-the class's ``_unprinted`` tuple are left out of the repr, and
-``_fields`` holds the field names. Records do not inherit fields.
+class only; and no assignment or deletion once built. A DesignMatrix or
+ResponseVector, and a CandidateSet through them, compares by its
+ndarray field: it cannot be hashed, and equals another only when both
+hold the same array object, since numpy refuses to compare two distinct
+arrays of more than one value. Fields named in the class's
+``_unprinted`` tuple are left out of the repr, and ``_fields`` holds the
+field names. Records do not inherit fields.
 
 The standard module loads inspect, ast and dis, and its decorator runs
 one exec per generated method; on a command that never fits, that

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import cached_property
+from operator import mul
 
 from ._record import one_line, record, refuse
 from .errors import (
@@ -18,7 +20,7 @@ from .errors import (
     InsufficientObservations,
     RankDeficient,
 )
-from .special import t_two_sided_p
+from .special import _ARRAY_MIN, t_two_sided_p
 
 # numpy is imported inside the functions that compute, so importing this
 # module, or running a CLI command that never fits, does not load it.
@@ -31,6 +33,22 @@ if TYPE_CHECKING:
 RANK_RTOL = 1e-12
 # The most floats of fitted values a fit holds at once: 2**20, 8 MB.
 _BLOCK_FLOATS = 2**20
+# The form rule: a design of at most _PURE_MAX_COLUMNS columns (the most the
+# CLI can name) and _PURE_MAX_ROWS rows is fitted in pure Python, any other
+# with numpy. Measured on a 2-CPU Xeon, Python 3.11, numpy 2.4, medians of 7:
+# a whole 127-subset search of 7 candidates costs 9.0 ms in pure form against
+# 2.0 ms in numpy form at n = 60, and 24.5 against 2.4 ms at n = 1,000, the
+# rule's edge, while importing numpy costs about 42 ms over a bare interpreter.
+# So a cold caller saves at least 19 ms anywhere within the rule (the pure
+# search stops saving near n = 2,000, where it costs 42 ms), and a warm caller,
+# with numpy already loaded, pays up to 22 ms more for the largest search at
+# the edge and 1.4 ms more for one fit of 7 columns (1.5 against 0.1 ms).
+_PURE_MAX_COLUMNS = 7
+_PURE_MAX_ROWS = 1_000
+# Cyclic Jacobi sweeps before a block's eigenvalues are taken as they stand;
+# a 7 x 7 scaled block stops after 6 or 7, the last of which rotates nothing.
+_JACOBI_SWEEPS = 50
+_NUMBER_TYPES = frozenset((float, int, bool))
 
 
 def _float_array(values, what: str, order: str | None = None) -> np.ndarray:
@@ -43,19 +61,54 @@ def _float_array(values, what: str, order: str | None = None) -> np.ndarray:
         raise DomainError(f"{what} cannot become a float array: {exc}") from None
 
 
+def _float_tuples(columns) -> tuple[tuple[float, ...], ...] | None:
+    """columns, each a non-empty list or tuple of ints and floats, as float
+    tuples; None for anything else, which numpy's conversion judges."""
+    held = []
+    for col in columns:
+        if type(col) not in (list, tuple) or not col or not set(map(type, col)) <= _NUMBER_TYPES:
+            return None
+        try:
+            held.append(tuple(map(float, col)))
+        except OverflowError:  # an int past the float range: numpy names it
+            return None
+    return tuple(held)
+
+
+def _built_on_read(self, name: str):
+    """The ndarray field of a record held as float tuples (_held), formed
+    from them on first read and kept: n x k in Fortran order for a design,
+    a vector for a response."""
+    held = self.__dict__.get("_held")
+    if name != self._built or held is None:
+        raise AttributeError(name)
+    import numpy as np
+
+    array = np.array(held).T
+    self.__dict__[name] = array
+    return array
+
+
 @record
 class DesignMatrix:
     """Predictor columns without intercept: array is n x k, column j is variable_ids[j].
 
-    The array is held column-major (Fortran order), so each pass over
-    the n rows reads a contiguous column, and a design has the same bits
-    of every fit however it was built. A float array already in that
-    order is held as given; any other is copied once.
+    Rows given as a non-empty list or tuple of lists or tuples of k ints
+    and floats, as from_columns passes list columns, are held as k float
+    tuples, and array is formed from them on first read: a design that
+    only the pure form fits (see _fitter) never loads numpy. Any other
+    input is converted by numpy. The array is column-major (Fortran
+    order), so each pass over the n rows reads a contiguous column, and a
+    design has the same bits of every fit however it was built. A float
+    array already in that order is held as given; any other is copied
+    once.
     """
 
     variable_ids: tuple[str, ...]
     array: np.ndarray
     _unprinted = ("array",)
+    _built = "array"
+    __getattr__ = _built_on_read
 
     def __post_init__(self) -> None:
         ids = self.variable_ids
@@ -67,7 +120,16 @@ class DesignMatrix:
             one_line(vid, "design matrix", "variable id", "variable id")
         if len(set(ids)) != len(ids):
             raise DimensionMismatch(f"duplicate variable ids in {list(ids)}")
-        object.__setattr__(self, "array", _float_array(self.array, "design matrix", "F"))
+        rows = self.array
+        held = None
+        if type(rows) in (list, tuple) and rows and all(
+                type(row) in (list, tuple) and len(row) == len(ids) for row in rows):
+            held = _float_tuples(zip(*rows))
+        object.__setattr__(self, "_held", held)
+        if held is not None:
+            del self.__dict__["array"]  # formed from _held when read
+            return
+        object.__setattr__(self, "array", _float_array(rows, "design matrix", "F"))
         if self.array.shape[1:] != (len(ids),) or self.n_rows == 0:
             raise DimensionMismatch(f"array {self.array.shape} is not n x {len(ids)}, n > 0")
 
@@ -75,12 +137,16 @@ class DesignMatrix:
     def from_columns(
         cls, pairs: list[tuple[str, "np.ndarray | list[float]"]]
     ) -> "DesignMatrix":
-        import numpy as np
-
         try:
             pairs = [(vid, vec) for vid, vec in pairs]
         except (TypeError, ValueError):  # not iterable, or an item not a pair
             refuse("design matrix", "columns", "be (id, values) pairs", pairs)
+        ids = tuple(vid for vid, _ in pairs)
+        held = _float_tuples([vec for _, vec in pairs])
+        if held and len(set(map(len, held))) == 1:
+            return cls(ids, list(zip(*held)))
+        import numpy as np
+
         vectors = [_float_array(vec, f"column {vid}") for vid, vec in pairs]
         shapes = {vec.shape for vec in vectors}
         if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
@@ -89,55 +155,134 @@ class DesignMatrix:
             )
         # The transpose of one (k, n) copy is the n x k array in Fortran order;
         # with no columns the ids are refused before the array is read.
-        return cls(tuple(vid for vid, _ in pairs), np.array(vectors).T)
+        return cls(ids, np.array(vectors).T)
 
     @property
     def n_rows(self) -> int:
-        return len(self.array)
+        return len(self._held[0]) if self._held else len(self.array)
 
 
 @record
 class ResponseVector:
-    """The explained variable: an id and its observations."""
+    """The explained variable: an id and its observations.
+
+    A non-empty list or tuple of ints and floats is held as a float
+    tuple, and values, the float ndarray, is formed from it on first
+    read; any other input is converted by numpy.
+    """
 
     variable_id: str
     values: np.ndarray
+    _built = "values"
+    __getattr__ = _built_on_read
 
     def __post_init__(self) -> None:
         one_line(self.variable_id, "response", "variable id", "response id")
+        held = _float_tuples([self.values])
+        object.__setattr__(self, "_held", held and held[0])
+        if held:
+            del self.__dict__["values"]  # formed from _held when read
+            return
         values = _float_array(self.values, f"response {self.variable_id}")
         object.__setattr__(self, "values", values)
         if values.ndim != 1 or len(values) == 0:
             raise DimensionMismatch("response must be a non-empty vector")
+
+    @property
+    def n_rows(self) -> int:
+        return len(self._held or self.values)
 
 
 @record
 class RegressionFit:
     """Result of a through-origin least squares fit.
 
-    Coefficient-aligned arrays (coefficients, standard_errors, t_stats,
-    p_values) share the order of variable_ids. Every reported statistic
-    uses the uncentered convention. Every fit comes from one kernel,
-    _fitter's. fit_through_origin, its one-row case, adds residuals and
-    fitted; they are None on every other fit, which is every fit a
-    subset search returns, from either strategy. fit_through_origin on
-    the chosen columns gives them.
+    Coefficient-aligned fields (coefficients, standard_errors, t_stats,
+    p_values) are float tuples in the order of variable_ids, so fits
+    compare and hash by value. Every reported statistic uses the
+    uncentered convention. Every fit comes from one kernel, _fitter's.
+    fit_through_origin, its one-row case, keeps the design and response
+    it fitted, and fitted (X b) and residuals (y - X b) are formed from
+    them as ndarrays on first read, X b once. They are None on every
+    other fit, which is every fit a subset search returns, from either
+    strategy; fit_through_origin on the chosen columns gives them.
     """
 
     variable_ids: tuple[str, ...]
-    coefficients: np.ndarray
-    standard_errors: np.ndarray
-    t_stats: np.ndarray
-    p_values: np.ndarray
+    coefficients: tuple[float, ...]
+    standard_errors: tuple[float, ...]
+    t_stats: tuple[float, ...]
+    p_values: tuple[float, ...]
     r_squared: float
     adjusted_r_squared: float
     multiple_r: float
     standard_error_of_regression: float
     n_observations: int
     dof: int
-    residuals: np.ndarray | None = None
-    fitted: np.ndarray | None = None
-    _unprinted = ("residuals", "fitted")
+    _data = None  # (design, response), set by fit_through_origin
+
+    @cached_property
+    def fitted(self) -> np.ndarray | None:
+        if self._data is None:
+            return None
+        import numpy as np
+
+        return self._data[0].array @ np.array(self.coefficients)
+
+    @cached_property
+    def residuals(self) -> np.ndarray | None:
+        return None if self._data is None else self._data[1].values - self.fitted
+
+
+def _jacobi(a: list[list[float]]) -> tuple[list[float], list[list[float]]]:
+    """Eigenvalues of the symmetric matrix a (a list of rows) and the
+    eigenvectors, the columns of v, by cyclic Jacobi rotations (Rutishauser
+    1966). A rotation is skipped when its term is below eps times the
+    geometric mean of its two diagonal terms, which keeps the small
+    eigenvalues of a scaled positive definite block to high relative
+    accuracy (Demmel & Veselic 1992); a sweep that rotates nothing ends it.
+    """
+    s = len(a)
+    a = [row[:] for row in a]
+    v = [[float(i == j) for j in range(s)] for i in range(s)]
+    eps = sys.float_info.epsilon
+    for _ in range(_JACOBI_SWEEPS):
+        rotated = False
+        for p in range(s - 1):
+            ap = a[p]
+            for q in range(p + 1, s):
+                aq, apq = a[q], ap[q]
+                if abs(apq) <= eps * math.sqrt(abs(ap[p] * aq[q])):
+                    continue
+                rotated = True
+                theta = (aq[q] - ap[p]) / (2.0 * apq)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                sn = t * c
+                tau = sn / (1.0 + c)
+                ap[p] -= t * apq
+                aq[q] += t * apq
+                ap[q] = aq[p] = 0.0
+                for r in range(s):
+                    if r != p and r != q:
+                        ar = a[r]
+                        g, h = ar[p], ar[q]
+                        ar[p] = ap[r] = g - sn * (h + g * tau)
+                        ar[q] = aq[r] = h + sn * (g - h * tau)
+                for vr in v:
+                    g, h = vr[p], vr[q]
+                    vr[p] = g - sn * (h + g * tau)
+                    vr[q] = h + sn * (g - h * tau)
+        if not rotated:
+            break
+    return [a[i][i] for i in range(s)], v
+
+
+def _beyond_range(ids: tuple[str, ...], cols) -> DomainError:
+    names = ", ".join(ids[j] for j in cols)
+    return DomainError(
+        f"coefficient or standard error beyond the float range for predictor(s) {names}"
+    )
 
 
 def _fitter(design: DesignMatrix, response: ResponseVector):
@@ -155,65 +300,117 @@ def _fitter(design: DesignMatrix, response: ResponseVector):
     cannot fit: every row of a size s with n <= s, and each
     rank-deficient row. It is the one fitting kernel: fit_through_origin
     is its one-row case, each stepwise step is one call, and so is a
-    whole exhaustive search. Per size, one eigh of the principal blocks
-    G of the scaled X'X gives the rank test, G^-1 and b, and matmuls
-    against X the fitted values, turned into residuals in place (not
-    y'y - b'X'y, which cancels when R^2 is near 1). They are formed in
-    blocks of whole rows of at most _BLOCK_FLOATS floats, one block when
-    the size's (m, n) array fits, so a search over a tall design holds
-    8 MB of them, not m n floats. A fitted row whose b or standard
-    error, unscaled, passes the float range raises a DomainError naming
-    its predictors. The t values of all sizes then take one tail call.
-    The fits carry no residuals or fitted values, so no fitted block
-    outlives its step.
-    """
-    import numpy as np
+    whole exhaustive search. The eigenvalues and eigenvectors of the
+    principal block G of the scaled X'X give the rank test, G^-1 and b,
+    and the residuals are y - X b taken from X (not y'y - b'X'y, which
+    cancels when R^2 is near 1). A fitted row whose b or standard error,
+    unscaled, passes the float range raises a DomainError naming its
+    predictors.
 
-    x, y, ids = design.array, response.values, design.variable_ids
-    # Overflow and NaN are reported below as a DomainError naming the
-    # input, so numpy's RuntimeWarnings would only repeat it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        xtx = x.T @ x
-        xty = x.T @ y
-        tss = float(y @ y)
-    sq = np.diag(xtx)
-    columns = list(zip(ids, sq.tolist(), x.T))
+    The design's size alone picks one of two forms of that work (see
+    _PURE_MAX_ROWS), which agree within rounding. A design of the CLI's
+    size takes the pure form: a cyclic Jacobi per block in Python, and
+    tail calls of fewer than _ARRAY_MIN t values, so it never loads
+    numpy. Any other takes the numpy form: per size, one eigh of the
+    stacked blocks and matmuls against X whose fitted values become
+    residuals in place, in blocks of whole rows of at most _BLOCK_FLOATS
+    floats, one block when the size's (m, n) array fits, so a search
+    over a tall design holds 8 MB of them, not m n floats; and one tail
+    call for the t values of every size.
+    """
+    ids = design.variable_ids
+    n, k = design.n_rows, len(ids)
+    pure = k <= _PURE_MAX_COLUMNS and n <= _PURE_MAX_ROWS
+    if pure:
+        xs = design._held or design.array.T.tolist()
+        y = response._held or response.values.tolist()
+        xtx = [[sum(map(mul, a, b)) for b in xs] for a in xs]
+        xty = [sum(map(mul, a, y)) for a in xs]
+        tss = sum(map(mul, y, y))
+        finite = all(map(math.isfinite, [*sum(xtx, []), *xty, tss]))
+        columns, nonzero = xs, any
+    else:
+        import numpy as np
+
+        x, y = design.array, response.values
+        # Overflow and NaN are reported below as a DomainError naming the
+        # input, so numpy's RuntimeWarnings would only repeat it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            xtx = x.T @ x
+            xty = x.T @ y
+            tss = float(y @ y)
+        finite = bool(np.isfinite(xtx).all() and np.isfinite(xty).all()) and math.isfinite(tss)
+        columns, nonzero = x.T, np.ndarray.any
+    sq = [xtx[j][j] for j in range(k)]
     for words, bad, bad_y in (
-        ("non-finite value or overflow", [vid for vid, v, _ in columns if not math.isfinite(v)],
-         not (np.isfinite(xtx).all() and np.isfinite(xty).all() and math.isfinite(tss))),
+        ("non-finite value or overflow", [vid for vid, v in zip(ids, sq) if not math.isfinite(v)],
+         not finite),
         # A zero column is left to the rank test.
         ("sum of squares below the smallest normal float",
-         [vid for vid, v, col in columns if v < sys.float_info.min and col.any()],
-         tss < sys.float_info.min and y.any()),
+         [vid for vid, v, col in zip(ids, sq, columns) if v < sys.float_info.min and nonzero(col)],
+         tss < sys.float_info.min and nonzero(y)),
     ):
         if bad or bad_y:
             what = f"predictor(s) {', '.join(bad)}" if bad else f"response {response.variable_id}"
             raise DomainError(f"{words} in {what}")
-    n = len(x)
     # d_i x_i'x_j d_j, never d_i d_j, which overflows for tiny data.
-    d = np.ldexp(1.0, -np.frexp(np.sqrt(sq))[1])
+    d = [math.ldexp(1.0, -math.frexp(math.sqrt(v))[1]) for v in sq]
     s = math.ldexp(1.0, -math.frexp(math.sqrt(tss))[1])
-    gram, gram_y = xtx * d[:, None] * d, xty * d * s
-    ys, tss = y * s, tss * s * s
+    tss = tss * s * s
     largest = sys.float_info.max * s  # inf when s > 1
-    step = max(1, _BLOCK_FLOATS // n)  # rows of fitted values per block
 
-    def fit(idx: list[list[int]]) -> list[RegressionFit | None]:
-        by_size: dict[int, list[int]] = {}
-        for i, cols in enumerate(idx):
-            by_size.setdefault(len(cols), []).append(i)
-        # Per size with a fitted row: (t, dof, positions in idx, rows, the
-        # fitted rows' indices, beta, standard errors, SSR).
-        blocks = []
-        for k, at in by_size.items():
-            if n <= k:
-                continue
-            rows = np.asarray([idx[i] for i in at])
+    if pure:
+        gram = [[v * di * dj for v, dj in zip(row, d)] for row, di in zip(xtx, d)]
+        gram_y = [v * dj * s for v, dj in zip(xty, d)]
+        ys = [v * s for v in y]
+
+        def solve(rows: list[list[int]]) -> list[tuple | None]:
+            """(b, standard errors, t, SSR) of each row of one size, or None
+            for a rank-deficient row; SSR with y still scaled."""
+            out, worst, bound_max = [], None, 0.0
+            for cols in rows:
+                w, v = _jacobi([[gram[i][j] for j in cols] for i in cols])
+                lo, hi = min(w), max(w)
+                if not (lo > 0.0 and lo >= RANK_RTOL * hi):
+                    out.append(None)
+                    continue
+                # b = d V W^-1 V' (d X'y), and diag(G^-1) = sum over m of V[., m]^2 / w_m.
+                gy = [gram_y[j] for j in cols]
+                z = [sum(map(mul, vm, gy)) / wm for vm, wm in zip(zip(*v), w)]
+                beta = [d[j] * sum(map(mul, vj, z)) for j, vj in zip(cols, v)]
+                r = ys
+                for j, b in zip(cols, beta):
+                    r = [ri - b * xi for ri, xi in zip(r, xs[j])]
+                ssr = sum(map(mul, r, r))
+                dof = n - len(cols)
+                se = [d[j] * math.sqrt(sum([vjm * vjm / wm for vjm, wm in zip(vj, w)]) * (ssr / dof))
+                      for j, vj in zip(cols, v)]
+                # A zero standard error makes t +-inf by the sign of b (p = 0), or 0
+                # when b is 0 too (p = 1).
+                t = [b / e if e else math.copysign(math.inf, b) if b else 0.0
+                     for b, e in zip(beta, se)]
+                bound = max(max(map(abs, beta)), max(se))
+                if bound > bound_max:
+                    worst, bound_max = cols, bound
+                out.append(([b / s for b in beta], [e / s for e in se], t, ssr))
+            # Unscaled by y's power of two, a b or standard error above
+            # largest passes the float range: the row with the largest is refused.
+            if bound_max > largest:
+                raise _beyond_range(ids, worst)
+            return out
+    else:
+        d = np.array(d)
+        gram, gram_y = xtx * d[:, None] * d, xty * d * s
+        ys = y * s
+        step = max(1, _BLOCK_FLOATS // n)  # rows of fitted values per block
+
+        def solve(rows: list[list[int]]) -> list[tuple | None]:
+            rows = np.asarray(rows)
             w, v = np.linalg.eigh(gram[rows[:, :, None], rows[:, None, :]])
             lo, hi = w[:, 0], w[:, -1]
             ok = (lo > 0.0) & (lo >= RANK_RTOL * hi)
             if not ok.any():
-                continue
+                return [None] * len(rows)
             # A row that cannot be fitted solves to b = 0, and so t = 0, with
             # 1 / w = 0; it is dropped at the end.
             w[~ok] = np.inf
@@ -221,18 +418,18 @@ def _fitter(design: DesignMatrix, response: ResponseVector):
             # b and its standard errors in the columns' units, with y still scaled.
             d_rows = d[rows]
             beta = d_rows * (inv @ gram_y[rows][:, :, None])[:, :, 0]
-            b_full = np.zeros((len(at), x.shape[1]))
-            b_full[np.arange(len(at))[:, None], rows] = beta
+            b_full = np.zeros((len(rows), k))
+            b_full[np.arange(len(rows))[:, None], rows] = beta
             # The (m, n) fitted block, step whole rows at a time (all of them
             # in one matmul when it fits), turned into residuals in place.
-            ssr = np.empty(len(at))
-            for first in range(0, len(at), step):
+            ssr = np.empty(len(rows))
+            for first in range(0, len(rows), step):
                 residuals = b_full[first:first + step] @ x.T
                 np.subtract(ys, residuals, out=residuals)
                 ssr[first:first + step] = (residuals[:, None, :] @ residuals[:, :, None])[:, 0, 0]
                 # Freed before the next block is formed: one block at a time.
                 del residuals
-            dof = n - k
+            dof = n - rows.shape[1]
             # Never negative: inv's diagonal sums v**2 / w over w > 0, and SSR / dof >= 0.
             std_errors = d_rows * np.sqrt(inv.diagonal(0, -2, -1) * (ssr / dof)[:, None])
             # A zero standard error makes t +-inf by the sign of b (p = 0), or 0
@@ -245,46 +442,55 @@ def _fitter(design: DesignMatrix, response: ResponseVector):
             # A row not fitted has b = 0 and standard errors 0.
             bound = np.maximum(np.abs(beta), std_errors)
             if bound.max() > largest:
-                names = ", ".join(ids[j] for j in rows[bound.max(1).argmax()].tolist())
-                raise DomainError(
-                    f"coefficient or standard error beyond the float range for predictor(s) {names}"
-                )
-            kept = np.flatnonzero(ok).tolist()
-            blocks.append((t_stats, dof, at, rows, kept, beta / s, std_errors / s, ssr))
+                raise _beyond_range(ids, rows[bound.max(1).argmax()].tolist())
+            return [row if fitted else None for fitted, row in zip(ok.tolist(), zip(
+                (beta / s).tolist(), (std_errors / s).tolist(), t_stats.tolist(), ssr.tolist()))]
 
+    def fit(idx: list[list[int]]) -> list[RegressionFit | None]:
+        by_size: dict[int, list[int]] = {}
+        for i, cols in enumerate(idx):
+            by_size.setdefault(len(cols), []).append(i)
+        # (position in idx, (b, standard errors, t, SSR)) of each fitted row,
+        # and the t values of those rows with the dof of each.
+        solved, ts, dofs = [], [], []
+        for size, at in by_size.items():
+            if n > size:
+                rows = [(i, row) for i, row in zip(at, solve([idx[i] for i in at])) if row]
+                for _, row in rows:
+                    ts += row[2]
+                dofs += [n - size] * (size * len(rows))
+                solved += rows
         fits: list[RegressionFit | None] = [None] * len(idx)
-        if not blocks:
+        if not solved:
             return fits
-        # One tail call for the t values of every size: a lone size passes its
-        # t array and dof, mixed sizes their t arrays joined and one dof per t.
-        # A row that was not fitted has t = 0, and so the cheapest tail, p = 1.
-        if len(blocks) == 1:
-            t_all, dof_all = blocks[0][0].ravel(), blocks[0][1]
-        else:
-            t_all = np.concatenate([t.ravel() for t, *_ in blocks])
-            dof_all = np.repeat([dof for _, dof, *_ in blocks], [t.size for t, *_ in blocks]).tolist()
-        p_all = np.array(t_two_sided_p(t_all, dof_all))
+        # The numpy form makes one tail call; the pure form's calls stay
+        # narrower than the tail's numpy form. A lone dof is passed as one int.
+        one_dof = dofs.count(dofs[0]) == len(dofs)
+        width = _ARRAY_MIN - 1 if pure else len(ts)
+        p_all = []
+        for first in range(0, len(ts), width):
+            p_all += t_two_sided_p(
+                ts[first:first + width], dofs[0] if one_dof else dofs[first:first + width]
+            )
         start = 0
-        for t_stats, dof, at, rows, kept, beta, std_errors, ssr in blocks:
-            p_values = p_all[start:start + t_stats.size].reshape(t_stats.shape)
-            start += t_stats.size
-            for i in kept:
-                row_ssr = float(ssr[i])
-                # SSR is a sum of squares, so only the floor at 0 can bind.
-                r2 = 1.0 if tss == 0.0 else max(0.0, 1.0 - row_ssr / tss)
-                fits[at[i]] = RegressionFit(
-                    variable_ids=tuple([ids[j] for j in rows[i].tolist()]),
-                    coefficients=beta[i],
-                    standard_errors=std_errors[i],
-                    t_stats=t_stats[i],
-                    p_values=p_values[i],
-                    r_squared=r2,
-                    adjusted_r_squared=1.0 - (1.0 - r2) * n / dof,
-                    multiple_r=math.sqrt(r2),
-                    standard_error_of_regression=math.sqrt(row_ssr / dof) / s,
-                    n_observations=n,
-                    dof=dof,
-                )
+        for i, (beta, std_errors, t_stats, ssr) in solved:
+            dof = n - len(beta)
+            # SSR is a sum of squares, so only the floor at 0 can bind.
+            r2 = 1.0 if tss == 0.0 else max(0.0, 1.0 - ssr / tss)
+            fits[i] = RegressionFit(
+                variable_ids=tuple([ids[j] for j in idx[i]]),
+                coefficients=tuple(beta),
+                standard_errors=tuple(std_errors),
+                t_stats=tuple(t_stats),
+                p_values=tuple(p_all[start:start + len(t_stats)]),
+                r_squared=r2,
+                adjusted_r_squared=1.0 - (1.0 - r2) * n / dof,
+                multiple_r=math.sqrt(r2),
+                standard_error_of_regression=math.sqrt(ssr / dof) / s,
+                n_observations=n,
+                dof=dof,
+            )
+            start += len(t_stats)
         return fits
 
     return fit
@@ -292,7 +498,7 @@ def _fitter(design: DesignMatrix, response: ResponseVector):
 
 def fit_through_origin(design: DesignMatrix, response: ResponseVector) -> RegressionFit:
     """Fit response = design @ b with no intercept and return the full
-    inference block, with residuals and fitted values.
+    inference block; its fitted values and residuals are formed when read.
 
     Requirements: response length matches the design rows, the data is
     in _fitter's domain (judged before n > k >= 1), and X'X with each
@@ -300,10 +506,8 @@ def fit_through_origin(design: DesignMatrix, response: ResponseVector) -> Regres
     eigenvalue ratio of at least RANK_RTOL.
     """
     n, k = design.n_rows, len(design.variable_ids)
-    if response.values.shape != (n,):
-        raise DimensionMismatch(
-            f"response has length {len(response.values)}, design has {n} rows"
-        )
+    if response.n_rows != n:
+        raise DimensionMismatch(f"response has length {response.n_rows}, design has {n} rows")
     # The fitter first, so data out of its domain is named before a short one.
     fit_stack = _fitter(design, response)
     if n <= k:
@@ -317,6 +521,5 @@ def fit_through_origin(design: DesignMatrix, response: ResponseVector) -> Regres
             " column scaled by a power of two to a norm in [0.5, 1), the smallest to"
             f" largest eigenvalue ratio of X'X is below {RANK_RTOL:g}"
         )
-    fitted = design.array @ fit.coefficients
-    residuals = response.values - fitted
-    return RegressionFit(**{**vars(fit), "residuals": residuals, "fitted": fitted})
+    object.__setattr__(fit, "_data", (design, response))
+    return fit

@@ -163,11 +163,7 @@ def render_regression_table(fit: RegressionFit, spec: RenderSpec) -> str:
     coef_rows = [["variable", "coefficient", "standard_error", "t_stat", "p_value"]]
     coef_rows.append(["intercept", "0", "", "", ""])
     for vid, coef, se, t, p in zip(
-        fit.variable_ids,
-        fit.coefficients.tolist(),
-        fit.standard_errors.tolist(),
-        fit.t_stats.tolist(),
-        fit.p_values.tolist(),
+        fit.variable_ids, fit.coefficients, fit.standard_errors, fit.t_stats, fit.p_values
     ):
         coef_rows.append(
             [vid, fmt_fixed(coef, cp), fmt_fixed(se, cp), fmt_fixed(t, cp), fmt_sci(p)]

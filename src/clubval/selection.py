@@ -35,7 +35,7 @@ class CandidateSet:
     response: ResponseVector
 
     def __post_init__(self) -> None:
-        n = len(self.response.values)
+        n = self.response.n_rows
         if self.design.n_rows != n:
             raise DimensionMismatch(
                 f"candidates have {self.design.n_rows} rows, response has {n}"
@@ -100,7 +100,7 @@ def _rank_key(model: RankedModel) -> tuple:
 
 
 def _ranked(fit: RegressionFit, alpha: float) -> RankedModel:
-    return RankedModel(fit.variable_ids, fit, max(fit.p_values.tolist()) <= alpha)
+    return RankedModel(fit.variable_ids, fit, max(fit.p_values) <= alpha)
 
 
 def exhaustive_subsets(
@@ -193,7 +193,7 @@ def stepwise(
         for j, trial, trial_fit in zip(others, trials, fits):
             if trial_fit is None:
                 continue
-            p = float(trial_fit.p_values[trial.index(j)])
+            p = trial_fit.p_values[trial.index(j)]
             if p < alpha_in and (best_add is None or (p, j) < best_add[:2]):
                 best_add = (p, j, trial, trial_fit)
         # With nothing added, a backward pass would refit the state the
@@ -205,8 +205,8 @@ def stepwise(
         # Backward steps: drop the worst insignificant variable until
         # everything retained clears alpha_out, starting from the winning
         # trial's fit.
-        while float(fit.p_values.max()) > alpha_out:
-            del current[int(fit.p_values.argmax())]
+        while max(fit.p_values) > alpha_out:
+            del current[fit.p_values.index(max(fit.p_values))]
             fit = fit_stack([current])[0] if current else None
             if fit is None:
                 break

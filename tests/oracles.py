@@ -120,7 +120,7 @@ def stepwise_per_fit(cands, alpha_in: float = 0.05, alpha_out: float = 0.10):
             result = fit(tuple(current))
             if result is None:
                 break
-            worst = int(result.p_values.argmax())
+            worst = int(np.argmax(result.p_values))
             if float(result.p_values[worst]) <= alpha_out:
                 break
             current.remove(current[worst])

@@ -586,6 +586,9 @@ run("plot")
 print(sorted(m for m in COLD_UNLOADED if m in sys.modules))
 run("fit", "--response", "revenue_meur", "--predictors", "sns_followers_m")
 print([m in sys.modules for m in ("numpy", "clubval.regression", "clubval.selection")])
+run("select", "--response", "revenue_meur")
+run("select", "--response", "revenue_meur", "--method", "stepwise")
+print([m in sys.modules for m in ("numpy", "clubval.selection")])
 """
 
 
@@ -602,9 +605,10 @@ class TestColdPath:
         assert proc.returncode == 0, proc.stderr
         # Importing the package loads no submodule. Importing the CLI, then
         # apply, premiums and plot, load neither these stdlib modules nor the
-        # regression stack; fit loads numpy and regression but not selection.
+        # regression stack; fit loads regression but not selection, and
+        # neither fit nor either search of the bundled data loads numpy.
         assert proc.stdout.splitlines() == [
-            "[]", "[]", "[]", "[True, True, False]"
+            "[]", "[]", "[]", "[False, True, False]", "[False, True]"
         ]
 
 

@@ -77,7 +77,6 @@ SAMPLES = [
                 "variable_ids", "coefficients", "standard_errors", "t_stats",
                 "p_values", "r_squared", "adjusted_r_squared", "multiple_r",
                 "standard_error_of_regression", "n_observations", "dof",
-                "residuals", "fitted",
             )
         },
         {},
@@ -112,7 +111,7 @@ SAMPLES = [
     (RenderSpec, {"format": "csv", "scale": "log10"}, {"format": "text", "scale": "linear"}),
     (ScatterSeries, {"label": "FV", "points": ((1.0, 2.0, "C"),)}, {}),
 ]
-UNPRINTED = {DesignMatrix: {"array"}, RegressionFit: {"residuals", "fitted"}}
+UNPRINTED = {DesignMatrix: {"array"}}
 
 
 def _hashable(values) -> bool:

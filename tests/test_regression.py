@@ -259,7 +259,8 @@ class TestFitThroughOrigin:
         got = fit_through_origin(DesignMatrix(ids, x), response)
         want = fit_through_origin(DesignMatrix.from_columns(list(zip(ids, x.T))), response)
         for name in ("coefficients", "standard_errors", "t_stats", "p_values", "residuals", "fitted"):
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+            assert np.asarray(getattr(got, name)).tobytes() == np.asarray(
+                getattr(want, name)).tobytes(), name
 
     def test_columns_must_be_pairs(self):
         for bad in (None, 5, [("a",)], [None], [("a", [1.0, 2.0], "b")]):
@@ -280,10 +281,31 @@ class TestFitThroughOrigin:
         rng = np.random.default_rng(3)
         x, y = _random_dataset(rng, 20, 4)
         fit = _fit([(f"c{j}", x[:, j]) for j in range(4)], y)
-        assert calls == [(fit.t_stats.tolist(), 16)]
+        assert calls == [(list(fit.t_stats), 16)]
         with pytest.raises(RankDeficient):
             _fit([("a", x[:, 0]), ("b", x[:, 0])], y)
         assert len(calls) == 1
+
+
+class TestHeldData:
+    def test_lists_are_held_and_arrays_formed_when_read(self):
+        design = DesignMatrix.from_columns([("a", [1.0, 2.0, 4.0, 1.0]), ("b", [1, 0, 1, True])])
+        response = ResponseVector("y", [3.0, 6.0, 12.5, 2.0])
+        fit = fit_through_origin(design, response)
+        # The pure form fits the held float tuples: no ndarray is formed,
+        # and neither are the fitted values until they are read.
+        assert not {"array", "values", "fitted", "residuals"} & {*vars(design), *vars(response), *vars(fit)}
+        for name in ("coefficients", "standard_errors", "t_stats", "p_values"):
+            value = getattr(fit, name)
+            assert type(value) is tuple and {type(v) for v in value} == {float}
+        residuals = fit.residuals
+        # Reading the residuals formed X b once, and kept it as fitted.
+        assert vars(fit)["fitted"] is fit.fitted
+        assert residuals.tobytes() == (response.values - fit.fitted).tobytes()
+        assert fit.fitted.tobytes() == (design.array @ np.array(fit.coefficients)).tobytes()
+        assert design.array.flags.f_contiguous
+        assert design.array.tolist() == [[1.0, 1.0], [2.0, 0.0], [4.0, 1.0], [1.0, 1.0]]
+        assert response.values.tolist() == [3.0, 6.0, 12.5, 2.0]
 
 
 class TestMixedSizeStack:
@@ -325,7 +347,8 @@ class TestMixedSizeStack:
             assert fit.variable_ids == tuple(f"c{j}" for j in row)
             assert fit.dof == n - len(row)
             for name in self.FIELDS:
-                assert getattr(fit, name).tobytes() == getattr(want, name).tobytes(), name
+                assert np.asarray(getattr(fit, name)).tobytes() == np.asarray(
+                    getattr(want, name)).tobytes(), name
             assert (fit.adjusted_r_squared, fit.standard_error_of_regression) == (
                 want.adjusted_r_squared, want.standard_error_of_regression)
             # And the one-row stack within the kernel's tolerances: a stack
@@ -412,7 +435,7 @@ class TestEquivariance:
         ids = tuple(f"x{j}" for j in range(k))
         base = _fit(list(zip(ids, x.T)), y)
         scaled = _fit(list(zip(ids, x.T)), c * y)
-        assert np.allclose(scaled.coefficients, c * base.coefficients, rtol=1e-9)
+        assert np.allclose(scaled.coefficients, c * np.asarray(base.coefficients), rtol=1e-9)
         assert scaled.standard_error_of_regression == pytest.approx(
             c * base.standard_error_of_regression, rel=1e-9
         )

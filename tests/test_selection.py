@@ -15,7 +15,7 @@ from clubval.errors import (
     RankDeficient,
     TooManyCandidates,
 )
-from clubval import regression, selection
+from clubval import regression, selection, special
 from clubval.dataset import bundled_jleague_dataset, predictor_reader
 from clubval.regression import DesignMatrix, ResponseVector, _fitter, fit_through_origin
 from clubval.selection import (
@@ -386,7 +386,7 @@ class TestStepwiseAgainstPerFitReference:
             # columns as the exhaustive search's fits are.
             assert report.best.fit.residuals is None and report.best.fit.fitted is None
             want = fit_through_origin(cands.design_for(want_ids), cands.response)
-            ranked = RankedModel(want_ids, want, bool((want.p_values <= 0.05).all()))
+            ranked = RankedModel(want_ids, want, bool((np.asarray(want.p_values) <= 0.05).all()))
             TestExhaustiveAgainstPerFitReference._assert_same_report(
                 report, SelectionReport((ranked,))
             )
@@ -524,7 +524,8 @@ class TestOneKernel:
     def _assert_same_bits(got, want):
         assert got.variable_ids == want.variable_ids
         for name in ("coefficients", "standard_errors", "t_stats", "p_values"):
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+            assert np.asarray(getattr(got, name)).tobytes() == np.asarray(
+                getattr(want, name)).tobytes(), name
         for name in ("r_squared", "adjusted_r_squared", "multiple_r",
                      "standard_error_of_regression", "n_observations", "dof"):
             assert float(getattr(got, name)).hex() == float(getattr(want, name)).hex(), name
@@ -565,6 +566,124 @@ class TestOneKernel:
         self._assert_same_bits(report.best.fit, want)
 
 
+def _force_form(monkeypatch, form):
+    """Make regression._fitter take the given form for every design size."""
+    bound = 10**9 if form == "pure" else 0
+    monkeypatch.setattr(regression, "_PURE_MAX_COLUMNS", bound)
+    monkeypatch.setattr(regression, "_PURE_MAX_ROWS", bound)
+
+
+def _form_rule_candidates(seed):
+    """1 to 9 candidates at n from 2 to 2,500, on both sides of the form
+    rule, and whether c2 = c0 + c1, as in about one design in three with
+    k >= 3. Subsets are well conditioned or exactly rank deficient, so the
+    acceptance tolerances apply to every fit."""
+    rng = np.random.default_rng([31, seed])
+    k = int(rng.integers(1, 10))
+    n = int(math.exp(rng.uniform(math.log(2), math.log(2_500))))
+    cands = _independent_candidates(seed, n, k, nulls=k // 2)
+    collinear = k >= 3 and rng.random() < 1 / 3
+    if collinear:
+        x = cands.design.array.copy()
+        x[:, 2] = x[:, 0] + x[:, 1]
+        cands = CandidateSet(DesignMatrix(cands.variable_ids, x), cands.response)
+    return cands, collinear
+
+
+class TestTwoForms:
+    """The pure-Python form of the fitter and the numpy form, each forced on
+    the same designs."""
+
+    @staticmethod
+    def _in_each_form(monkeypatch, run):
+        results = []
+        for form in ("pure", "numpy"):
+            _force_form(monkeypatch, form)
+            try:
+                results.append(run())
+            except (InsufficientObservations, RankDeficient) as exc:
+                results.append(type(exc))
+        return results
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_forms_agree(self, monkeypatch, seed):
+        cands, collinear = _form_rule_candidates(seed)
+        k = len(cands.variable_ids)
+        pure, numpy_form = self._in_each_form(monkeypatch, lambda: (
+            exhaustive_subsets(cands, k), stepwise(cands),
+            fit_through_origin(cands.design, cands.response)))
+        if isinstance(pure, type) or isinstance(numpy_form, type):
+            # The refusal of the whole design is the same; so are the searches.
+            assert pure == numpy_form
+            pure, numpy_form = self._in_each_form(
+                monkeypatch, lambda: (exhaustive_subsets(cands, k), stepwise(cands)))
+        # Every fit-or-skip verdict and every all_significant flag, and each
+        # field within the acceptance tolerances. With c2 = c0 + c1, models
+        # that swap c0 and c1 tie in exact arithmetic, and stepwise breaks
+        # such a tie by rounding, so only the exhaustive reports are compared.
+        for got, want in zip(pure[:1 if collinear else 2], numpy_form):
+            assert got.converged == want.converged
+            TestExhaustiveAgainstPerFitReference._assert_same_report(got, want)
+        if len(pure) == 3:
+            got, want = pure[2], numpy_form[2]
+            np.testing.assert_allclose(got.fitted, want.fitted, rtol=1e-9, atol=0.0)
+            scale = np.abs(want.coefficients).max()
+            np.testing.assert_allclose(got.coefficients, want.coefficients, rtol=0.0, atol=1e-9 * scale)
+            np.testing.assert_allclose(got.standard_errors, want.standard_errors, rtol=1e-9)
+            np.testing.assert_allclose(got.p_values, want.p_values, rtol=0.0, atol=1e-10)
+            for name in ("r_squared", "adjusted_r_squared", "multiple_r"):
+                assert getattr(got, name) == pytest.approx(getattr(want, name), abs=1e-12)
+            assert got.standard_error_of_regression == pytest.approx(
+                want.standard_error_of_regression, rel=1e-9)
+
+    @pytest.mark.parametrize("form", ["pure", "numpy"])
+    def test_results_compare_and_hash_by_value(self, monkeypatch, form):
+        _force_form(monkeypatch, form)
+        rng = np.random.default_rng(12)
+        x = rng.uniform(1.0, 9.0, (30, 4))
+        y = x @ [1.0, 0.5, 0.0, 2.0] + rng.standard_normal(30)
+
+        def build():
+            # Fresh lists, so no two builds share an object.
+            return CandidateSet.from_columns(
+                [(f"c{j}", x[:, j].tolist()) for j in range(4)], ResponseVector("y", y.tolist())
+            )
+
+        one, two = build(), build()
+        for got, want in (
+            (fit_through_origin(one.design, one.response),
+             fit_through_origin(two.design, two.response)),
+            (exhaustive_subsets(one, 4), exhaustive_subsets(two, 4)),
+            (exhaustive_subsets(one, 4).best, exhaustive_subsets(two, 4).best),
+            (stepwise(one), stepwise(two)),
+        ):
+            assert got is not want and got == want and hash(got) == hash(want)
+        other = fit_through_origin(one.design, ResponseVector("y", (y + 1.0).tolist()))
+        assert other != fit_through_origin(one.design, one.response)
+
+    @pytest.mark.parametrize("n, pure", [(60, True), (1_000, True), (1_001, False)])
+    def test_rule_and_tail_widths(self, monkeypatch, n, pure):
+        # 7 candidates: 448 t values in a full search. The pure form's tail
+        # calls each stay narrower than the tail's numpy form; the numpy form
+        # makes one call per stack.
+        cands = _independent_candidates(5, n, 7, nulls=3)
+        widths = []
+        tail = regression.t_two_sided_p
+        monkeypatch.setattr(
+            regression, "t_two_sided_p", lambda t, dof: widths.append(len(t)) or tail(t, dof)
+        )
+        report = exhaustive_subsets(cands, 7)
+        assert len(report.ranked_models) == 127 and sum(widths) == 448
+        # And a stack of one size, 140 t values at one dof.
+        fits = _fitter(cands.design, cands.response)(
+            [list(cols) for cols in itertools.combinations(range(7), 4)])
+        assert all(fits) and sum(widths) == 448 + 140
+        if pure:
+            assert max(widths) < special._ARRAY_MIN
+        else:
+            assert widths == [448, 140]
+
+
 class TestCandidateSet:
     def test_subset_fit_matches_fresh_design(self):
         # design_for must give the same bits as a DesignMatrix built from
@@ -586,7 +705,8 @@ class TestCandidateSet:
                     "coefficients", "standard_errors", "t_stats", "p_values",
                     "residuals", "fitted",
                 ):
-                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+                    assert np.asarray(getattr(got, name)).tobytes() == np.asarray(
+                        getattr(want, name)).tobytes()
                 assert got.adjusted_r_squared.hex() == want.adjusted_r_squared.hex()
                 assert got.standard_error_of_regression == want.standard_error_of_regression
 
