@@ -4,11 +4,9 @@
 ``__init__`` over the annotated fields in order, with their class-level
 defaults, that calls ``__post_init__`` when the class defines one; the
 dataclass repr; equality and hashing over the field values, within one
-class only; and no assignment or deletion once built. A DesignMatrix or
-ResponseVector, and a CandidateSet through them, compares by its
-ndarray field: it cannot be hashed, and equals another only when both
-hold the same array object, since numpy refuses to compare two distinct
-arrays of more than one value. Fields named in the class's
+class only, or over the tuple its ``_compared`` method returns when the
+class defines one; and no assignment or deletion once built. Fields
+named in the class's
 ``_unprinted`` tuple are left out of the repr, and ``_fields`` holds the
 field names. Records do not inherit fields.
 
@@ -36,11 +34,11 @@ def _repr(self) -> str:
 def _eq(self, other):
     if other.__class__ is not self.__class__:
         return NotImplemented
-    return _values(self) == _values(other)
+    return self._compared() == other._compared()
 
 
 def _hash(self) -> int:
-    return hash(_values(self))
+    return hash(self._compared())
 
 
 def _frozen(self, name, value=None):
@@ -63,6 +61,7 @@ def record(cls):
     cls.__init__ = init
     cls._fields = names
     cls._unprinted = cls.__dict__.get("_unprinted", ())
+    cls._compared = cls.__dict__.get("_compared", _values)
     cls.__repr__, cls.__eq__, cls.__hash__ = _repr, _eq, _hash
     cls.__setattr__ = cls.__delattr__ = _frozen
     return cls

@@ -20,7 +20,7 @@ from .errors import (
     InsufficientObservations,
     RankDeficient,
 )
-from .special import _ARRAY_MIN, t_two_sided_p
+from .special import t_two_sided_p
 
 # numpy is imported inside the functions that compute, so importing this
 # module, or running a CLI command that never fits, does not load it.
@@ -35,14 +35,16 @@ RANK_RTOL = 1e-12
 _BLOCK_FLOATS = 2**20
 # The form rule: a design of at most _PURE_MAX_COLUMNS columns (the most the
 # CLI can name) and _PURE_MAX_ROWS rows is fitted in pure Python, any other
-# with numpy. Measured on a 2-CPU Xeon, Python 3.11, numpy 2.4, medians of 7:
-# a whole 127-subset search of 7 candidates costs 9.0 ms in pure form against
-# 2.0 ms in numpy form at n = 60, and 24.5 against 2.4 ms at n = 1,000, the
-# rule's edge, while importing numpy costs about 42 ms over a bare interpreter.
-# So a cold caller saves at least 19 ms anywhere within the rule (the pure
-# search stops saving near n = 2,000, where it costs 42 ms), and a warm caller,
-# with numpy already loaded, pays up to 22 ms more for the largest search at
-# the edge and 1.4 ms more for one fit of 7 columns (1.5 against 0.1 ms).
+# with numpy. CPU time on a loaded 2-CPU Xeon, Python 3.11, numpy 2.4, medians
+# of 5 best-of-21 runs: a whole 127-subset search of 7 candidates, flags and
+# all, costs 20.8 ms in pure form against 5.2 ms in numpy form at n = 60, and
+# 64 against 4.9 ms at n = 1,000, the rule's edge; importing numpy costs a
+# child 92 ms. So a cold caller saves at least 30 ms anywhere within the rule
+# (19 ms at n = 2,000, where the pure search costs 77 ms), and a warm caller,
+# numpy loaded, pays up to 59 ms more for the largest search at the edge and
+# 3.6 ms more for one fit of 7 columns (3.85 against 0.21 ms).
+# 2**_PURE_MAX_COLUMNS - 1 < _ARRAY_MIN: a pure search's one tail call, a p per
+# model, keeps the tail's per-value form, so it never loads numpy.
 _PURE_MAX_COLUMNS = 7
 _PURE_MAX_ROWS = 1_000
 # Cyclic Jacobi sweeps before a block's eigenvalues are taken as they stand;
@@ -161,6 +163,10 @@ class DesignMatrix:
     def n_rows(self) -> int:
         return len(self._held[0]) if self._held else len(self.array)
 
+    def _compared(self) -> tuple:
+        """What equality and hashing see: held columns as they are, an array's as float tuples."""
+        return self.variable_ids, self._held or tuple(map(tuple, self.array.T.tolist()))
+
 
 @record
 class ResponseVector:
@@ -192,15 +198,19 @@ class ResponseVector:
     def n_rows(self) -> int:
         return len(self._held or self.values)
 
+    def _compared(self) -> tuple:
+        return self.variable_id, self._held or tuple(self.values.tolist())
+
 
 @record
 class RegressionFit:
     """Result of a through-origin least squares fit.
 
-    Coefficient-aligned fields (coefficients, standard_errors, t_stats,
-    p_values) are float tuples in the order of variable_ids, so fits
-    compare and hash by value. Every reported statistic uses the
-    uncentered convention. Every fit comes from one kernel, _fitter's.
+    Coefficient-aligned fields (coefficients, standard_errors, t_stats)
+    are float tuples in the order of variable_ids, so fits compare and
+    hash by value; p_values, one more, is formed from t_stats and dof by
+    one t_two_sided_p call when first read. Every reported statistic uses
+    the uncentered convention. Every fit comes from one kernel, _fitter's.
     fit_through_origin, its one-row case, keeps the design and response
     it fitted, and fitted (X b) and residuals (y - X b) are formed from
     them as ndarrays on first read, X b once. They are None on every
@@ -212,7 +222,6 @@ class RegressionFit:
     coefficients: tuple[float, ...]
     standard_errors: tuple[float, ...]
     t_stats: tuple[float, ...]
-    p_values: tuple[float, ...]
     r_squared: float
     adjusted_r_squared: float
     multiple_r: float
@@ -220,6 +229,10 @@ class RegressionFit:
     n_observations: int
     dof: int
     _data = None  # (design, response), set by fit_through_origin
+
+    @cached_property
+    def p_values(self) -> tuple[float, ...]:
+        return tuple(t_two_sided_p(list(self.t_stats), self.dof))
 
     @cached_property
     def fitted(self) -> np.ndarray | None:
@@ -305,18 +318,17 @@ def _fitter(design: DesignMatrix, response: ResponseVector):
     and the residuals are y - X b taken from X (not y'y - b'X'y, which
     cancels when R^2 is near 1). A fitted row whose b or standard error,
     unscaled, passes the float range raises a DomainError naming its
-    predictors.
+    predictors. The function stops at t: it makes no tail call, and each
+    fit forms its p-values when they are read.
 
     The design's size alone picks one of two forms of that work (see
     _PURE_MAX_ROWS), which agree within rounding. A design of the CLI's
-    size takes the pure form: a cyclic Jacobi per block in Python, and
-    tail calls of fewer than _ARRAY_MIN t values, so it never loads
-    numpy. Any other takes the numpy form: per size, one eigh of the
-    stacked blocks and matmuls against X whose fitted values become
-    residuals in place, in blocks of whole rows of at most _BLOCK_FLOATS
-    floats, one block when the size's (m, n) array fits, so a search
-    over a tall design holds 8 MB of them, not m n floats; and one tail
-    call for the t values of every size.
+    size takes the pure form, a cyclic Jacobi per block in Python, so it
+    never loads numpy. Any other takes the numpy form: per size, one
+    eigh of the stacked blocks and matmuls against X whose fitted values
+    become residuals in place, in blocks of whole rows of at most
+    _BLOCK_FLOATS floats, one block when the size's (m, n) array fits,
+    so a search over a tall design holds 8 MB of them, not m n floats.
     """
     ids = design.variable_ids
     n, k = design.n_rows, len(ids)
@@ -450,29 +462,12 @@ def _fitter(design: DesignMatrix, response: ResponseVector):
         by_size: dict[int, list[int]] = {}
         for i, cols in enumerate(idx):
             by_size.setdefault(len(cols), []).append(i)
-        # (position in idx, (b, standard errors, t, SSR)) of each fitted row,
-        # and the t values of those rows with the dof of each.
-        solved, ts, dofs = [], [], []
+        # (position in idx, (b, standard errors, t, SSR)) of each fitted row.
+        solved = []
         for size, at in by_size.items():
             if n > size:
-                rows = [(i, row) for i, row in zip(at, solve([idx[i] for i in at])) if row]
-                for _, row in rows:
-                    ts += row[2]
-                dofs += [n - size] * (size * len(rows))
-                solved += rows
+                solved += [(i, row) for i, row in zip(at, solve([idx[i] for i in at])) if row]
         fits: list[RegressionFit | None] = [None] * len(idx)
-        if not solved:
-            return fits
-        # The numpy form makes one tail call; the pure form's calls stay
-        # narrower than the tail's numpy form. A lone dof is passed as one int.
-        one_dof = dofs.count(dofs[0]) == len(dofs)
-        width = _ARRAY_MIN - 1 if pure else len(ts)
-        p_all = []
-        for first in range(0, len(ts), width):
-            p_all += t_two_sided_p(
-                ts[first:first + width], dofs[0] if one_dof else dofs[first:first + width]
-            )
-        start = 0
         for i, (beta, std_errors, t_stats, ssr) in solved:
             dof = n - len(beta)
             # SSR is a sum of squares, so only the floor at 0 can bind.
@@ -482,7 +477,6 @@ def _fitter(design: DesignMatrix, response: ResponseVector):
                 coefficients=tuple(beta),
                 standard_errors=tuple(std_errors),
                 t_stats=tuple(t_stats),
-                p_values=tuple(p_all[start:start + len(t_stats)]),
                 r_squared=r2,
                 adjusted_r_squared=1.0 - (1.0 - r2) * n / dof,
                 multiple_r=math.sqrt(r2),
@@ -490,7 +484,6 @@ def _fitter(design: DesignMatrix, response: ResponseVector):
                 n_observations=n,
                 dof=dof,
             )
-            start += len(t_stats)
         return fits
 
     return fit

@@ -13,6 +13,7 @@ import itertools
 from ._record import count, finite, record
 from .errors import DimensionMismatch, DomainError, MissingPredictor, TooManyCandidates
 from .regression import DesignMatrix, RegressionFit, ResponseVector, _fitter
+from .special import t_two_sided_p
 # Not called here: bench/tracer.py wraps this name to time a search's fits.
 from .regression import fit_through_origin  # noqa: F401
 
@@ -99,8 +100,15 @@ def _rank_key(model: RankedModel) -> tuple:
     return (-model.fit.adjusted_r_squared, len(model.variable_ids), model.variable_ids)
 
 
-def _ranked(fit: RegressionFit, alpha: float) -> RankedModel:
-    return RankedModel(fit.variable_ids, fit, max(fit.p_values) <= alpha)
+def _ranked(fits: list[RegressionFit], alpha: float) -> list[RankedModel]:
+    """fits as RankedModels, each flagged all_significant when its largest
+    p-value is at most alpha. p falls as |t| grows, so a fit's largest p
+    is that of its smallest |t|: one tail call, of one value per fit at
+    that fit's dof, flags them all."""
+    if not fits:
+        return []
+    p_max = t_two_sided_p([min(map(abs, fit.t_stats)) for fit in fits], [fit.dof for fit in fits])
+    return [RankedModel(fit.variable_ids, fit, p <= alpha) for fit, p in zip(fits, p_max)]
 
 
 def exhaustive_subsets(
@@ -113,7 +121,9 @@ def exhaustive_subsets(
     candidates are searched.
 
     The whole search, every size, is one call of the fitter whose
-    one-row case is fit_through_origin (see regression._fitter). Subsets
+    one-row case is fit_through_origin (see regression._fitter), and
+    every model's all_significant flag comes from one t_two_sided_p
+    call; no fit's p_values is formed until it is read. Subsets
     of equal span (c0 + c1 and c0 + c2 with c2 = c0 + c1, say) are
     ordered by rounding. Search fits carry no residuals or fitted
     values; refit a model for them with
@@ -127,19 +137,14 @@ def exhaustive_subsets(
         )
     count(max_size, None, "max_size", 1, len(ids))
     finite(alpha, None, "alpha", 0, True, 1)
-    fit_stack = _fitter(cands.design, cands.response)
-    models: list[RankedModel] = []
-    skipped: list[tuple[str, ...]] = []
     combos = [
         cols
         for size in range(1, max_size + 1)
         for cols in itertools.combinations(range(len(ids)), size)
     ]
-    for cols, fit in zip(combos, fit_stack(combos)):
-        if fit is None:
-            skipped.append(tuple(ids[j] for j in cols))
-        else:
-            models.append(_ranked(fit, alpha))
+    fits = _fitter(cands.design, cands.response)(combos)
+    skipped = [tuple(ids[j] for j in cols) for cols, fit in zip(combos, fits) if fit is None]
+    models = _ranked([fit for fit in fits if fit is not None], alpha)
     models.sort(key=_rank_key)
     return SelectionReport(ranked_models=tuple(models), skipped=tuple(skipped))
 
@@ -217,5 +222,5 @@ def stepwise(
             break
         seen.add(state)
 
-    ranked = () if fit is None else (_ranked(fit, alpha_in),)
+    ranked = tuple(_ranked([] if fit is None else [fit], alpha_in))
     return SelectionReport(ranked_models=ranked, converged=converged)

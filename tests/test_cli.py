@@ -589,6 +589,19 @@ print([m in sys.modules for m in ("numpy", "clubval.regression", "clubval.select
 run("select", "--response", "revenue_meur")
 run("select", "--response", "revenue_meur", "--method", "stepwise")
 print([m in sys.modules for m in ("numpy", "clubval.selection")])
+
+# 7 list columns at n = 60: a search of 127 fits, whose one tail call is
+# narrower than the tail's numpy form, and a stepwise search.
+import math
+from clubval.regression import ResponseVector
+from clubval.selection import CandidateSet, exhaustive_subsets, stepwise
+cols = [(f"c{j}", [1.0 + (i * (2 * j + 3)) % 17 + math.sin(i * (j + 1)) for i in range(60)])
+        for j in range(7)]
+y = [2.0 * cols[0][1][i] + cols[1][1][i] + math.cos(7 * i) for i in range(60)]
+cands = CandidateSet.from_columns(cols, ResponseVector("y", y))
+reports = exhaustive_subsets(cands, 7), stepwise(cands)
+print([len(r.ranked_models) for r in reports], [len(r.best.fit.p_values) for r in reports],
+      "numpy" in sys.modules)
 """
 
 
@@ -606,9 +619,10 @@ class TestColdPath:
         # Importing the package loads no submodule. Importing the CLI, then
         # apply, premiums and plot, load neither these stdlib modules nor the
         # regression stack; fit loads regression but not selection, and
-        # neither fit nor either search of the bundled data loads numpy.
+        # neither fit nor either search of the bundled data loads numpy,
+        # nor do both searches of 7 list columns, their p-values read.
         assert proc.stdout.splitlines() == [
-            "[]", "[]", "[]", "[False, True, False]", "[False, True]"
+            "[]", "[]", "[]", "[False, True, False]", "[False, True]", "[127, 1] [5, 5] False"
         ]
 
 

@@ -268,8 +268,9 @@ class TestFitThroughOrigin:
                 DesignMatrix.from_columns(bad)
 
     def test_one_tail_call_per_fit(self, monkeypatch):
-        # All k p-values of a fit come from one call at the fit's dof;
-        # a fit refused before inference makes none.
+        # A fit makes no tail call until its p-values are read; then all k
+        # come from one call at the fit's dof, and a second read makes none.
+        # A fit refused before inference makes none.
         calls = []
         tail = regression.t_two_sided_p
 
@@ -281,13 +282,34 @@ class TestFitThroughOrigin:
         rng = np.random.default_rng(3)
         x, y = _random_dataset(rng, 20, 4)
         fit = _fit([(f"c{j}", x[:, j]) for j in range(4)], y)
+        assert calls == []
+        assert fit.p_values == tuple(tail(list(fit.t_stats), 16))
         assert calls == [(list(fit.t_stats), 16)]
+        assert fit.p_values is fit.p_values and len(calls) == 1
         with pytest.raises(RankDeficient):
             _fit([("a", x[:, 0]), ("b", x[:, 0])], y)
         assert len(calls) == 1
 
 
 class TestHeldData:
+    def test_inputs_built_alike_compare_and_hash_by_value(self):
+        def build(x2):
+            design = DesignMatrix.from_columns([("a", [1.0, 2.0, 4.0]), ("b", [1, 0, x2])])
+            return CandidateSet(design, ResponseVector("y", [3.0, 6.0, 12.5]))
+
+        one, two = build(1), build(1)
+        for got, want in ((one.design, two.design), (one.response, two.response), (one, two)):
+            assert got is not want and got == want and hash(got) == hash(want)
+        # Held values compare as they are: no array is formed.
+        assert not {"array", "values"} & {*vars(one.design), *vars(one.response)}
+        # An array compares by its values, equal to the same values held.
+        array_built = DesignMatrix(("a", "b"), one.design.array.copy())
+        assert array_built == one.design and hash(array_built) == hash(one.design)
+        assert ResponseVector("y", np.array([3.0, 6.0, 12.5])) == one.response
+        other = build(2)
+        assert other.design != one.design and other != one and other.response == one.response
+        assert DesignMatrix(("a", "c"), array_built.array) != array_built
+
     def test_lists_are_held_and_arrays_formed_when_read(self):
         design = DesignMatrix.from_columns([("a", [1.0, 2.0, 4.0, 1.0]), ("b", [1, 0, 1, True])])
         response = ResponseVector("y", [3.0, 6.0, 12.5, 2.0])
@@ -314,7 +336,7 @@ class TestMixedSizeStack:
     FIELDS = ("coefficients", "standard_errors", "t_stats", "p_values")
 
     @pytest.mark.parametrize("n", [9, 60])
-    def test_one_tail_call_and_each_size_as_its_own_stack(self, monkeypatch, n):
+    def test_no_tail_call_and_each_size_as_its_own_stack(self, monkeypatch, n):
         # 10 columns with c2 = c0 + c1, rows of sizes 1 to 10 in a shuffled
         # order. At n = 9 sizes 9 and 10 have n <= s.
         rng = np.random.default_rng(n)
@@ -332,8 +354,9 @@ class TestMixedSizeStack:
         monkeypatch.setattr(
             regression, "t_two_sided_p", lambda t, dof: calls.append(dof) or tail(t, dof)
         )
+        # The kernel stops at t: no fit forms its p-values until they are read.
         got = fit_stack(rows)
-        assert len(calls) == 1 and len(got) == len(rows)
+        assert calls == [] and len(got) == len(rows)
         alone = {}
         for size in range(1, 11):
             stack = [row for row in rows if len(row) == size]

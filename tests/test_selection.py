@@ -663,25 +663,24 @@ class TestTwoForms:
 
     @pytest.mark.parametrize("n, pure", [(60, True), (1_000, True), (1_001, False)])
     def test_rule_and_tail_widths(self, monkeypatch, n, pure):
-        # 7 candidates: 448 t values in a full search. The pure form's tail
-        # calls each stay narrower than the tail's numpy form; the numpy form
-        # makes one call per stack.
+        # 7 candidates: a full search of 127 fits makes one tail call of one
+        # value per fit, in either form narrower than the tail's numpy form.
         cands = _independent_candidates(5, n, 7, nulls=3)
-        widths = []
-        tail = regression.t_two_sided_p
-        monkeypatch.setattr(
-            regression, "t_two_sided_p", lambda t, dof: widths.append(len(t)) or tail(t, dof)
-        )
+        widths, blocks = [], []
+        tail, jacobi = special.t_two_sided_p, regression._jacobi
+        for module in (regression, selection):
+            monkeypatch.setattr(
+                module, "t_two_sided_p", lambda t, dof: widths.append(len(t)) or tail(t, dof)
+            )
+        # Only the pure form runs the Jacobi, once per subset.
+        monkeypatch.setattr(regression, "_jacobi", lambda a: blocks.append(a) or jacobi(a))
         report = exhaustive_subsets(cands, 7)
-        assert len(report.ranked_models) == 127 and sum(widths) == 448
-        # And a stack of one size, 140 t values at one dof.
+        assert len(report.ranked_models) == 127 and len(blocks) == 127 * pure
+        assert widths == [127] and 127 < special._ARRAY_MIN
+        # The kernel makes none for a stack of one size, 140 t values at one dof.
         fits = _fitter(cands.design, cands.response)(
             [list(cols) for cols in itertools.combinations(range(7), 4)])
-        assert all(fits) and sum(widths) == 448 + 140
-        if pure:
-            assert max(widths) < special._ARRAY_MIN
-        else:
-            assert widths == [448, 140]
+        assert all(fits) and widths == [127]
 
 
 class TestCandidateSet:
