@@ -43,8 +43,6 @@ _BLOCK_FLOATS = 2**20
 # (19 ms at n = 2,000, where the pure search costs 77 ms), and a warm caller,
 # numpy loaded, pays up to 59 ms more for the largest search at the edge and
 # 3.6 ms more for one fit of 7 columns (3.85 against 0.21 ms).
-# 2**_PURE_MAX_COLUMNS - 1 < _ARRAY_MIN: a pure search's one tail call, a p per
-# model, keeps the tail's per-value form, so it never loads numpy.
 _PURE_MAX_COLUMNS = 7
 _PURE_MAX_ROWS = 1_000
 # Cyclic Jacobi sweeps before a block's eigenvalues are taken as they stand;
@@ -232,7 +230,7 @@ class RegressionFit:
 
     @cached_property
     def p_values(self) -> tuple[float, ...]:
-        return tuple(t_two_sided_p(list(self.t_stats), self.dof))
+        return tuple(t_two_sided_p(self.t_stats, self.dof))
 
     @cached_property
     def fitted(self) -> np.ndarray | None:

@@ -25,6 +25,7 @@ from clubval.selection import (
     exhaustive_subsets,
     stepwise,
 )
+from clubval.special import t_two_sided_p
 
 from oracles import exhaustive_per_fit, stepwise_per_fit
 
@@ -67,6 +68,35 @@ _DROPPING_SEEDS = (24, 42, 56)
 
 
 class TestExhaustive:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_flags_match_each_models_smallest_t(self, seed):
+        # Bisection over each dof's fits flags a model exactly when the p of
+        # its smallest |t| is at most alpha: at a random alpha, and at alpha
+        # set to one model's p, in both fitter forms, with c2 = c0 + c1 in
+        # every other design.
+        rng = np.random.default_rng([34, seed])
+        n = int(rng.integers(12, 80))
+        flags = set()
+        for k, form in ((10, np.asarray), (7, list)):
+            x = rng.uniform(0.1, 1.0, (n, k)) * rng.uniform(1.0, 100.0, k)
+            if seed % 2:
+                x[:, 2] = x[:, 0] + x[:, 1]
+            signal = x @ (rng.uniform(0.5, 3.0, k) * (rng.random(k) < 0.6))
+            y = signal + rng.normal(0.0, rng.uniform(0.2, 2.0) * signal.std() + 1.0, n)
+            cands = CandidateSet.from_columns(
+                [(f"c{j}", form(x[:, j].tolist())) for j in range(k)],
+                ResponseVector("y", form(y.tolist())))
+            models = exhaustive_subsets(cands, k).ranked_models
+            chosen = models[int(rng.integers(len(models)))].fit
+            exact = t_two_sided_p(min(map(abs, chosen.t_stats)), chosen.dof)
+            for alpha in (float(rng.uniform(1e-4, 0.3)), exact):
+                for model in exhaustive_subsets(cands, k, alpha).ranked_models:
+                    fit = model.fit
+                    want = t_two_sided_p(min(map(abs, fit.t_stats)), fit.dof) <= alpha
+                    assert model.all_significant is want
+                    flags.add(want)
+        assert flags == {True, False}
+
     def test_subset_count_six_choose_up_to_two(self):
         rng = np.random.default_rng(3)
         n = 25
@@ -165,6 +195,34 @@ class TestExhaustive:
 
 
 class TestStepwise:
+    @pytest.mark.parametrize("seed", _DROPPING_SEEDS)
+    def test_one_tail_call_per_forward_step(self, seed, monkeypatch):
+        # A forward step's trials are of one size: one tail call at their
+        # one dof, of one t per fitted trial, reads the added columns'
+        # p-values, and no trial forms its own p_values but the winner,
+        # whose fit is the first backward check.
+        stacks, steps = [], []
+        fitter, tail = selection._fitter, special.t_two_sided_p
+
+        def recording(design, response):
+            fit_stack = fitter(design, response)
+            return lambda rows: stacks.append(fit_stack(rows)) or stacks[-1]
+
+        def tallied(t, dof):
+            if isinstance(t, list):
+                steps.append((len(stacks), len(t), dof))
+            return tail(t, dof)
+
+        monkeypatch.setattr(selection, "_fitter", recording)
+        monkeypatch.setattr(selection, "t_two_sided_p", tallied)
+        report = stepwise(_latent_candidates(seed))
+        assert report.converged and report.best is not None
+        assert len(steps) >= 2 and len({at for at, _, _ in steps}) == len(steps)
+        for at, width, dof in steps:
+            fitted = [f for f in stacks[at - 1] if f is not None]
+            assert width == len(fitted) and {f.dof for f in fitted} == {dof}
+            assert sum("p_values" in vars(f) for f in fitted) <= 1
+
     def test_selects_single_strong_candidate(self):
         rng = np.random.default_rng(91)
         n = 30
@@ -663,24 +721,29 @@ class TestTwoForms:
 
     @pytest.mark.parametrize("n, pure", [(60, True), (1_000, True), (1_001, False)])
     def test_rule_and_tail_widths(self, monkeypatch, n, pure):
-        # 7 candidates: a full search of 127 fits makes one tail call of one
-        # value per fit, in either form narrower than the tail's numpy form.
+        # 7 candidates: a full search of 127 fits flags the m fits of each
+        # size, one dof, by bisection, in at most m.bit_length() + 1 tail
+        # calls of one t each, in either form.
         cands = _independent_candidates(5, n, 7, nulls=3)
-        widths, blocks = [], []
+        calls, blocks = [], []
         tail, jacobi = special.t_two_sided_p, regression._jacobi
         for module in (regression, selection):
             monkeypatch.setattr(
-                module, "t_two_sided_p", lambda t, dof: widths.append(len(t)) or tail(t, dof)
+                module, "t_two_sided_p", lambda t, dof: calls.append((t, dof)) or tail(t, dof)
             )
         # Only the pure form runs the Jacobi, once per subset.
         monkeypatch.setattr(regression, "_jacobi", lambda a: blocks.append(a) or jacobi(a))
         report = exhaustive_subsets(cands, 7)
         assert len(report.ranked_models) == 127 and len(blocks) == 127 * pure
-        assert widths == [127] and 127 < special._ARRAY_MIN
+        sizes = [math.comb(7, s) for s in range(1, 8)]
+        assert all(isinstance(t, float) for t, _ in calls)
+        assert {dof for _, dof in calls} == {n - s for s in range(1, 8)}
+        assert len(calls) <= sum(m.bit_length() + 1 for m in sizes)
         # The kernel makes none for a stack of one size, 140 t values at one dof.
+        flagged = len(calls)
         fits = _fitter(cands.design, cands.response)(
             [list(cols) for cols in itertools.combinations(range(7), 4)])
-        assert all(fits) and widths == [127]
+        assert all(fits) and len(calls) == flagged
 
 
 class TestCandidateSet:

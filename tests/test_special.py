@@ -13,7 +13,7 @@ from scipy import stats
 
 from clubval import special
 from clubval.errors import DomainError
-from clubval.special import _ARRAY_MIN, _beta_cf, _beta_cf_array, t_two_sided_p
+from clubval.special import _beta_cf, t_two_sided_p
 
 from oracles import t_two_sided_quad
 
@@ -23,15 +23,6 @@ class TestBetaContinuedFraction:
         # The t tail never reaches this (b is 1/2 there), but the raise stays.
         with pytest.raises(DomainError, match=r"a=1000000\.0, b=1000000\.0, x=0\.5"):
             _beta_cf(1e6, 1e6, 0.5)
-
-    def test_array_non_convergence_names_the_first_value_as_the_scalar_loop(self):
-        # The first and the last value stop; the two in between never do,
-        # and the first of them is named.
-        with pytest.raises(DomainError) as scalar:
-            _beta_cf(1e6, 1e6, 0.5)
-        with pytest.raises(DomainError) as array:
-            _beta_cf_array([0.5, 1e6, 2e6, 27.5], [0.5, 1e6, 2e6, 0.5], [0.1, 0.5, 0.5, 0.9])
-        assert str(array.value) == str(scalar.value)
 
 
 class TestTTwoSidedP:
@@ -115,7 +106,7 @@ class TestTTwoSidedP:
             with pytest.raises(DomainError, match="NaN"):
                 t_two_sided_p(t, 5)
 
-    @pytest.mark.parametrize("width", [1, 3, _ARRAY_MIN + 2])
+    @pytest.mark.parametrize("width", [1, 3, 130])
     def test_rejects_malformed_t(self, width):
         # Text, None, rows of a 2-D array, an int past the float range and
         # complex values: alone, in a narrow call and in a wide one.
@@ -164,121 +155,63 @@ class TestTTwoSidedP:
         st.floats(min_value=-4.0, max_value=4.0),
     )
     def test_wide_call_matches_scalar_calls(self, ts, dof, shift):
-        # A ramp of _ARRAY_MIN values over six decades about sqrt(dof), where
-        # x is neither 0 nor 1, puts the call on the array form.
+        # A ramp of 128 values over six decades about sqrt(dof), where x is
+        # neither 0 nor 1, so every one of them runs the fraction.
         root = math.sqrt(dof)
-        ramp = [root * 10.0 ** (shift + 6.0 * i / _ARRAY_MIN - 3.0) for i in range(_ARRAY_MIN)]
+        ramp = [root * 10.0 ** (shift + 6.0 * i / 128 - 3.0) for i in range(128)]
         ts = ramp[::2] + ts + [-t for t in ramp[1::2]]
-        with mock.patch.object(special, "_beta_cf_array", wraps=_beta_cf_array) as array:
-            wide = t_two_sided_p(ts, dof)
-        assert array.call_count == 1
+        wide = t_two_sided_p(ts, dof)
         assert [p.hex() for p in wide] == [t_two_sided_p(t, dof).hex() for t in ts]
 
-    def test_wide_call_of_few_fractions_runs_the_array_form(self):
-        ts = [0.0, math.inf] * _ARRAY_MIN + [2.0, -3.5, 1e-3]
-        with mock.patch.object(special, "_beta_cf_array", wraps=_beta_cf_array) as array:
-            wide = t_two_sided_p(ts, 35)
-        assert array.call_count == 1
-        assert [p.hex() for p in wide] == [t_two_sided_p(t, 35).hex() for t in ts]
-
-    def test_wide_call_without_fractions_never_runs_the_array_fraction(self):
+    def test_wide_call_without_fractions_never_runs_the_fraction(self):
         # p is 1 at t = 0 and 0 at t = +-inf, with no fraction to run.
-        ts = [0.0, math.inf, -math.inf] * _ARRAY_MIN
-        with mock.patch.object(special, "_beta_cf_array") as array:
+        ts = [0.0, math.inf, -math.inf] * 128
+        with mock.patch.object(special, "_beta_cf") as cf:
             wide = t_two_sided_p(ts, 35)
-        assert not array.called
-        assert wide == [1.0, 0.0, 0.0] * _ARRAY_MIN
+        assert not cf.called
+        assert wide == [1.0, 0.0, 0.0] * 128
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(
-                st.one_of(
-                    st.floats(allow_nan=False),
-                    st.sampled_from(
-                        [0.0, -0.0, 5e-324, 1e-8, 0.9, -1.7, 1e154, -1e300, math.inf, -math.inf]
-                    ),
-                ),
-                st.one_of(st.integers(1, 10**9), st.sampled_from([1, 2, 55, 56, 10**9])),
-            ),
-            max_size=40,
-        ),
-        st.lists(st.integers(1, 10**9) | st.sampled_from([1, 51, 59]), min_size=1, max_size=4),
-        st.sampled_from(["narrow", "padded", "ramp", _ARRAY_MIN - 1, _ARRAY_MIN]),
-    )
-    def test_per_value_dof_matches_scalar_calls(self, pairs, ramp_dofs, width):
-        # One dof per t, as a list and as an ndarray. "padded" makes a wide
-        # call with few fractions; "ramp" adds _ARRAY_MIN values about
-        # sqrt(dof) over six decades, which all need the fraction, and a
-        # number fills the call up to that many values with them.
-        ts, dofs = [t for t, _ in pairs], [dof for _, dof in pairs]
-        if width == "padded":
-            ts, dofs = ts + [0.0, math.inf] * (_ARRAY_MIN // 2), dofs + [7, 8] * (_ARRAY_MIN // 2)
-        elif width != "narrow":
-            for i in range(_ARRAY_MIN if width == "ramp" else width - len(ts)):
-                dof = ramp_dofs[i % len(ramp_dofs)]
-                ts.append((-1) ** i * math.sqrt(dof) * 10.0 ** (6.0 * i / _ARRAY_MIN - 3.0))
-                dofs.append(dof)
-        want = [t_two_sided_p(t, dof).hex() for t, dof in zip(ts, dofs)]
-        with (
-            mock.patch.object(special, "_beta_cf_array", wraps=_beta_cf_array) as array,
-            mock.patch.object(special, "_p_columns", wraps=special._p_columns) as columns,
-        ):
-            for form in (list, np.array):
-                got = t_two_sided_p(form(ts), dofs)
-                assert isinstance(got, list)
-                assert [p.hex() for p in got] == want
-        assert columns.call_count == 2 * (len(ts) >= _ARRAY_MIN)
-        # The array fraction runs only within the column form.
-        assert array.call_count <= columns.call_count
-        if width == "ramp":
-            assert array.call_count == 2
-
-    def test_dof_sequence_forms(self):
-        # One repeated dof gives that dof's bits in either form, and any
-        # iterable of dofs is taken, an iterator too.
-        ts = np.linspace(-6.0, 6.0, 2 * _ARRAY_MIN + 1)
-        want = t_two_sided_p(ts.tolist(), 55)
-        for t in (ts, ts.tolist()):
-            assert t_two_sided_p(t, [55] * len(ts)) == want
-            assert t_two_sided_p(t, 55) == want
-        ts = [1.0, 2.0, 3.0]
-        want = [t_two_sided_p(t, dof) for t, dof in zip(ts, (5, 6, 5))]
-        assert t_two_sided_p(ts, iter([5, 6, 5])) == want
+    def test_t_sequence_forms(self):
+        # A list, a tuple and a 1-D ndarray of the same t values each give a
+        # list of the p-values of one call per t.
+        ts = np.linspace(-6.0, 6.0, 257).tolist()
+        want = [t_two_sided_p(t, 55).hex() for t in ts]
+        for form in (list, tuple, np.array):
+            got = t_two_sided_p(form(ts), 55)
+            assert isinstance(got, list) and [p.hex() for p in got] == want
+        assert t_two_sided_p((1.0, 2.0), 5) == [t_two_sided_p(1.0, 5), t_two_sided_p(2.0, 5)]
 
     def test_rejects_malformed_dof_sequence(self):
+        # A call takes one dof for all its t values: a sequence of them,
+        # even of one dof per t, is not an integer, and neither is text.
         for ts, dofs in (
-            ([1.0, 2.0], [5]),
-            ([1.0], [5, 5]),
-            ([], [5]),
-            (np.ones(_ARRAY_MIN), [5] * (_ARRAY_MIN + 1)),
+            ([1.0, 2.0], [5, 5]),
+            ([1.0], (5,)),
+            (np.ones(130), np.full(130, 5)),
+            ([1.0, 2.0, 3.0], iter([5, 6, 5])),
+            ([1.0], "5"),
+            ([1.0], b"5"),
+            ([1.0], bytearray(b"5")),
         ):
-            with pytest.raises(DomainError, match="degrees of freedom given for"):
-                t_two_sided_p(ts, dofs)
-        # Text is one dof, not a sequence of characters or bytes.
-        for dof in ("5", b"5", bytearray(b"5")):
             with pytest.raises(DomainError, match="degrees of freedom must be an integer"):
-                t_two_sided_p([1.0], dof)
+                t_two_sided_p(ts, dofs)
 
     @pytest.mark.parametrize("bad", [True, False, 0, -3, 10**12 + 1, 2.5, math.nan, None])
     def test_rejects_bad_dof_in_sequence(self, bad):
-        # Beside equal plain ints too: True must not pass as the 1 beside it.
-        for ts in ([1.0, 2.0, 3.0], np.linspace(0.1, 5.0, _ARRAY_MIN)):
-            for fill in (1, 5):
-                dofs = [fill] * len(ts)
-                dofs[1] = bad
+        # A narrow and a wide call judge their one dof as a single t does:
+        # True must not pass as 1. Within a sequence it is refused too.
+        for ts in ([1.0, 2.0, 3.0], np.linspace(0.1, 5.0, 130)):
+            for dof in (bad, [bad]):
                 with pytest.raises(DomainError, match="degrees of freedom"):
-                    t_two_sided_p(ts, dofs)
+                    t_two_sided_p(ts, dof)
 
-    def test_numpy_loads_only_for_the_array_form(self):
+    def test_tail_never_loads_numpy(self):
         # A fresh interpreter, since this test process has loaded numpy already.
         script = (
             "import sys\n"
-            "from clubval.special import _ARRAY_MIN, t_two_sided_p\n"
+            "from clubval.special import t_two_sided_p\n"
             "t_two_sided_p(2.0, 5)\n"
-            "t_two_sided_p([2.0] * (_ARRAY_MIN - 1), 5)\n"
-            "print('numpy' in sys.modules)\n"
-            "t_two_sided_p([0.0] * _ARRAY_MIN, 5)\n"
+            "t_two_sided_p([2.0] * 1000, 5)\n"
             "print('numpy' in sys.modules)\n"
         )
         src = str(Path(special.__file__).resolve().parents[1])
@@ -288,7 +221,7 @@ class TestTTwoSidedP:
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["False", "True"]
+        assert proc.stdout.splitlines() == ["False"]
 
     @settings(max_examples=60)
     @given(
