@@ -50,10 +50,12 @@ def record(cls):
     defaults = tuple(cls.__dict__[name] for name in names if name in cls.__dict__)
     if any(name in cls.__dict__ for name in names[:len(names) - len(defaults)]):
         raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
-    body = "".join(f"    _set(self, {name!r}, {name})\n" for name in names)
+    # One dict update stores every field: no record class has __slots__, and
+    # no field name is a class-level descriptor that assignment would call.
+    body = f"    self.__dict__.update({{{', '.join(f'{name!r}: {name}' for name in names)}}})\n"
     if hasattr(cls, "__post_init__"):
         body += "    self.__post_init__()\n"
-    namespace = {"_set": object.__setattr__}
+    namespace = {}
     exec(f"def __init__(self, {', '.join(names)}):\n{body}", namespace)
     init = namespace["__init__"]
     init.__defaults__ = defaults or None

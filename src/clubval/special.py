@@ -108,7 +108,9 @@ def t_two_sided_p(t: float | Sequence[float], dof: int) -> float | list[float]:
             ln_x = math.log1p(-y) if y < 0.5 else math.log(x)
             front = math.exp(a * ln_x + 0.5 * math.log(y) - ln_beta)
             if x < split:
-                x = front * _beta_cf(a, 0.5, x) / a
+                # A front lost to underflow gives p = 0 * cf / a = 0 without
+                # the fraction. Above the split, y > 0 keeps front above 1e-163.
+                x = front * _beta_cf(a, 0.5, x) / a if front else 0.0
             else:
                 x = 1.0 - front * _beta_cf(0.5, a, y) / 0.5
         p.append(x)

@@ -251,16 +251,49 @@ class TestFitThroughOrigin:
         assert DesignMatrix(ids, f_array).array is f_array
         assert not np.shares_memory(DesignMatrix(ids, x).array, x)
 
-    def test_layouts_fit_with_the_same_bits(self):
+    @staticmethod
+    def _layouts_fit_alike(n):
         rng = np.random.default_rng(5)
-        x, y = _random_dataset(rng, 30, 4)
+        x, y = _random_dataset(rng, n, 4)
         ids = ("a", "b", "c", "d")
         response = ResponseVector("y", y)
-        got = fit_through_origin(DesignMatrix(ids, x), response)
-        want = fit_through_origin(DesignMatrix.from_columns(list(zip(ids, x.T))), response)
-        for name in ("coefficients", "standard_errors", "t_stats", "p_values", "residuals", "fitted"):
-            assert np.asarray(getattr(got, name)).tobytes() == np.asarray(
-                getattr(want, name)).tobytes(), name
+        want = fit_through_origin(DesignMatrix(ids, np.asfortranarray(x)), response)
+        for design in (DesignMatrix(ids, x), DesignMatrix.from_columns(list(zip(ids, x.T)))):
+            got = fit_through_origin(design, response)
+            for name in ("coefficients", "standard_errors", "t_stats", "p_values", "residuals",
+                         "fitted"):
+                assert np.asarray(getattr(got, name)).tobytes() == np.asarray(
+                    getattr(want, name)).tobytes(), name
+
+    def test_layouts_fit_with_the_same_bits(self):
+        self._layouts_fit_alike(30)
+
+    def test_layouts_fit_with_the_same_bits_past_three_blocks(self):
+        # A copy of 3 whole blocks of rows (see _column_major) and a short one.
+        self._layouts_fit_alike(3 * (regression._COPY_FLOATS // 4) + 17)
+
+    @pytest.mark.parametrize("k", [1, 8, 40])
+    @pytest.mark.parametrize("blocks", [0, 3])
+    def test_every_layout_gives_the_same_array(self, k, blocks):
+        # from_columns copies a block of rows at a time (at k = 40 the block
+        # is _COPY_MIN_ROWS rows); the array has the bytes of one plain
+        # column-major copy, as DesignMatrix makes of a row-major array.
+        step = max(regression._COPY_MIN_ROWS, regression._COPY_FLOATS // k)
+        n = blocks * step + 17
+        rng = np.random.default_rng(k + blocks)
+        # One column more than k, so each of the k columns is strided, even for k = 1.
+        wide = rng.normal(size=(n, k + 1)) * 10.0 ** rng.integers(-300, 300, size=(n, k + 1))
+        wide[::5] = -0.0
+        x = wide[:, :k]
+        ids = tuple(f"v{j}" for j in range(k))
+        ints = rng.integers(-10**6, 10**6, size=(n, k))
+        for cols in (list(x.T), [col.copy() for col in x.T], list(ints.T)):
+            want = np.asfortranarray(np.column_stack(cols), dtype=float)
+            for array in (DesignMatrix.from_columns(list(zip(ids, cols))).array,
+                          DesignMatrix(ids, np.column_stack(cols)).array):
+                assert array.dtype == np.float64 and array.flags.f_contiguous
+                assert array.shape == (n, k) and array.tobytes("F") == want.tobytes("F")
+        assert DesignMatrix(ids, x).array.tobytes("F") == np.asfortranarray(x).tobytes("F")
 
     def test_columns_must_be_pairs(self):
         for bad in (None, 5, [("a",)], [None], [("a", [1.0, 2.0], "b")]):

@@ -1,10 +1,14 @@
 """Smoke tests for scripts/: each runs in a fresh interpreter on the package
 source, as a user would run it."""
 
+import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import clubval
 
@@ -58,3 +62,59 @@ def test_dof_consistency_search_finds_only_35():
             break
         consistent.append(line.split(":")[0].strip())
     assert consistent == ["dof=35"]
+
+
+_STUB_BENCH = '''\
+import json, os, sys
+from pathlib import Path
+compiled = "PYTHONDONTWRITEBYTECODE" not in os.environ
+assert os.environ.get("PYTHONDONTWRITEBYTECODE", "1") == "1" and "PYTHONPYCACHEPREFIX" not in os.environ
+assert Path("src/stub/__pycache__").is_dir() == compiled, compiled
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+assert args["--seconds"] == "10" and args["--trace"] == "0", args
+print(json.dumps({"workload": args["--workload"], "seed": args["--seed"]}))
+ms = float(Path("ms.txt").read_text())
+spec = json.loads(Path("BENCHMARK.json").read_text())
+values = {"op_p50_ms": ms, "op_p90_ms": ms, "op_ok_ratio": 1.0}
+print(json.dumps({"correct": True, "attempted": 100, "failed": 0, "metrics": {
+    m["name"]: {"value": values.get(m["name"], 1.0), "unit": m["unit"]}
+    for m in spec["end_to_end"]}}))
+'''
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+@pytest.mark.parametrize("bytecode", ["none", "compiled"])
+def test_bench_pairs_claims_nothing_from_two_pairs(tmp_path, bytecode):
+    # A stub benchmark in a throwaway repository: the committed side reads
+    # 10 ms, the uncommitted working tree 9 ms, so the change wins both
+    # pairs; two pairs are too few for a claim. The stub also checks that
+    # src was compiled under "compiled" and not under "none".
+    repo = tmp_path / "repo"
+    (repo / "bench").mkdir(parents=True)
+    (repo / "src" / "stub").mkdir(parents=True)
+    (repo / "src" / "stub" / "__init__.py").write_text("")
+    (repo / "BENCHMARK.json").write_bytes((ROOT / "BENCHMARK.json").read_bytes())
+    (repo / "bench" / "run.py").write_text(_STUB_BENCH)
+    (repo / "ms.txt").write_text("10.0")
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    for argv in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "stub"]):
+        subprocess.run(git + argv, cwd=repo, check=True, capture_output=True)
+    (repo / "ms.txt").write_text("9.0")
+    out = tmp_path / "pairs.json"
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=str(tmp_path / "cache"))
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "bench_pairs.py"), "--parent", "HEAD", "--change",
+         "worktree", "--workloads", "tall_stepwise", "--pairs", "2", "--seed", "5",
+         "--bytecode", bytecode, "--claim", "tall_stepwise:op_p50_ms", "--out", str(out)],
+        cwd=repo, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(out.read_text())
+    assert doc["bytecode"] == bytecode and doc["change"]["uncommitted_changes"]
+    assert [(p["seed"], p["first"]) for p in doc["runs"]["tall_stepwise"]] == [
+        (5, "parent"), (6, "change")]
+    p50 = doc["summary"]["tall_stepwise"]["metrics"]["op_p50_ms"]
+    assert (p50["parent_runs"], p50["change_runs"], p50["change_wins"]) == ([10.0] * 2, [9.0] * 2, 2)
+    assert p50["verdict"] == "within bound" and p50["change_pct"] == -10.0
+    assert [c["met"] for c in doc["claims"]] == [False]
+    assert "claim tall_stepwise op_p50_ms: not met" in proc.stdout

@@ -171,6 +171,14 @@ class TestTTwoSidedP:
         assert not cf.called
         assert wide == [1.0, 0.0, 0.0] * 128
 
+    def test_underflowed_front_skips_the_fraction(self):
+        # At t this large the fraction's factor underflows to 0, which fixes
+        # p at 0.0, the bits of 0 * cf / a, with no fraction to run.
+        with mock.patch.object(special, "_beta_cf", wraps=special._beta_cf) as cf:
+            assert t_two_sided_p([2000.0, -1500.0], 59_995) == [0.0, 0.0]
+            assert t_two_sided_p([2.0], 59_995) != [0.0]
+        assert cf.call_count == 1
+
     def test_t_sequence_forms(self):
         # A list, a tuple and a 1-D ndarray of the same t values each give a
         # list of the p-values of one call per t.
