@@ -11,12 +11,10 @@ command: a run is that command with `--workload W --seed S --seconds T
 --trace 0`, started in the copy, T being the file's run_seconds; its last
 line of stdout is the benchmark's JSON result.
 
-Bytecode policy (`--bytecode`), recorded in the output:
-- none: fresh copies without __pycache__, run under
-  PYTHONDONTWRITEBYTECODE=1, so every cold start compiles clubval, as
-  on a fresh checkout;
-- compiled: `python3 -m compileall -q src bench` in each copy first.
-Neither uses PYTHONPYCACHEPREFIX, which is removed from the runs'
+Bytecode policy (`--bytecode`, recorded in the output): none, the one
+policy, is fresh copies without __pycache__, run under
+PYTHONDONTWRITEBYTECODE=1, so every cold start compiles clubval, as on a
+fresh checkout. PYTHONPYCACHEPREFIX is removed from the runs'
 environment: the prefix applies to every module, so the standard library
 would compile on every start (about 100 ms per cold start on a 2-CPU
 Xeon). PYTHONPATH is removed too, so a run sees only its own copy.
@@ -164,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workloads", required=True, nargs="+")
     parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
     parser.add_argument("--seed", type=int, required=True, help="the first pair's seed")
-    parser.add_argument("--bytecode", choices=("none", "compiled"), required=True)
+    parser.add_argument("--bytecode", choices=("none",), default="none")
     parser.add_argument("--claim", action="append", default=[], metavar="WORKLOAD:METRIC")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
@@ -173,20 +171,14 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--pairs must be >= 1, and each --claim WORKLOAD:METRIC name a run workload")
 
     repo = Path(git("rev-parse", "--show-toplevel", cwd=Path.cwd()).decode().strip())
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("PYTHONPYCACHEPREFIX", "PYTHONPATH", "PYTHONDONTWRITEBYTECODE")}
-    if args.bytecode == "none":
-        env["PYTHONDONTWRITEBYTECODE"] = "1"
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPYCACHEPREFIX", "PYTHONPATH")}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         sides = {"parent": Path(tmp, "parent"), "change": Path(tmp, "change")}
         revs = {"parent": make_copy(repo, args.parent, sides["parent"]),
                 "change": make_copy(repo, args.change, sides["change"])}
         spec = json.loads((sides["parent"] / "BENCHMARK.json").read_text(encoding="utf-8"))
         command, seconds = spec["command"], spec["run_seconds"]
-        if args.bytecode == "compiled":
-            for copy in sides.values():
-                subprocess.run([command[0], "-m", "compileall", "-q", "src", "bench"],
-                               cwd=copy, env=env, check=True)
         runs: dict[str, list[dict]] = {wl: [] for wl in args.workloads}
         for wl in args.workloads:
             for i in range(args.pairs):

@@ -29,10 +29,18 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 
-# Rank test: the least smallest over largest eigenvalue of a column-scaled X'X block.
+# Rank test: s columns are fitted when cond^2 * RANK_RTOL <= 1, cond being the
+# Frobenius condition estimate ||U||_F ||U^-1||_F of their column-scaled
+# triangle U, which overstates the 2-norm condition by at most a factor of s.
 RANK_RTOL = 1e-12
-# The most floats of fitted values a fit holds at once: 2**20, 8 MB.
-_BLOCK_FLOATS = 2**20
+# The largest ||R1||_F ||R1^-1||_F for which _factor keeps CholeskyQR2's R.
+# Worst relative error in b against an exact solve at set cond(X), CholeskyQR2
+# against Householder: 8.5e-10 / 1.8e-9 at cond 1e7 and 1.8e-9 / 6.1e-9 at 3e7
+# (5 seeds, 40 x 4), 2.2e-10 / 1.5e-9 and 3.6e-10 / 2.7e-9 (3 seeds, 20,000 x 6,
+# three subsets each); the estimate read up to 1.2e7 and 3.8e7. An exactly
+# singular [X y] (the bench's short designs, seeds 1-10) either fails the
+# Cholesky or reads 1.8e8 to 4.0e8, past eps^-1/2, where CholeskyQR2 fails.
+_CHOLESKY_QR_MAX_COND = 1e7
 # The most floats of a block of rows that _column_major copies at once: 2**15,
 # 256 KB. Copying 8 strided columns of 60,000 rows on a 2-CPU Xeon, best of 40,
 # three runs: 0.52-0.57 ms in blocks of 4,096 rows, 0.51-0.53 ms in 16,384,
@@ -105,14 +113,15 @@ def _float_tuples(columns) -> tuple[tuple[float, ...], ...] | None:
 
 def _built_on_read(self, name: str):
     """The ndarray field of a record held as float tuples (_held), formed
-    from them on first read and kept: n x k in Fortran order for a design,
-    a vector for a response."""
+    from them on first read and kept, read-only: n x k in Fortran order for
+    a design, a vector for a response."""
     held = self.__dict__.get("_held")
     if name != self._built or held is None:
         raise AttributeError(name)
     import numpy as np
 
     array = np.array(held).T
+    array.flags.writeable = False
     self.__dict__[name] = array
     return array
 
@@ -137,6 +146,8 @@ class DesignMatrix:
     array: np.ndarray
     _unprinted = ("array",)
     _built = "array"
+    # (fitter, response, column positions) of a search, set by CandidateSet.design_for.
+    _source = None
     __getattr__ = _built_on_read
 
     def __post_init__(self) -> None:
@@ -180,8 +191,11 @@ class DesignMatrix:
             raise DimensionMismatch(
                 f"columns must be vectors of one length, got shapes {sorted(shapes)}"
             )
-        # With no columns the ids are refused before the array is read.
-        return cls(ids, _column_major(vectors) if vectors else [])
+        if not vectors:  # refused by the ids before the array is read
+            return cls(ids, [])
+        array = _column_major(vectors)
+        array.flags.writeable = False
+        return cls(ids, array)
 
     @property
     def n_rows(self) -> int:
@@ -322,6 +336,47 @@ def _beyond_range(ids: tuple[str, ...], cols) -> DomainError:
     )
 
 
+def _factor(x: np.ndarray, y: np.ndarray, xtx: np.ndarray, xty: np.ndarray, tss: float,
+            d: list[float], s: float) -> np.ndarray:
+    """R, upper triangular, with A = Q R and Q's columns orthonormal, for
+    A = [X D, y s], D = diag(d) (tss is y's scaled sum of squares): so
+    R's columns S and y, reduced to a triangle, are a QR of A's.
+
+    CholeskyQR2 (Fukaya, Nakatsukasa, Yanagisawa & Yamamoto 2014): R1 is
+    the Cholesky factor of A'A, formed from the domain check's X'X, X'y
+    and y'y; with M = R1^-1, Q1 = A M is X (D M[:k]) plus y s M[k, k] in
+    its last column, so A is never formed; R2 is the Cholesky factor of
+    Q1'Q1, and R = R2 R1. A Cholesky that fails, or an R1 whose
+    ||R1||_F ||R1^-1||_F passes _CHOLESKY_QR_MAX_COND, leaves R to
+    Householder QR of A (np.linalg.qr), as for an exactly singular [X y].
+    """
+    import numpy as np
+
+    k = len(d)
+    scale = np.array([*d, s])
+    gram = np.empty((k + 1, k + 1))
+    # d_i x_i'x_j d_j, never d_i d_j, which overflows for tiny data.
+    gram[:k, :k] = xtx * scale[:k, None] * scale[:k]
+    gram[:k, k] = gram[k, :k] = xty * scale[:k] * s
+    gram[k, k] = tss
+    with np.errstate(all="ignore"):
+        try:
+            r1 = np.linalg.cholesky(gram).T
+            m = np.linalg.inv(r1)
+            if np.linalg.norm(r1) * np.linalg.norm(m) <= _CHOLESKY_QR_MAX_COND:
+                # Q1', row by row: a product of C-ordered arrays, since X is
+                # column-major, and y's row added contiguously.
+                q = (m[:k] * scale[:k, None]).T @ x.T
+                q[k] += y * (s * m[k, k])
+                return np.linalg.cholesky(q @ q.T).T @ r1
+        except np.linalg.LinAlgError:  # not positive definite in floats
+            pass
+    a = np.empty((len(y), k + 1), order="F")
+    np.multiply(x, scale[:k], out=a[:, :k])
+    np.multiply(y, s, out=a[:, k])
+    return np.linalg.qr(a, mode="r")
+
+
 def _fitter(design: DesignMatrix, response: ResponseVector):
     """The function that fits stacks of this design's column lists.
 
@@ -332,27 +387,33 @@ def _fitter(design: DesignMatrix, response: ResponseVector):
     the rank test is the same in any units (van der Sluis 1969) and no
     residual sum underflows or overflows.
 
-    The function takes a stack idx of ascending column lists of any
-    sizes and returns their fits in idx's order, None for each row it
-    cannot fit: every row of a size s with n <= s, and each
-    rank-deficient row. It is the one fitting kernel: fit_through_origin
-    is its one-row case, each stepwise step is one call, and so is a
-    whole exhaustive search. The eigenvalues and eigenvectors of the
-    principal block G of the scaled X'X give the rank test, G^-1 and b,
-    and the residuals are y - X b taken from X (not y'y - b'X'y, which
-    cancels when R^2 is near 1). A fitted row whose b or standard error,
-    unscaled, passes the float range raises a DomainError naming its
-    predictors. The function stops at t: it makes no tail call, and each
-    fit forms its p-values when they are read.
+    The function takes a stack idx of column lists of any sizes,
+    ascending in a search, and returns their fits in idx's order, None
+    for each row it cannot fit: every row of a size s with n <= s, and
+    each rank-deficient row. It is the one fitting kernel:
+    fit_through_origin is its one-row case, each stepwise step is one
+    call, and so is a whole exhaustive search. Both forms refuse a row by
+    one rule. Let U be its scaled triangle, any U with U'U the principal
+    block G of the scaled X'X: the row is refused when
+    ||U||_F^2 ||U^-1||_F^2 * RANK_RTOL > 1, or U has a zero pivot. A
+    fitted row whose b or standard error, unscaled, passes the float
+    range raises a DomainError naming its predictors. The function stops
+    at t: it makes no tail call, and each fit forms its p-values when
+    they are read.
 
     The design's size alone picks one of two forms of that work (see
     _PURE_MAX_ROWS), which agree within rounding. A design of the CLI's
-    size takes the pure form, a cyclic Jacobi per block in Python, so it
-    never loads numpy. Any other takes the numpy form: per size, one
-    eigh of the stacked blocks and matmuls against X whose fitted values
-    become residuals in place, in blocks of whole rows of at most
-    _BLOCK_FLOATS floats, one block when the size's (m, n) array fits,
-    so a search over a tall design holds 8 MB of them, not m n floats.
+    size takes the pure form, so it never loads numpy: a cyclic Jacobi
+    per block in Python, whose eigenvalues w give the rule's number as
+    (sum w)(sum 1/w), and G^-1 and b, and residuals y - X b taken from X.
+    Any other takes the numpy form. It factors the scaled [X y] once
+    into R (see _factor), and for each size makes one batched Householder
+    QR of each row's columns of R with y's, [[U, c], [0, rho]]: b = U^-1
+    c, SSR = rho^2 with no cancellation, and the standard errors from the
+    row norms of U^-1, formed by an s-step back substitution. No work
+    after the factor depends on n, and a row has the same bits in any
+    stack, so a refit through the fitter a search kept (see
+    selection.CandidateSet) has the search's bits.
     """
     ids = design.variable_ids
     n, k = design.n_rows, len(ids)
@@ -406,8 +467,8 @@ def _fitter(design: DesignMatrix, response: ResponseVector):
             out, worst, bound_max = [], None, 0.0
             for cols in rows:
                 w, v = _jacobi([[gram[i][j] for j in cols] for i in cols])
-                lo, hi = min(w), max(w)
-                if not (lo > 0.0 and lo >= RANK_RTOL * hi):
+                # ||U||_F^2 ||U^-1||_F^2 is trace(G) trace(G^-1) for any U with U'U = G.
+                if not (min(w) > 0.0 and sum(w) * sum([1.0 / wm for wm in w]) * RANK_RTOL <= 1.0):
                     out.append(None)
                     continue
                 # b = d V W^-1 V' (d X'y), and diag(G^-1) = sum over m of V[., m]^2 / w_m.
@@ -435,39 +496,42 @@ def _fitter(design: DesignMatrix, response: ResponseVector):
                 raise _beyond_range(ids, worst)
             return out
     else:
+        r = _factor(x, y, xtx, xty, tss, d, s)
         d = np.array(d)
-        gram, gram_y = xtx * d[:, None] * d, xty * d * s
-        ys = y * s
-        step = max(1, _BLOCK_FLOATS // n)  # rows of fitted values per block
 
         def solve(rows: list[list[int]]) -> list[tuple | None]:
             rows = np.asarray(rows)
-            w, v = np.linalg.eigh(gram[rows[:, :, None], rows[:, None, :]])
-            lo, hi = w[:, 0], w[:, -1]
-            ok = (lo > 0.0) & (lo >= RANK_RTOL * hi)
+            m, size = rows.shape
+            # Each row's columns of R and y's, reduced to a triangle
+            # [[U, c], [0, rho]]: b = U^-1 c and SSR = rho^2, y still scaled.
+            cols = np.empty((m, size + 1), dtype=int)
+            cols[:, :size], cols[:, size] = rows, k
+            tri = np.linalg.qr(r[:, cols].transpose(1, 0, 2), mode="r")
+            u = tri[:, :size, :size]
+            # U^-1 [I c] by back substitution, one step per column of U from
+            # the last: elementwise, so a row has the same bits in any stack.
+            z = np.zeros((m, size, size + 1))
+            z[:, range(size), range(size)] = 1.0
+            z[:, :, size] = tri[:, :size, size]
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                for i in range(size - 1, -1, -1):
+                    z[:, i] /= u[:, i, i, None]
+                    z[:, :i] -= u[:, :i, i, None] * z[:, i, None]
+                # The squared row norms of U^-1 are diag((U'U)^-1); the rank
+                # test's cond(U)^2 <= ||U||_F^2 ||U^-1||_F^2, inf or NaN at a zero pivot.
+                inv_sq = np.square(z[:, :, :size]).sum(2)
+                ok = np.square(u).sum((1, 2)) * inv_sq.sum(1) * RANK_RTOL <= 1.0
             if not ok.any():
-                return [None] * len(rows)
-            # A row that cannot be fitted solves to b = 0, and so t = 0, with
-            # 1 / w = 0; it is dropped at the end.
-            w[~ok] = np.inf
-            inv = (v / w[:, None, :]) @ v.swapaxes(-1, -2)
+                return [None] * m
+            # A row that cannot be fitted has b = 0 and standard errors 0; it
+            # is dropped at the end.
+            beta = np.where(ok[:, None], z[:, :, size], 0.0)
+            inv_sq[~ok] = 0.0
+            ssr = np.square(tri[:, size, size])
             # b and its standard errors in the columns' units, with y still scaled.
             d_rows = d[rows]
-            beta = d_rows * (inv @ gram_y[rows][:, :, None])[:, :, 0]
-            b_full = np.zeros((len(rows), k))
-            b_full[np.arange(len(rows))[:, None], rows] = beta
-            # The (m, n) fitted block, step whole rows at a time (all of them
-            # in one matmul when it fits), turned into residuals in place.
-            ssr = np.empty(len(rows))
-            for first in range(0, len(rows), step):
-                residuals = b_full[first:first + step] @ x.T
-                np.subtract(ys, residuals, out=residuals)
-                ssr[first:first + step] = (residuals[:, None, :] @ residuals[:, :, None])[:, 0, 0]
-                # Freed before the next block is formed: one block at a time.
-                del residuals
-            dof = n - rows.shape[1]
-            # Never negative: inv's diagonal sums v**2 / w over w > 0, and SSR / dof >= 0.
-            std_errors = d_rows * np.sqrt(inv.diagonal(0, -2, -1) * (ssr / dof)[:, None])
+            beta *= d_rows
+            std_errors = d_rows * np.sqrt(inv_sq * (ssr / (n - size))[:, None])
             # A zero standard error makes t +-inf by the sign of b (p = 0), or 0
             # when b is 0 too (p = 1).
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -475,7 +539,6 @@ def _fitter(design: DesignMatrix, response: ResponseVector):
             t_stats[(std_errors == 0.0) & (beta == 0.0)] = 0.0
             # Unscaled by y's power of two, a b or standard error above
             # largest passes the float range: its row is refused, by name.
-            # A row not fitted has b = 0 and standard errors 0.
             bound = np.maximum(np.abs(beta), std_errors)
             if bound.max() > largest:
                 raise _beyond_range(ids, rows[bound.max(1).argmax()].tolist())
@@ -518,25 +581,33 @@ def fit_through_origin(design: DesignMatrix, response: ResponseVector) -> Regres
     inference block; its fitted values and residuals are formed when read.
 
     Requirements: response length matches the design rows, the data is
-    in _fitter's domain (judged before n > k >= 1), and X'X with each
-    column scaled to a norm in [0.5, 1) has a smallest to largest
-    eigenvalue ratio of at least RANK_RTOL.
+    in _fitter's domain (judged before n > k >= 1), and X, each column
+    scaled by a power of two to a norm in [0.5, 1), passes _fitter's rank
+    test: its squared Frobenius condition estimate is at most
+    1 / RANK_RTOL. A design that CandidateSet.design_for made after a
+    search, given that set's response object, is fitted through the
+    fitter the search formed: with no pass over the rows, and with the
+    search's bits for those columns. Any other design is fitted anew.
     """
     n, k = design.n_rows, len(design.variable_ids)
     if response.n_rows != n:
         raise DimensionMismatch(f"response has length {response.n_rows}, design has {n} rows")
-    # The fitter first, so data out of its domain is named before a short one.
-    fit_stack = _fitter(design, response)
+    # A candidate set's columns fit through the fitter its search kept, on
+    # its response; any other design through its own, formed first, so data
+    # out of its domain is named before a short one.
+    fit_stack, searched, cols = design._source or (None, None, None)
+    if searched is not response:
+        fit_stack, cols = _fitter(design, response), list(range(k))
     if n <= k:
         raise InsufficientObservations(
             f"need more observations than predictors, got n={n}, k={k}"
         )
-    fit = fit_stack([list(range(k))])[0]
+    fit = fit_stack([cols])[0]
     if fit is None:
         raise RankDeficient(
             f"predictor(s) {', '.join(design.variable_ids)} are rank deficient: with each"
-            " column scaled by a power of two to a norm in [0.5, 1), the smallest to"
-            f" largest eigenvalue ratio of X'X is below {RANK_RTOL:g}"
+            " column scaled by a power of two to a norm in [0.5, 1), the squared"
+            f" Frobenius condition estimate of X passes {1 / RANK_RTOL:g}"
         )
     object.__setattr__(fit, "_data", (design, response))
     return fit

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+from functools import cached_property
 
 from ._record import count, finite, record
 from .errors import DimensionMismatch, DomainError, MissingPredictor, TooManyCandidates
@@ -31,7 +32,15 @@ DEFAULT_ALPHA_OUT = 0.10
 
 @record
 class CandidateSet:
-    """Candidate predictor columns and the response they explain."""
+    """Candidate predictor columns and the response they explain.
+
+    The first search forms the fitter of all the candidates (see
+    regression._fitter) and the set keeps it, so later searches, and a
+    refit of any subset through a later design_for, reuse its factor. So
+    the design's and the response's arrays must not be written in place
+    once a search has run; from_columns' and design_for's own arrays are
+    read-only.
+    """
 
     design: DesignMatrix
     response: ResponseVector
@@ -55,20 +64,37 @@ class CandidateSet:
     def variable_ids(self) -> tuple[str, ...]:
         return self.design.variable_ids
 
+    @cached_property
+    def _fit_stack(self):
+        return _fitter(self.design, self.response)
+
     def design_for(self, subset: tuple[str, ...]) -> DesignMatrix:
         """The design of subset's columns, in subset's order.
 
         Picking columns of a column-major array copies each one
-        contiguously into a new column-major array, which DesignMatrix
-        holds as it is; fit_through_origin on it has the bits of a
-        design built from those columns alone.
+        contiguously into a new column-major array, read-only, which
+        DesignMatrix holds as it is. Once a search has formed the set's
+        fitter, the design carries it, the set's response and the
+        columns' positions, and fit_through_origin(design, self.response)
+        fits through it: with the search's bits for every subset, and no
+        pass over the rows. Before any search, or with another response,
+        it has the bits of a design built from those columns alone. The
+        design holds the fitter, not the set: past the pure rule (see
+        regression._fitter) the fitter keeps R, not the other
+        candidates' columns.
         """
         ids = self.design.variable_ids
         for vid in subset:
             if vid not in ids:
                 raise MissingPredictor(vid)
         idx = [ids.index(vid) for vid in subset]
-        return DesignMatrix(tuple(subset), self.design.array[:, idx])
+        array = self.design.array[:, idx]
+        array.flags.writeable = False
+        design = DesignMatrix(tuple(subset), array)
+        fit_stack = self.__dict__.get("_fit_stack")  # formed by a search, if one has run
+        if fit_stack is not None:
+            object.__setattr__(design, "_source", (fit_stack, self.response, idx))
+        return design
 
 
 @record
@@ -138,15 +164,16 @@ def exhaustive_subsets(
     are recorded as skipped rather than fitted. At most MAX_CANDIDATES
     candidates are searched.
 
-    The whole search, every size, is one call of the fitter whose
-    one-row case is fit_through_origin (see regression._fitter), and
-    the all_significant flags come from a bisection over each dof's
+    The whole search, every size, is one call of the candidate set's
+    fitter, whose one-row case is fit_through_origin (see
+    regression._fitter); the set forms it on its first search and keeps
+    it. The all_significant flags come from a bisection over each dof's
     models (see _ranked); no fit's p_values is formed until it is read.
     Subsets of equal span (c0 + c1 and c0 + c2 with c2 = c0 + c1, say)
     are ordered by rounding. Search fits carry no residuals or fitted
     values; refit a model for them with
-    fit_through_origin(cands.design_for(ids), cands.response), which on
-    all the candidates has the search's bits.
+    fit_through_origin(cands.design_for(ids), cands.response), which has
+    the search's bits for every subset and makes no pass over the rows.
     """
     ids = cands.variable_ids
     if len(ids) > MAX_CANDIDATES:
@@ -160,7 +187,7 @@ def exhaustive_subsets(
         for size in range(1, max_size + 1)
         for cols in itertools.combinations(range(len(ids)), size)
     ]
-    fits = _fitter(cands.design, cands.response)(combos)
+    fits = cands._fit_stack(combos)
     skipped = [tuple(ids[j] for j in cols) for cols, fit in zip(combos, fits) if fit is None]
     models = _ranked([fit for fit in fits if fit is not None], alpha)
     models.sort(key=_rank_key)
@@ -179,8 +206,9 @@ def stepwise(
     drops the worst variable whose p-value exceeds alpha_out. Stops at
     a fixed point, or with converged False if the state cycles.
 
-    One fitter of all the candidates, whose one-row case is
-    fit_through_origin, decides every add and drop. A forward step fits
+    The candidate set's fitter, whose one-row case is
+    fit_through_origin, decides every add and drop; an exhaustive search
+    of the same set shares it (see CandidateSet). A forward step fits
     all of its trials as one stack, and skips a trial it cannot fit;
     its trials are of one size, so one tail call at their one dof gives
     the added columns' p-values, and no trial's p_values is formed.
@@ -190,11 +218,11 @@ def stepwise(
     The model reported is the last fit of the chosen columns, so, as in
     an exhaustive search, it carries no residuals or fitted values;
     refit it with fit_through_origin(cands.design_for(ids),
-    cands.response), which on all the candidates has the search's bits.
+    cands.response), which has the search's bits for every subset.
     Candidates that tie in exact arithmetic (c0, c1 and c0 + c1, say)
     are ordered by rounding. There is no cap on the number of
-    candidates: a forward step's fitted values are formed in the
-    fitter's bounded blocks.
+    candidates: once the fitter has factored [X y], no step passes
+    over the rows.
     """
     need = "need 0 < alpha_in <= alpha_out <= 1"
     finite(alpha_in, need, "alpha_in")
@@ -202,7 +230,7 @@ def stepwise(
     if not (0.0 < alpha_in <= alpha_out <= 1.0):
         raise DomainError(f"{need}, got {alpha_in}, {alpha_out}")
     ids = cands.variable_ids
-    fit_stack = _fitter(cands.design, cands.response)
+    fit_stack = cands._fit_stack
     current: list[int] = []  # positions in ids, ascending
     fit = None  # the fit of current, None while it is empty or unfittable
     seen: set[frozenset[int]] = {frozenset()}

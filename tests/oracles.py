@@ -1,8 +1,8 @@
 """Independent reference implementations used only by the tests.
 
 Each oracle takes a different route than the library: exact rational
-Gaussian elimination instead of Cholesky, the explicit textbook
-inverse-matrix formulas instead of factored solves, scipy's t
+normal equations and Gaussian elimination instead of a QR factor, the
+explicit textbook inverse-matrix formulas instead of factored solves, scipy's t
 distribution and adaptive quadrature instead of the continued
 fraction, and Decimal arithmetic on every repr instead of f-format.
 Agreement between routes is the point of the comparison.
@@ -11,6 +11,7 @@ Agreement between routes is the point of the comparison.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
@@ -19,14 +20,10 @@ import numpy as np
 from scipy import integrate, stats
 
 
-def solve_exact(a: np.ndarray, b: np.ndarray) -> list[float]:
-    """Solve a linear system by Gauss-Jordan elimination over exact
-    rationals, returning float quotients only at the end."""
-    n = len(b)
-    m = [
-        [Fraction(float(a[i][j])) for j in range(n)] + [Fraction(float(b[i]))]
-        for i in range(n)
-    ]
+def _gauss_jordan(m: list[list[Fraction]]) -> list[float]:
+    """Solve the system of the augmented rows m, [A | b], by Gauss-Jordan
+    elimination over exact rationals, returning float quotients only at the end."""
+    n = len(m)
     for col in range(n):
         pivot = max(range(col, n), key=lambda r: abs(m[r][col]))
         if m[pivot][col] == 0:
@@ -37,6 +34,28 @@ def solve_exact(a: np.ndarray, b: np.ndarray) -> list[float]:
                 factor = m[row][col] / m[col][col]
                 m[row] = [x - factor * y for x, y in zip(m[row], m[col])]
     return [float(m[i][n] / m[i][i]) for i in range(n)]
+
+
+def solve_exact(a: np.ndarray, b: np.ndarray) -> list[float]:
+    """Solve a linear system by Gauss-Jordan elimination over exact
+    rationals, returning float quotients only at the end."""
+    n = len(b)
+    return _gauss_jordan([
+        [Fraction(float(a[i][j])) for j in range(n)] + [Fraction(float(b[i]))]
+        for i in range(n)
+    ])
+
+
+def lstsq_exact(x: np.ndarray, y: np.ndarray) -> list[float]:
+    """The least-squares b of y on the columns of x: X'X and X'y formed in
+    exact rationals from x's and y's floats, then solved as solve_exact
+    solves, so nothing is rounded before the final quotients. solve_exact
+    given X'X and X'y formed in floats inherits their rounding, which
+    cond(X)^2 magnifies."""
+    cols = [[Fraction(float(v)) for v in col] for col in np.asarray(x, dtype=float).T]
+    ys = [Fraction(float(v)) for v in y]
+    return _gauss_jordan([[sum(map(operator.mul, a, b)) for b in cols]
+                          + [sum(map(operator.mul, a, ys))] for a in cols])
 
 
 def textbook_fit(x: np.ndarray, y: np.ndarray) -> dict:
@@ -81,17 +100,29 @@ def t_two_sided_quad(t: float, dof: int) -> float:
     return upper / half_mass
 
 
+def fresh_design(cands, subset):
+    """A design of subset's columns that knows nothing of cands: once a
+    search has run, cands.design_for(subset) refits through the search's
+    own factor, so a reference built on it would compare the search with
+    itself."""
+    from clubval.regression import DesignMatrix
+
+    idx = [cands.variable_ids.index(vid) for vid in subset]
+    return DesignMatrix(tuple(subset), cands.design.array[:, idx].copy())
+
+
 def stepwise_per_fit(cands, alpha_in: float = 0.05, alpha_out: float = 0.10):
     """Forward-backward stepwise with one full fit_through_origin per
-    trial subset, as clubval did before its search shared one Gram
-    matrix. Returns (variable ids of the final model or None, converged).
+    trial subset, each on a fresh copy of its columns, as clubval did
+    before its search shared one factor. Returns (variable ids of the
+    final model or None, converged).
     """
     from clubval.errors import InsufficientObservations, RankDeficient
     from clubval.regression import fit_through_origin
 
     def fit(subset):
         try:
-            return fit_through_origin(cands.design_for(subset), cands.response)
+            return fit_through_origin(fresh_design(cands, subset), cands.response)
         except (RankDeficient, InsufficientObservations):
             return None
 
@@ -137,8 +168,8 @@ def stepwise_per_fit(cands, alpha_in: float = 0.05, alpha_out: float = 0.10):
 
 def exhaustive_per_fit(cands, max_size: int, alpha: float = 0.05):
     """Exhaustive search with one full fit_through_origin per subset, on
-    a copy of its columns, as clubval did before its search shared one
-    Gram matrix. Returns a SelectionReport ranked as the search ranks.
+    a fresh copy of its columns, as clubval did before its search shared
+    one factor. Returns a SelectionReport ranked as the search ranks.
     """
     import itertools
 
@@ -150,7 +181,7 @@ def exhaustive_per_fit(cands, max_size: int, alpha: float = 0.05):
     for size in range(1, max_size + 1):
         for subset in itertools.combinations(cands.variable_ids, size):
             try:
-                fit = fit_through_origin(cands.design_for(subset), cands.response)
+                fit = fit_through_origin(fresh_design(cands, subset), cands.response)
             except (RankDeficient, InsufficientObservations):
                 skipped.append(subset)
                 continue

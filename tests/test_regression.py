@@ -16,7 +16,7 @@ from clubval import regression
 from clubval.regression import DesignMatrix, ResponseVector, fit_through_origin
 from clubval.selection import CandidateSet
 
-from oracles import solve_exact, textbook_fit
+from oracles import lstsq_exact, solve_exact, textbook_fit
 
 
 def _fit(columns, y):
@@ -173,6 +173,18 @@ class TestFitThroughOrigin:
         assert np.abs(_fit([("a", x1), ("b", x2)], y).coefficients).max() > 7e3
         with pytest.raises(DomainError, match=r"beyond the float range for predictor\(s\) a, b$"):
             _fit([("a", 1e-154 * x1), ("b", 1e-154 * x2)], 1e153 * y)
+
+    def test_overflowing_coefficient_is_named_past_the_pure_rule(self):
+        # The same rows 251 times over: n = 1,004 is past _PURE_MAX_ROWS, so
+        # the numpy form fits, to the same b, and refuses it by the same name.
+        # y x 1e152 keeps y'y, 251 times the above's, in the float range.
+        x1 = np.tile(np.arange(1.0, 5.0), 251)
+        x2 = x1 + 1e-4 * np.tile([1.0, -1.0, 1.0, -1.0], 251)
+        y = np.tile([1.0, 3.0, 2.0, 5.0], 251)
+        assert len(y) > regression._PURE_MAX_ROWS
+        assert np.abs(_fit([("a", x1), ("b", x2)], y).coefficients).max() > 7e3
+        with pytest.raises(DomainError, match=r"beyond the float range for predictor\(s\) a, b$"):
+            _fit([("a", 1e-154 * x1), ("b", 1e-154 * x2)], 1e152 * y)
 
     def test_rank_deficiency_names_predictors_and_scaled_criterion(self):
         col = np.arange(1.0, 5.0)
@@ -426,6 +438,32 @@ class TestMixedSizeStack:
         monkeypatch.setattr(regression, "t_two_sided_p", None)
         rows = [[0, 1], [0, 1, 2], [0, 1, 2, 3], [0, 1]]
         assert regression._fitter(design, response)(rows) == [None] * 4
+
+
+def _conditioned(seed, cond, n=40, k=4):
+    """x, n x k, with singular values spaced evenly in log from 1 to 1/cond,
+    and y = x b + 1e-3 noise."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((n, k)))[0]
+    v = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    x = (u * np.logspace(0.0, -math.log10(cond), k)) @ v.T
+    return x, x @ rng.uniform(0.5, 2.0, k) + 1e-3 * rng.standard_normal(n)
+
+
+class TestAccuracy:
+    @pytest.mark.parametrize("cond", [1e2, 1e4, 1e5, 9e5])
+    def test_coefficients_to_cond_eps(self, monkeypatch, cond):
+        # The numpy form, forced, against b from X'X and X'y formed exactly:
+        # a factor of [X y] loses digits as cond(X), not as cond(X)^2, as
+        # an eigendecomposition of X'X did (1.1e-8 at cond 1e4, 4.0e-5 at 9e5).
+        monkeypatch.setattr(regression, "_PURE_MAX_COLUMNS", 0)
+        worst = 0.0
+        for seed in range(5):
+            x, y = _conditioned(seed, cond)
+            want = np.array(lstsq_exact(x, y))
+            got = _fit([(f"x{j}", x[:, j]) for j in range(x.shape[1])], y).coefficients
+            worst = max(worst, np.abs(got - want).max() / np.abs(want).max())
+        assert worst <= 1e3 * cond * np.finfo(float).eps
 
 
 class TestOracleSweep:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from clubval.selection import (
 )
 from clubval.special import t_two_sided_p
 
-from oracles import exhaustive_per_fit, stepwise_per_fit
+from oracles import exhaustive_per_fit, fresh_design, stepwise_per_fit
 
 
 def _two_signal_candidates(seed=424, n=40, noise_cols=1):
@@ -194,6 +195,18 @@ class TestExhaustive:
             exhaustive_subsets(bad, max_size=2)
 
 
+def _recorded_stacks(monkeypatch):
+    """Every stack of fits a search's fitter returns, in order."""
+    stacks, fitter = [], selection._fitter
+
+    def recording(design, response):
+        fit_stack = fitter(design, response)
+        return lambda rows: stacks.append(fit_stack(rows)) or stacks[-1]
+
+    monkeypatch.setattr(selection, "_fitter", recording)
+    return stacks
+
+
 class TestStepwise:
     @pytest.mark.parametrize("seed", _DROPPING_SEEDS)
     def test_one_tail_call_per_forward_step(self, seed, monkeypatch):
@@ -201,19 +214,14 @@ class TestStepwise:
         # one dof, of one t per fitted trial, reads the added columns'
         # p-values, and no trial forms its own p_values but the winner,
         # whose fit is the first backward check.
-        stacks, steps = [], []
-        fitter, tail = selection._fitter, special.t_two_sided_p
-
-        def recording(design, response):
-            fit_stack = fitter(design, response)
-            return lambda rows: stacks.append(fit_stack(rows)) or stacks[-1]
+        stacks, steps = _recorded_stacks(monkeypatch), []
+        tail = special.t_two_sided_p
 
         def tallied(t, dof):
             if isinstance(t, list):
                 steps.append((len(stacks), len(t), dof))
             return tail(t, dof)
 
-        monkeypatch.setattr(selection, "_fitter", recording)
         monkeypatch.setattr(selection, "t_two_sided_p", tallied)
         report = stepwise(_latent_candidates(seed))
         assert report.converged and report.best is not None
@@ -443,7 +451,7 @@ class TestStepwiseAgainstPerFitReference:
             # The fit the search decided with, held to a fresh fit of its
             # columns as the exhaustive search's fits are.
             assert report.best.fit.residuals is None and report.best.fit.fitted is None
-            want = fit_through_origin(cands.design_for(want_ids), cands.response)
+            want = fit_through_origin(fresh_design(cands, want_ids), cands.response)
             ranked = RankedModel(want_ids, want, bool((np.asarray(want.p_values) <= 0.05).all()))
             TestExhaustiveAgainstPerFitReference._assert_same_report(
                 report, SelectionReport((ranked,))
@@ -522,9 +530,10 @@ class TestExhaustiveAgainstPerFitReference:
 
 
 class TestBoundedBlock:
-    """A size's fitted values are formed in blocks of whole rows of at
-    most regression._BLOCK_FLOATS floats; the largest size here, 252
-    subsets at n = 20,000, is 5.0e6 floats."""
+    """A search over a tall design holds no n-sized array per subset: the
+    factor of [X y] is (k+1) x (k+1), and only forming it passes over the
+    rows. Here 1,023 subsets at n = 20,000, where one (252, n) block of
+    fitted values, the largest size's, would be 40 MB."""
 
     @staticmethod
     def _tall_candidates():
@@ -537,22 +546,12 @@ class TestBoundedBlock:
         cands = self._tall_candidates()
         tracemalloc.start()
         try:
-            exhaustive_subsets(cands, 10)
+            report = exhaustive_subsets(cands, 10)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # Two blocks of 8-byte floats: the one block alive at a time, and
-        # room for the rest of the search. One (252, n) block is 40 MB.
-        assert peak < 2 * 8 * regression._BLOCK_FLOATS
-
-    @pytest.mark.parametrize("rows", [1, 7])
-    def test_smaller_blocks_give_the_same_report(self, monkeypatch, rows):
-        cands = self._tall_candidates()
-        want = exhaustive_subsets(cands, 10)
-        monkeypatch.setattr(regression, "_BLOCK_FLOATS", rows * 20_000 + 1)
-        got = exhaustive_subsets(cands, 10)
-        assert len(got.ranked_models) == 895 and len(got.skipped) == 128
-        TestExhaustiveAgainstPerFitReference._assert_same_report(got, want)
+        assert len(report.ranked_models) == 895 and len(report.skipped) == 128
+        assert peak < 16 * 2**20
 
 
 def _seeded_candidates(seed, n_low=3):
@@ -653,12 +652,14 @@ class TestTwoForms:
     the same designs."""
 
     @staticmethod
-    def _in_each_form(monkeypatch, run):
+    def _in_each_form(monkeypatch, cands, run):
+        # A fresh candidate set per form: a set keeps the fitter its first
+        # search formed, so reusing one would run the first form twice.
         results = []
         for form in ("pure", "numpy"):
             _force_form(monkeypatch, form)
             try:
-                results.append(run())
+                results.append(run(CandidateSet(cands.design, cands.response)))
             except (InsufficientObservations, RankDeficient) as exc:
                 results.append(type(exc))
         return results
@@ -667,14 +668,13 @@ class TestTwoForms:
     def test_forms_agree(self, monkeypatch, seed):
         cands, collinear = _form_rule_candidates(seed)
         k = len(cands.variable_ids)
-        pure, numpy_form = self._in_each_form(monkeypatch, lambda: (
-            exhaustive_subsets(cands, k), stepwise(cands),
-            fit_through_origin(cands.design, cands.response)))
+        pure, numpy_form = self._in_each_form(monkeypatch, cands, lambda c: (
+            exhaustive_subsets(c, k), stepwise(c), fit_through_origin(c.design, c.response)))
         if isinstance(pure, type) or isinstance(numpy_form, type):
             # The refusal of the whole design is the same; so are the searches.
             assert pure == numpy_form
             pure, numpy_form = self._in_each_form(
-                monkeypatch, lambda: (exhaustive_subsets(cands, k), stepwise(cands)))
+                monkeypatch, cands, lambda c: (exhaustive_subsets(c, k), stepwise(c)))
         # Every fit-or-skip verdict and every all_significant flag, and each
         # field within the acceptance tolerances. With c2 = c0 + c1, models
         # that swap c0 and c1 tie in exact arithmetic, and stepwise breaks
@@ -744,6 +744,138 @@ class TestTwoForms:
         fits = _fitter(cands.design, cands.response)(
             [list(cols) for cols in itertools.combinations(range(7), 4)])
         assert all(fits) and len(calls) == flagged
+
+
+class TestKeptFactor:
+    """A candidate set keeps the fitter its first search formed: later
+    searches reuse its factor, and so does fit_through_origin on a
+    design_for design with the set's response, with the search's bits."""
+
+    @staticmethod
+    def _assert_refits_alike(monkeypatch, cands, fits):
+        # No design is fitted anew: the refit reads the kept factor.
+        monkeypatch.setattr(regression, "_fitter", None)
+        for want in fits:
+            design = cands.design_for(want.variable_ids)
+            got = fit_through_origin(design, cands.response)
+            TestOneKernel._assert_same_bits(got, want)
+            fitted = design.array @ np.array(got.coefficients)
+            assert got.fitted.tobytes() == fitted.tobytes()
+            assert got.residuals.tobytes() == (cands.response.values - fitted).tobytes()
+
+    @pytest.mark.parametrize("form", ["pure", "numpy"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_exhaustive_fit_refits_with_its_bits(self, monkeypatch, form, seed):
+        _force_form(monkeypatch, form)
+        cands = _latent_candidates(seed, n=30 + 10 * seed, k=6)
+        if seed % 2:
+            x = cands.design.array.copy()
+            x[:, 2] = x[:, 0] + x[:, 1]
+            cands = CandidateSet(DesignMatrix(cands.variable_ids, x), cands.response)
+        report = exhaustive_subsets(cands, 6)
+        assert len(report.ranked_models) == 63 - 8 * (seed % 2)
+        self._assert_refits_alike(monkeypatch, cands, [m.fit for m in report.ranked_models])
+        for ids in report.skipped:
+            with pytest.raises(RankDeficient):
+                fit_through_origin(cands.design_for(ids), cands.response)
+
+    @pytest.mark.parametrize("form", ["pure", "numpy"])
+    @pytest.mark.parametrize("seed", _DROPPING_SEEDS)
+    def test_every_stepwise_fit_refits_with_its_bits(self, monkeypatch, form, seed):
+        # Every trial of every forward step, and every backward refit.
+        _force_form(monkeypatch, form)
+        stacks = _recorded_stacks(monkeypatch)
+        cands = _latent_candidates(seed)
+        report = stepwise(cands)
+        fits = [fit for stack in stacks for fit in stack if fit is not None]
+        assert report.best.fit in fits and len(fits) > len(stacks)
+        self._assert_refits_alike(monkeypatch, cands, fits)
+
+    def test_later_searches_reuse_the_factor(self, monkeypatch):
+        cands = _latent_candidates(24)
+        calls = []
+        fitter = selection._fitter
+        monkeypatch.setattr(selection, "_fitter", lambda d, r: calls.append(d) or fitter(d, r))
+        report = exhaustive_subsets(cands, 3)
+        assert stepwise(cands) == stepwise(cands)
+        assert exhaustive_subsets(cands, 3) == report and calls == [cands.design]
+
+    def test_refit_before_a_search_or_on_another_response_fits_anew(self):
+        cands = _latent_candidates(42)
+        ids = ("c1", "c4")
+        fresh = DesignMatrix(ids, cands.design.array[:, [1, 4]].copy())
+        early = cands.design_for(ids)
+        before = fit_through_origin(early, cands.response)
+        assert "_fit_stack" not in vars(cands)
+        TestOneKernel._assert_same_bits(before, fit_through_origin(fresh, cands.response))
+        searched = {m.variable_ids: m.fit for m in exhaustive_subsets(cands, 2).ranked_models}
+        # A design made before the search, or an equal response that is not
+        # the set's own: fitted anew, as before.
+        other = ResponseVector("y", cands.response.values.copy())
+        TestOneKernel._assert_same_bits(fit_through_origin(early, cands.response), before)
+        TestOneKernel._assert_same_bits(fit_through_origin(cands.design_for(ids), other), before)
+        TestOneKernel._assert_same_bits(
+            fit_through_origin(cands.design_for(ids), cands.response), searched[ids])
+
+    def test_refit_keeps_no_other_candidate_alive(self):
+        # The refit holds its own columns, the response and the kept
+        # fitter, not the set and so not the other candidates' columns.
+        cands = _independent_candidates(1, 2_000, 8, nulls=3)
+        response = cands.response
+        stepwise(cands)
+        fit = fit_through_origin(cands.design_for(("v0", "v2")), response)
+        gone = weakref.ref(cands.design)
+        del cands
+        assert gone() is None and fit.residuals.shape == (2_000,)
+
+    def test_own_arrays_are_read_only(self):
+        # The kept factor assumes that the columns it was formed from stay.
+        rng = np.random.default_rng(3)
+        x = rng.uniform(1.0, 9.0, (20, 3))
+        response = ResponseVector("y", x.sum(1))
+        for columns in ([(f"c{j}", x[:, j]) for j in range(3)],
+                        [(f"c{j}", x[:, j].tolist()) for j in range(3)]):
+            cands = CandidateSet.from_columns(columns, response)
+            for array in (cands.design.array, cands.design_for(("c2", "c0")).array):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0, 0] = 1.0
+        assert x.flags.writeable
+
+    def test_both_factor_paths_are_reached(self, monkeypatch):
+        # CholeskyQR2 for a well-conditioned [X y]; Householder QR of [X y]
+        # for an exactly singular one (c2 = c0 + c1), whose Cholesky fails at
+        # seeds 0-2 and passes at 3-5 with an R1 whose condition estimate
+        # is past the bound. The 10-candidate search's verdicts hold in all.
+        paths, cholesky, qr = [], np.linalg.cholesky, np.linalg.qr
+
+        def counted_cholesky(a):
+            try:
+                r = cholesky(a)
+            except np.linalg.LinAlgError:
+                paths.append("fails")
+                raise
+            paths.append("passes")
+            return r
+
+        def counted_qr(a, mode="reduced"):
+            if a.ndim == 2:  # the whole [X y]; a search's blocks come stacked
+                paths.append("householder")
+            return qr(a, mode=mode)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+        monkeypatch.setattr(np.linalg, "qr", counted_qr)
+        for seed in range(6):
+            cands = _independent_candidates(seed, 60, 10, nulls=5)
+            report = exhaustive_subsets(cands, 2)
+            assert paths == ["passes", "passes"] and len(report.ranked_models) == 55
+            del paths[:]
+            x = cands.design.array.copy()
+            x[:, 2] = x[:, 0] + x[:, 1]
+            report = exhaustive_subsets(CandidateSet(DesignMatrix(cands.variable_ids, x),
+                                                     cands.response), 10)
+            assert paths == (["fails"] if seed < 3 else ["passes"]) + ["householder"]
+            assert len(report.ranked_models) == 895 and len(report.skipped) == 128
+            del paths[:]
 
 
 class TestCandidateSet:
