@@ -11,13 +11,13 @@ command: a run is that command with `--workload W --seed S --seconds T
 --trace 0`, started in the copy, T being the file's run_seconds; its last
 line of stdout is the benchmark's JSON result.
 
-Bytecode policy (`--bytecode`, recorded in the output): none, the one
-policy, is fresh copies without __pycache__, run under
-PYTHONDONTWRITEBYTECODE=1, so every cold start compiles clubval, as on a
-fresh checkout. PYTHONPYCACHEPREFIX is removed from the runs'
-environment: the prefix applies to every module, so the standard library
-would compile on every start (about 100 ms per cold start on a 2-CPU
-Xeon). PYTHONPATH is removed too, so a run sees only its own copy.
+No bytecode (recorded in the output as "bytecode": "none"): each side
+is a fresh copy without __pycache__, run under PYTHONDONTWRITEBYTECODE=1,
+so every cold start compiles clubval, as on a fresh checkout.
+PYTHONPYCACHEPREFIX is removed from the runs' environment: the prefix
+applies to every module, so the standard library would compile on every
+start (about 100 ms per cold start on a 2-CPU Xeon). PYTHONPATH is
+removed too, so a run sees only its own copy.
 
 For every workload and end-to-end metric the output gives each side's
 median, quartiles, min and max, the change's wins (ties count for
@@ -36,7 +36,7 @@ commit, so claim op_p90_ms there. Nothing is claimed without --claim.
 
 Usage:
     python3 scripts/bench_pairs.py --parent HEAD --change worktree \\
-        --workloads tall_stepwise --pairs 10 --seed 70 --bytecode none \\
+        --workloads tall_stepwise --pairs 10 --seed 70 \\
         --claim tall_stepwise:op_p50_ms --out BENCH_35.json
 
 It works on the git repository of the current directory.
@@ -162,7 +162,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workloads", required=True, nargs="+")
     parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
     parser.add_argument("--seed", type=int, required=True, help="the first pair's seed")
-    parser.add_argument("--bytecode", choices=("none",), default="none")
     parser.add_argument("--claim", action="append", default=[], metavar="WORKLOAD:METRIC")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
@@ -208,12 +207,11 @@ def main(argv: list[str] | None = None) -> int:
     doc = {
         "what": (f"{' '.join(command)} --seconds {seconds} --trace 0 in {args.pairs} "
                  f"alternating parent/change pairs per workload at seeds {args.seed}-"
-                 f"{args.seed + args.pairs - 1}, each side a clean copy, bytecode "
-                 f"{args.bytecode}"),
+                 f"{args.seed + args.pairs - 1}, each side a clean copy, bytecode none"),
         "machine": machine(),
         "parent": revs["parent"],
         "change": revs["change"],
-        "bytecode": args.bytecode,
+        "bytecode": "none",
         "command": command,
         "seconds": seconds,
         "claim_rule": (f"at least {MIN_PAIRS} pairs, the change wins at least "

@@ -55,19 +55,16 @@ _COPY_FLOATS = 2**15
 _COPY_MIN_ROWS = 1024
 # The form rule: a design of at most _PURE_MAX_COLUMNS columns (the most the
 # CLI can name) and _PURE_MAX_ROWS rows is fitted in pure Python, any other
-# with numpy. CPU time on a loaded 2-CPU Xeon, Python 3.11, numpy 2.4, medians
-# of 5 best-of-21 runs: a whole 127-subset search of 7 candidates, flags and
-# all, costs 20.8 ms in pure form against 5.2 ms in numpy form at n = 60, and
-# 64 against 4.9 ms at n = 1,000, the rule's edge; importing numpy costs a
-# child 92 ms. So a cold caller saves at least 30 ms anywhere within the rule
-# (19 ms at n = 2,000, where the pure search costs 77 ms), and a warm caller,
-# numpy loaded, pays up to 59 ms more for the largest search at the edge and
-# 3.6 ms more for one fit of 7 columns (3.85 against 0.21 ms).
+# with numpy. CPU time on a 2-CPU Xeon, Python 3.11, numpy 2.4, medians of 5
+# best-of-21 runs: a whole 127-subset search of 7 list candidates, flags and
+# all, costs 5.7 ms in pure form against 1.9 ms in numpy form at n = 60, and
+# 9.1 against 3.1 ms at n = 1,000, the rule's edge; importing numpy costs a
+# child 148 ms. So a cold caller saves over 130 ms anywhere within the rule
+# (and would at n = 2,000, where the pure search costs 12.9 ms), and a warm
+# caller, numpy loaded, pays up to 6.0 ms more for the largest search at the
+# edge and 2.7 ms more for one fit of 7 columns (2.9 against 0.2 ms).
 _PURE_MAX_COLUMNS = 7
 _PURE_MAX_ROWS = 1_000
-# Cyclic Jacobi sweeps before a block's eigenvalues are taken as they stand;
-# a 7 x 7 scaled block stops after 6 or 7, the last of which rotates nothing.
-_JACOBI_SWEEPS = 50
 _NUMBER_TYPES = frozenset((float, int, bool))
 
 
@@ -248,7 +245,8 @@ class RegressionFit:
     are float tuples in the order of variable_ids, so fits compare and
     hash by value; p_values, one more, is formed from t_stats and dof by
     one t_two_sided_p call when first read. Every reported statistic uses
-    the uncentered convention. Every fit comes from one kernel, _fitter's.
+    the uncentered convention. Every fit comes from one kernel, _fitter's,
+    which solves from a triangular factor of [X y] in either of its forms.
     fit_through_origin, its one-row case, keeps the design and response
     it fitted, and fitted (X b) and residuals (y - X b) are formed from
     them as ndarrays on first read, X b once. They are None on every
@@ -285,48 +283,31 @@ class RegressionFit:
         return None if self._data is None else self._data[1].values - self.fitted
 
 
-def _jacobi(a: list[list[float]]) -> tuple[list[float], list[list[float]]]:
-    """Eigenvalues of the symmetric matrix a (a list of rows) and the
-    eigenvectors, the columns of v, by cyclic Jacobi rotations (Rutishauser
-    1966). A rotation is skipped when its term is below eps times the
-    geometric mean of its two diagonal terms, which keeps the small
-    eigenvalues of a scaled positive definite block to high relative
-    accuracy (Demmel & Veselic 1992); a sweep that rotates nothing ends it.
+def _mgs(columns) -> list[list[float]]:
+    """R, upper triangular with a non-negative diagonal, of the m columns
+    given (sequences of one length), as a list of rows, by modified
+    Gram-Schmidt. Its R is backward stable even where its Q is not
+    orthonormal, so the least-squares b that R of [X y] gives loses digits
+    as cond(X), not as cond(X)^2 (Bjorck 1967; Bjorck & Paige 1992). A
+    column that nothing is left of, once the earlier ones are taken out,
+    gives a zero pivot and a zero row.
     """
-    s = len(a)
-    a = [row[:] for row in a]
-    v = [[float(i == j) for j in range(s)] for i in range(s)]
-    eps = sys.float_info.epsilon
-    for _ in range(_JACOBI_SWEEPS):
-        rotated = False
-        for p in range(s - 1):
-            ap = a[p]
-            for q in range(p + 1, s):
-                aq, apq = a[q], ap[q]
-                if abs(apq) <= eps * math.sqrt(abs(ap[p] * aq[q])):
-                    continue
-                rotated = True
-                theta = (aq[q] - ap[p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                sn = t * c
-                tau = sn / (1.0 + c)
-                ap[p] -= t * apq
-                aq[q] += t * apq
-                ap[q] = aq[p] = 0.0
-                for r in range(s):
-                    if r != p and r != q:
-                        ar = a[r]
-                        g, h = ar[p], ar[q]
-                        ar[p] = ap[r] = g - sn * (h + g * tau)
-                        ar[q] = aq[r] = h + sn * (g - h * tau)
-                for vr in v:
-                    g, h = vr[p], vr[q]
-                    vr[p] = g - sn * (h + g * tau)
-                    vr[q] = h + sn * (g - h * tau)
-        if not rotated:
-            break
-    return [a[i][i] for i in range(s)], v
+    q = list(columns)
+    m = len(q)
+    r = [[0.0] * m for _ in range(m)]
+    for i in range(m):
+        qi = q[i]
+        norm = math.sqrt(sum(map(mul, qi, qi)))
+        if not norm:
+            continue
+        ri = r[i]
+        ri[i] = norm
+        qi = [v / norm for v in qi]
+        for j in range(i + 1, m):
+            qj = q[j]
+            rij = ri[j] = sum(map(mul, qi, qj))
+            q[j] = [a - rij * b for a, b in zip(qj, qi)]
+    return r
 
 
 def _beyond_range(ids: tuple[str, ...], cols) -> DomainError:
@@ -380,12 +361,13 @@ def _factor(x: np.ndarray, y: np.ndarray, xtx: np.ndarray, xty: np.ndarray, tss:
 def _fitter(design: DesignMatrix, response: ResponseVector):
     """The function that fits stacks of this design's column lists.
 
-    The data is judged once, here: X'X, X'y and y'y must be finite, and
-    each column's and y's sum of squares zero or at least the smallest
-    normal float, or a DomainError names the input. Each column, and y,
-    is then scaled by a power of two, exactly, to a norm in [0.5, 1), so
-    the rank test is the same in any units (van der Sluis 1969) and no
-    residual sum underflows or overflows.
+    The data is judged once, here: X'X, X'y and y'y must be finite (the
+    pure form reads the sums of squares, which bound the rest), and each
+    column's and y's sum of squares zero or at least the smallest normal
+    float, or a DomainError names the input. Each column, and y, is then
+    scaled by a power of two, exactly, to a norm in [0.5, 1), so the rank
+    test is the same in any units (van der Sluis 1969) and no residual
+    sum underflows or overflows.
 
     The function takes a stack idx of column lists of any sizes,
     ascending in a search, and returns their fits in idx's order, None
@@ -393,27 +375,27 @@ def _fitter(design: DesignMatrix, response: ResponseVector):
     each rank-deficient row. It is the one fitting kernel:
     fit_through_origin is its one-row case, each stepwise step is one
     call, and so is a whole exhaustive search. Both forms refuse a row by
-    one rule. Let U be its scaled triangle, any U with U'U the principal
-    block G of the scaled X'X: the row is refused when
-    ||U||_F^2 ||U^-1||_F^2 * RANK_RTOL > 1, or U has a zero pivot. A
-    fitted row whose b or standard error, unscaled, passes the float
-    range raises a DomainError naming its predictors. The function stops
-    at t: it makes no tail call, and each fit forms its p-values when
-    they are read.
+    one rule. Let U be its scaled triangle, the R of its scaled columns:
+    the row is refused when ||U||_F^2 ||U^-1||_F^2 * RANK_RTOL > 1, or U
+    has a zero pivot. A fitted row whose b or standard error, unscaled,
+    passes the float range raises a DomainError naming its predictors.
+    The function stops at t: it makes no tail call, and each fit forms
+    its p-values when they are read.
 
-    The design's size alone picks one of two forms of that work (see
-    _PURE_MAX_ROWS), which agree within rounding. A design of the CLI's
-    size takes the pure form, so it never loads numpy: a cyclic Jacobi
-    per block in Python, whose eigenvalues w give the rule's number as
-    (sum w)(sum 1/w), and G^-1 and b, and residuals y - X b taken from X.
-    Any other takes the numpy form. It factors the scaled [X y] once
-    into R (see _factor), and for each size makes one batched Householder
-    QR of each row's columns of R with y's, [[U, c], [0, rho]]: b = U^-1
-    c, SSR = rho^2 with no cancellation, and the standard errors from the
-    row norms of U^-1, formed by an s-step back substitution. No work
-    after the factor depends on n, and a row has the same bits in any
-    stack, so a refit through the fitter a search kept (see
-    selection.CandidateSet) has the search's bits.
+    One algorithm does that work. It factors the scaled [X y] once into
+    an upper-triangular R, and reduces each row's columns of R with y's
+    to a triangle [[U, c], [0, rho]]: b = U^-1 c, SSR = rho^2 with no
+    cancellation, and the standard errors from the row norms of U^-1,
+    formed by an s-step back substitution. No work after the factor
+    depends on n, and a row has the same bits in any stack, so a refit
+    through the fitter a search kept (see selection.CandidateSet) has
+    the search's bits. The design's size alone picks one of two forms of
+    it, which differ only in the vehicle and agree within rounding (see
+    _PURE_MAX_ROWS). A design of the CLI's size takes the pure form, so
+    it never loads numpy: modified Gram-Schmidt in Python (_mgs) for R,
+    and again for each row's triangle. Any other takes the numpy form: R
+    by CholeskyQR2 (see _factor), and for each size one batched
+    Householder QR of the rows' blocks.
     """
     ids = design.variable_ids
     n, k = design.n_rows, len(ids)
@@ -421,10 +403,11 @@ def _fitter(design: DesignMatrix, response: ResponseVector):
     if pure:
         xs = design._held or design.array.T.tolist()
         y = response._held or response.values.tolist()
-        xtx = [[sum(map(mul, a, b)) for b in xs] for a in xs]
-        xty = [sum(map(mul, a, y)) for a in xs]
+        # X'X off its diagonal, and X'y, are finite when these sums of
+        # squares are (Cauchy-Schwarz).
+        sq = [sum(map(mul, a, a)) for a in xs]
         tss = sum(map(mul, y, y))
-        finite = all(map(math.isfinite, [*sum(xtx, []), *xty, tss]))
+        finite = all(map(math.isfinite, [*sq, tss]))
         columns, nonzero = xs, any
     else:
         import numpy as np
@@ -437,8 +420,8 @@ def _fitter(design: DesignMatrix, response: ResponseVector):
             xty = x.T @ y
             tss = float(y @ y)
         finite = bool(np.isfinite(xtx).all() and np.isfinite(xty).all()) and math.isfinite(tss)
+        sq = xtx.diagonal().tolist()
         columns, nonzero = x.T, np.ndarray.any
-    sq = [xtx[j][j] for j in range(k)]
     for words, bad, bad_y in (
         ("non-finite value or overflow", [vid for vid, v in zip(ids, sq) if not math.isfinite(v)],
          not finite),
@@ -457,31 +440,40 @@ def _fitter(design: DesignMatrix, response: ResponseVector):
     largest = sys.float_info.max * s  # inf when s > 1
 
     if pure:
-        gram = [[v * di * dj for v, dj in zip(row, d)] for row, di in zip(xtx, d)]
-        gram_y = [v * dj * s for v, dj in zip(xty, d)]
-        ys = [v * s for v in y]
+        # R of the scaled [X y], by columns: column k is y's.
+        r = list(zip(*_mgs([[v * dj for v in a] for a, dj in zip(xs, d)] + [[v * s for v in y]])))
 
         def solve(rows: list[list[int]]) -> list[tuple | None]:
             """(b, standard errors, t, SSR) of each row of one size, or None
             for a rank-deficient row; SSR with y still scaled."""
             out, worst, bound_max = [], None, 0.0
+            size = len(rows[0])
+            dof = n - size
             for cols in rows:
-                w, v = _jacobi([[gram[i][j] for j in cols] for i in cols])
-                # ||U||_F^2 ||U^-1||_F^2 is trace(G) trace(G^-1) for any U with U'U = G.
-                if not (min(w) > 0.0 and sum(w) * sum([1.0 / wm for wm in w]) * RANK_RTOL <= 1.0):
+                # The row's columns of R and y's, reduced to a triangle
+                # [[U, c], [0, rho]]: b = U^-1 c and SSR = rho^2, y still scaled.
+                tri = _mgs([r[j] for j in cols] + [r[k]])
+                if not all(tri[i][i] for i in range(size)):  # a zero pivot
                     out.append(None)
                     continue
-                # b = d V W^-1 V' (d X'y), and diag(G^-1) = sum over m of V[., m]^2 / w_m.
-                gy = [gram_y[j] for j in cols]
-                z = [sum(map(mul, vm, gy)) / wm for vm, wm in zip(zip(*v), w)]
-                beta = [d[j] * sum(map(mul, vj, z)) for j, vj in zip(cols, v)]
-                r = ys
-                for j, b in zip(cols, beta):
-                    r = [ri - b * xi for ri, xi in zip(r, xs[j])]
-                ssr = sum(map(mul, r, r))
-                dof = n - len(cols)
-                se = [d[j] * math.sqrt(sum([vjm * vjm / wm for vjm, wm in zip(vj, w)]) * (ssr / dof))
-                      for j, vj in zip(cols, v)]
+                # U^-1 [I c] by back substitution, one step per column of U from the last.
+                z = [[float(i == j) for j in range(size)] + [tri[i][size]] for i in range(size)]
+                for i in range(size - 1, -1, -1):
+                    zi = z[i] = [v / tri[i][i] for v in z[i]]
+                    for h in range(i):
+                        u = tri[h][i]
+                        z[h] = [a - u * b for a, b in zip(z[h], zi)]
+                # The squared row norms of U^-1 are diag((U'U)^-1); the rank
+                # test's cond(U)^2 <= ||U||_F^2 ||U^-1||_F^2, inf or NaN if U^-1 overflows.
+                inv_sq = [sum([v * v for v in zi[:size]]) for zi in z]
+                u_sq = sum([v * v for row in tri[:size] for v in row[:size]])
+                if not (u_sq * sum(inv_sq) * RANK_RTOL <= 1.0):
+                    out.append(None)
+                    continue
+                ssr = tri[size][size] * tri[size][size]
+                # b and its standard errors in the columns' units, with y still scaled.
+                beta = [d[j] * zi[size] for j, zi in zip(cols, z)]
+                se = [d[j] * math.sqrt(v * (ssr / dof)) for j, v in zip(cols, inv_sq)]
                 # A zero standard error makes t +-inf by the sign of b (p = 0), or 0
                 # when b is 0 too (p = 1).
                 t = [b / e if e else math.copysign(math.inf, b) if b else 0.0

@@ -20,9 +20,9 @@ import numpy as np
 from scipy import integrate, stats
 
 
-def _gauss_jordan(m: list[list[Fraction]]) -> list[float]:
-    """Solve the system of the augmented rows m, [A | b], by Gauss-Jordan
-    elimination over exact rationals, returning float quotients only at the end."""
+def _gauss_jordan_exact(m: list[list[Fraction]]) -> list[list[Fraction]]:
+    """The solution of the augmented rows m, [A | B], by Gauss-Jordan
+    elimination over exact rationals: row i of A^-1 B, for each of B's columns."""
     n = len(m)
     for col in range(n):
         pivot = max(range(col, n), key=lambda r: abs(m[r][col]))
@@ -33,7 +33,13 @@ def _gauss_jordan(m: list[list[Fraction]]) -> list[float]:
             if row != col and m[row][col] != 0:
                 factor = m[row][col] / m[col][col]
                 m[row] = [x - factor * y for x, y in zip(m[row], m[col])]
-    return [float(m[i][n] / m[i][i]) for i in range(n)]
+    return [[v / m[i][i] for v in m[i][n:]] for i in range(n)]
+
+
+def _gauss_jordan(m: list[list[Fraction]]) -> list[float]:
+    """Solve the system of the augmented rows m, [A | b], by Gauss-Jordan
+    elimination over exact rationals, returning float quotients only at the end."""
+    return [float(row[0]) for row in _gauss_jordan_exact(m)]
 
 
 def solve_exact(a: np.ndarray, b: np.ndarray) -> list[float]:
@@ -46,16 +52,36 @@ def solve_exact(a: np.ndarray, b: np.ndarray) -> list[float]:
     ])
 
 
+def _normal_equations(x: np.ndarray, y) -> tuple[list[list[Fraction]], list[Fraction], Fraction]:
+    """X'X, X'y and y'y in exact rationals from x's and y's floats."""
+    cols = [[Fraction(float(v)) for v in col] for col in np.asarray(x, dtype=float).T]
+    ys = [Fraction(float(v)) for v in y]
+    return ([[sum(map(operator.mul, a, b)) for b in cols] for a in cols],
+            [sum(map(operator.mul, a, ys)) for a in cols], sum(map(operator.mul, ys, ys)))
+
+
 def lstsq_exact(x: np.ndarray, y: np.ndarray) -> list[float]:
     """The least-squares b of y on the columns of x: X'X and X'y formed in
     exact rationals from x's and y's floats, then solved as solve_exact
     solves, so nothing is rounded before the final quotients. solve_exact
     given X'X and X'y formed in floats inherits their rounding, which
     cond(X)^2 magnifies."""
-    cols = [[Fraction(float(v)) for v in col] for col in np.asarray(x, dtype=float).T]
-    ys = [Fraction(float(v)) for v in y]
-    return _gauss_jordan([[sum(map(operator.mul, a, b)) for b in cols]
-                          + [sum(map(operator.mul, a, ys))] for a in cols])
+    xtx, xty, _ = _normal_equations(x, y)
+    return _gauss_jordan([row + [v] for row, v in zip(xtx, xty)])
+
+
+def standard_errors_exact(x: np.ndarray, y: np.ndarray) -> list[float]:
+    """The through-origin standard errors of y on the columns of x,
+    sqrt(diag((X'X)^-1) SSR / (n - k)): (X'X)^-1, b and SSR = y'y - b'X'y
+    formed in exact rationals from x's and y's floats, and only each
+    final square root taken in floats."""
+    xtx, xty, yty = _normal_equations(x, y)
+    k = len(xtx)
+    sol = _gauss_jordan_exact([row + [v] + [Fraction(i == j) for j in range(k)]
+                               for i, (row, v) in enumerate(zip(xtx, xty))])
+    ssr = yty - sum(row[0] * v for row, v in zip(sol, xty))
+    dof = len(y) - k
+    return [math.sqrt(sol[j][1 + j] * ssr / dof) for j in range(k)]
 
 
 def textbook_fit(x: np.ndarray, y: np.ndarray) -> dict:

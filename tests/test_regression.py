@@ -16,7 +16,8 @@ from clubval import regression
 from clubval.regression import DesignMatrix, ResponseVector, fit_through_origin
 from clubval.selection import CandidateSet
 
-from oracles import lstsq_exact, solve_exact, textbook_fit
+from oracles import lstsq_exact, solve_exact, standard_errors_exact, textbook_fit
+from test_selection import _force_form
 
 
 def _fit(columns, y):
@@ -451,19 +452,59 @@ def _conditioned(seed, cond, n=40, k=4):
 
 
 class TestAccuracy:
+    """Each form of the fitter, forced, against figures formed exactly from
+    X's and y's floats. A factor of [X y] loses digits as cond(X); a fit
+    from X'X, such as its eigendecomposition, loses them as cond(X)^2 and
+    fails these bounds from cond 1e4."""
+
+    @staticmethod
+    def _fits(monkeypatch, x, y):
+        """The fit of y on x's columns in each form."""
+        fits = {}
+        for form in ("pure", "numpy"):
+            _force_form(monkeypatch, form)
+            fits[form] = _fit([(f"x{j}", x[:, j]) for j in range(x.shape[1])], y)
+        return fits
+
     @pytest.mark.parametrize("cond", [1e2, 1e4, 1e5, 9e5])
     def test_coefficients_to_cond_eps(self, monkeypatch, cond):
-        # The numpy form, forced, against b from X'X and X'y formed exactly:
-        # a factor of [X y] loses digits as cond(X), not as cond(X)^2, as
-        # an eigendecomposition of X'X did (1.1e-8 at cond 1e4, 4.0e-5 at 9e5).
-        monkeypatch.setattr(regression, "_PURE_MAX_COLUMNS", 0)
-        worst = 0.0
+        # Against b from X'X and X'y formed exactly, relative to b's largest entry.
+        worst = {"pure": 0.0, "numpy": 0.0}
         for seed in range(5):
             x, y = _conditioned(seed, cond)
             want = np.array(lstsq_exact(x, y))
-            got = _fit([(f"x{j}", x[:, j]) for j in range(x.shape[1])], y).coefficients
-            worst = max(worst, np.abs(got - want).max() / np.abs(want).max())
-        assert worst <= 1e3 * cond * np.finfo(float).eps
+            for form, fit in self._fits(monkeypatch, x, y).items():
+                err = np.abs(fit.coefficients - want).max() / np.abs(want).max()
+                worst[form] = max(worst[form], err)
+        assert max(worst.values()) <= 1e3 * cond * np.finfo(float).eps, worst
+
+    @pytest.mark.parametrize("cond", [1e2, 1e4, 1e5, 9e5])
+    def test_standard_errors_to_cond_eps(self, monkeypatch, cond):
+        # Against sqrt(diag((X'X)^-1) SSR / dof) formed exactly, entry by entry.
+        worst = {"pure": 0.0, "numpy": 0.0}
+        for seed in range(5):
+            x, y = _conditioned(seed, cond)
+            want = np.array(standard_errors_exact(x, y))
+            for form, fit in self._fits(monkeypatch, x, y).items():
+                worst[form] = max(worst[form], (np.abs(fit.standard_errors - want) / want).max())
+        assert max(worst.values()) <= 1e3 * cond * np.finfo(float).eps, worst
+
+    def test_coefficients_follow_the_units(self, monkeypatch):
+        # Every column scaled by 10^u_j and y by 10^v, u_j and v drawn from
+        # [-100, 100]: b becomes b 10^v / 10^u_j, entry by entry, at cond 1e3.
+        worst = {"pure": 0.0, "numpy": 0.0}
+        for seed in range(5):
+            x, y = _conditioned(seed, 1e3)
+            base = self._fits(monkeypatch, x, y)
+            rng = np.random.default_rng([7, seed])
+            for _ in range(4):
+                u, v = rng.integers(-100, 101, x.shape[1]), int(rng.integers(-100, 101))
+                scaled = self._fits(monkeypatch, x * 10.0**u, y * 10.0**v)
+                for form, fit in scaled.items():
+                    want = np.array(base[form].coefficients) * 10.0**v / 10.0**u
+                    err = (np.abs(fit.coefficients - want) / np.abs(want)).max()
+                    worst[form] = max(worst[form], err)
+        assert max(worst.values()) <= 1e-11, worst
 
 
 class TestOracleSweep:

@@ -725,16 +725,17 @@ class TestTwoForms:
         # size, one dof, by bisection, in at most m.bit_length() + 1 tail
         # calls of one t each, in either form.
         cands = _independent_candidates(5, n, 7, nulls=3)
-        calls, blocks = [], []
-        tail, jacobi = special.t_two_sided_p, regression._jacobi
+        calls, factors = [], []
+        tail, mgs = special.t_two_sided_p, regression._mgs
         for module in (regression, selection):
             monkeypatch.setattr(
                 module, "t_two_sided_p", lambda t, dof: calls.append((t, dof)) or tail(t, dof)
             )
-        # Only the pure form runs the Jacobi, once per subset.
-        monkeypatch.setattr(regression, "_jacobi", lambda a: blocks.append(a) or jacobi(a))
+        # Only the pure form runs modified Gram-Schmidt: once on [X y], and
+        # once per subset on its columns of R with y's.
+        monkeypatch.setattr(regression, "_mgs", lambda a: factors.append(a) or mgs(a))
         report = exhaustive_subsets(cands, 7)
-        assert len(report.ranked_models) == 127 and len(blocks) == 127 * pure
+        assert len(report.ranked_models) == 127 and len(factors) == (1 + 127) * pure
         sizes = [math.comb(7, s) for s in range(1, 8)]
         assert all(isinstance(t, float) for t, _ in calls)
         assert {dof for _, dof in calls} == {n - s for s in range(1, 8)}
